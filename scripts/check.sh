@@ -28,7 +28,10 @@ if [[ "$mode" == "all" || "$mode" == "release" ]]; then
   echo "== release: configure + build + full ctest =="
   cmake --preset release
   cmake --build --preset release -j "$(nproc)"
-  ctest --preset release -j "$(nproc)"
+  # Every case is its own process writing its own temp directory, so the
+  # suite must pass in parallel; repeating it catches schedule-dependent
+  # flakes.
+  ctest --preset release -j "$(nproc)" --repeat until-fail:3
 fi
 
 if [[ "$mode" == "all" || "$mode" == "tsan" ]]; then
@@ -36,7 +39,8 @@ if [[ "$mode" == "all" || "$mode" == "tsan" ]]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "$(nproc)" --target patchwork_tests
   # The concurrency surface: shared pool stress, work-stealing task groups
-  # (nested spawn/wait from inside worker tasks), parallel primitives,
+  # (nested spawn/wait from inside worker tasks), parallel primitives
+  # (nested parallel_for regions fanning out across the pool),
   # every determinism suite that fans out across the pool (including the
   # per-(site, sample) render split and its per-burst sub-spawns), the
   # sharded metrics registry (concurrent add/observe/registration), and the
@@ -57,7 +61,7 @@ if [[ "$mode" == "all" || "$mode" == "tsan" ]]; then
   # CoordinatorDeterminism: the priority-queue plan feeds the same
   # per-burst render fan-out, so its worker/batch/SIMD sweeps exercise the
   # pool too; FlowSched rides along for the planner's obs-counter pushes.
-  ./build-tsan/tests/patchwork_tests --gtest_filter='SharedPool.*:ThreadPool.*:TaskGroup.*:Parallel.*:PipelineDeterminism.*:AggregateShards.*:CoordinatorDeterminism.*:FlowChurnDeterminism.*:FlowSched.*:SiteProfiler.RenderSampleCommitEquivalentToRenderPending:ObsRegistry.*:ObsDeterminism.*:ArchiveDeterminism.*:ArchiveIoTest.Compaction*:FederationTest.*:IncrementalCompactionTest.*:WindowedQueryTest.*:ObsFileExporter.*:PhiloxSimd.*:RngBulk.*:ScrapeServer.*:Trace.*:TraceDeterminism.*'
+  ./build-tsan/tests/patchwork_tests --gtest_filter='SharedPool.*:ThreadPool.*:TaskGroup.*:Parallel.*:PoolStats.*:PipelineDeterminism.*:AggregateShards.*:CoordinatorDeterminism.*:FlowChurnDeterminism.*:FlowSched.*:SiteProfiler.RenderSampleCommitEquivalentToRenderPending:ObsRegistry.*:ObsDeterminism.*:ArchiveDeterminism.*:ArchiveIoTest.Compaction*:FederationTest.*:IncrementalCompactionTest.*:WindowedQueryTest.*:ObsFileExporter.*:PhiloxSimd.*:RngBulk.*:ScrapeServer.*:Trace.*:TraceDeterminism.*'
 fi
 
 if [[ "$mode" == "all" || "$mode" == "ubsan" ]]; then

@@ -130,13 +130,13 @@ ProfileRun Coordinator::run_sites(
     }
   }
 
-  // Phase 2 — data plane, one task per (site, sample). Rendering (frame
-  // synthesis, capture serialization) and the transfer compression
-  // round-trip touch only the sample's own snapshot plus immutable
-  // workload profiles, so every pending sample across every site fans out
-  // across the shared pool as its own subtask. A testbed-wide profile
-  // dominated by one hot site therefore still fills the pool: wall-clock
-  // scales with total samples, not with the slowest site.
+  // Phase 2 — data plane, one parallel_for index per (site, sample).
+  // Rendering (frame synthesis, capture serialization) and the transfer
+  // compression touch only the sample's own snapshot plus immutable
+  // workload profiles, so every pending sample across every site is its
+  // own index. A testbed-wide profile dominated by one hot site therefore
+  // still fills the pool: wall-clock scales with total samples, not with
+  // the slowest site.
   {
     phase.set(2.0);
     OBS_SPAN("run_sites/render");
@@ -169,45 +169,32 @@ ProfileRun Coordinator::run_sites(
       util::Rng rng =
           stream_root.split(sites[task.site_index].value, task.sample);
       slot.capture = w.profiler->render_sample(task.sample, rng);
+      // The pcap writer grows its buffer geometrically; every capture is
+      // held until analysis, so drop the slack now.
+      slot.capture.pcap.shrink_to_fit();
       slot.pcap_bytes = slot.capture.pcap.size();
       if (w.config.compress_transfers) {
-        // The download path of Fig. 7 step 4: compress at the site,
-        // transfer, decompress at the coordinator. The compression scratch
-        // (a 32 K-slot hash table) is reused across every sample the same
-        // worker compresses.
+        // The download path of Fig. 7 step 4: the site compresses the pcap
+        // and the transfer is accounted at its compressed size. The
+        // coordinator keeps the uncompressed bytes it already holds — the
+        // codec is lossless, so decompressing would restore the same bytes.
+        // The compression scratch (a 32 K-slot hash table) is reused across
+        // every sample the same worker compresses.
         static thread_local util::Compressor t_compressor;
-        const std::vector<std::uint8_t> wire = [&] {
-          OBS_SPAN_ARGS("render/compress",
-                        .site = static_cast<std::int64_t>(
-                            sites[task.site_index].value),
-                        .sample = static_cast<std::int64_t>(task.sample));
-          return t_compressor.compress(slot.capture.pcap);
-        }();
-        slot.transferred_bytes = wire.size();
-        auto restored = util::decompress(wire);
-        if (restored.has_value()) {
-          slot.capture.pcap = std::move(*restored);
-        }
+        OBS_SPAN_ARGS("render/compress",
+                      .site = static_cast<std::int64_t>(
+                          sites[task.site_index].value),
+                      .sample = static_cast<std::int64_t>(task.sample));
+        slot.transferred_bytes =
+            t_compressor.compress(slot.capture.pcap).size();
       } else {
         slot.transferred_bytes = slot.capture.pcap.size();
       }
     };
-    // One work-stealing task per (site, sample); the synthesis inside a
-    // sample sub-spawns per-burst tasks into the same pool, so a skewed
-    // hot-site workload still saturates every worker instead of serializing
-    // behind the heaviest sample.
-    const std::size_t threads = util::thread_count();
-    if (tasks.size() <= 1 || threads <= 1) {
-      for (std::size_t t = 0; t < tasks.size(); ++t) render_one(t);
-    } else {
-      util::ThreadPool& pool = util::shared_pool();
-      pool.ensure_size(threads - 1);  // The waiting caller helps too.
-      util::TaskGroup group(pool);
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        group.spawn([&render_one, t] { render_one(t); });
-      }
-      group.wait();
-    }
+    // The synthesis inside a sample is itself a parallel_for over bursts,
+    // so a skewed hot-site workload still saturates every worker instead of
+    // serializing behind the heaviest sample.
+    util::parallel_for(tasks.size(), render_one);
 
     // Hand each site its captures back in sample order; the per-sample
     // byte accounting sums in the same order the per-site loop used to.

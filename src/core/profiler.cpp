@@ -12,7 +12,7 @@
 #include "obs/span.hpp"
 #include "pcap/pcap.hpp"
 #include "traffic/flowgen.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace patchwork::core {
 
@@ -467,9 +467,9 @@ analysis::RawCapture SiteProfiler::render_sample(std::size_t k,
   double offered_pps = plan.offered_pps;
 
   // Synthesis: decompose units into fixed-size bursts, each rendering a
-  // counter range of its unit into a private arena. Bursts are work-stolen
-  // subtasks when the pool has workers; the decomposition itself depends
-  // only on the plan and the batch knob.
+  // counter range of its unit into a private arena. Bursts are the indices
+  // of a parallel_for; the decomposition itself depends only on the plan
+  // and the batch knob.
   struct Burst {
     std::size_t unit = 0;
     std::uint64_t begin = 0;
@@ -504,27 +504,17 @@ analysis::RawCapture SiteProfiler::render_sample(std::size_t k,
     // trace-only (obs::trace::ScopedEvent) so per-burst instrumentation
     // registers no metric families — the deterministic exposition is
     // byte-identical with tracing on or off.
-    auto render_burst = [&](Burst& burst) {
+    util::parallel_for(bursts.size(), [&](std::size_t b) {
       const obs::trace::ScopedEvent trace_burst(
-          "render_unit",
-          {.site = static_cast<std::int64_t>(site_.value),
-           .sample = static_cast<std::int64_t>(k),
-           .burst = &burst - bursts.data()});
+          "render_unit", {.site = static_cast<std::int64_t>(site_.value),
+                          .sample = static_cast<std::int64_t>(k),
+                          .burst = static_cast<std::int64_t>(b)});
+      Burst& burst = bursts[b];
       net::FrameBuilder builder;
       traffic::render_unit(plan.units[burst.unit], unit_draws[burst.unit],
                            params.duration, burst.begin, burst.end, builder,
                            burst.store);
-    };
-    util::ThreadPool& pool = util::shared_pool();
-    if (bursts.size() > 1 && util::thread_count() > 1 && pool.size() > 0) {
-      util::TaskGroup group(pool);
-      for (Burst& burst : bursts) {
-        group.spawn([&render_burst, &burst] { render_burst(burst); });
-      }
-      group.wait();
-    } else {
-      for (Burst& burst : bursts) render_burst(burst);
-    }
+    });
   }
 
   // Merge to the window's total order (timestamp, unit, counter) — fully

@@ -198,10 +198,9 @@ struct Registry::Family {
 Registry::Registry() = default;
 Registry::~Registry() = default;
 
-Registry::Series& Registry::series(std::string_view name,
-                                   std::string_view help, char type,
-                                   Labels labels, Determinism det) {
-  std::lock_guard<std::mutex> lock(mutex_);
+Registry::Series& Registry::series_locked(std::string_view name,
+                                          std::string_view help, char type,
+                                          Labels labels, Determinism det) {
   auto it = families_.find(name);
   if (it == families_.end()) {
     auto family = std::make_unique<Family>();
@@ -225,16 +224,20 @@ Registry::Series& Registry::series(std::string_view name,
   return sit->second;
 }
 
+// Every accessor creates its series object under mutex_: two threads
+// first using one series must both get the one object the first created.
 Counter& Registry::counter(std::string_view name, std::string_view help,
                            Labels labels, Determinism det) {
-  Series& s = series(name, help, 'c', std::move(labels), det);
+  std::lock_guard<std::mutex> lock(mutex_);
+  Series& s = series_locked(name, help, 'c', std::move(labels), det);
   if (!s.counter) s.counter = std::make_unique<Counter>();
   return *s.counter;
 }
 
 Gauge& Registry::gauge(std::string_view name, std::string_view help,
                        Labels labels, Determinism det) {
-  Series& s = series(name, help, 'g', std::move(labels), det);
+  std::lock_guard<std::mutex> lock(mutex_);
+  Series& s = series_locked(name, help, 'g', std::move(labels), det);
   if (!s.gauge) s.gauge = std::make_unique<Gauge>();
   return *s.gauge;
 }
@@ -242,7 +245,8 @@ Gauge& Registry::gauge(std::string_view name, std::string_view help,
 LatencyHistogram& Registry::histogram(std::string_view name,
                                       std::string_view help, Labels labels,
                                       Determinism det) {
-  Series& s = series(name, help, 'h', std::move(labels), det);
+  std::lock_guard<std::mutex> lock(mutex_);
+  Series& s = series_locked(name, help, 'h', std::move(labels), det);
   if (!s.hist) s.hist = std::make_unique<LatencyHistogram>();
   return *s.hist;
 }
@@ -250,7 +254,8 @@ LatencyHistogram& Registry::histogram(std::string_view name,
 void Registry::counter_fn(std::string_view name, std::string_view help,
                           Labels labels, Determinism det,
                           std::function<std::uint64_t()> read) {
-  Series& s = series(name, help, 'c', std::move(labels), det);
+  std::lock_guard<std::mutex> lock(mutex_);
+  Series& s = series_locked(name, help, 'c', std::move(labels), det);
   s.read_counter = std::move(read);
   s.counter_baseline = 0;
 }
@@ -258,7 +263,8 @@ void Registry::counter_fn(std::string_view name, std::string_view help,
 void Registry::gauge_fn(std::string_view name, std::string_view help,
                         Labels labels, Determinism det,
                         std::function<double()> read) {
-  Series& s = series(name, help, 'g', std::move(labels), det);
+  std::lock_guard<std::mutex> lock(mutex_);
+  Series& s = series_locked(name, help, 'g', std::move(labels), det);
   s.read_gauge = std::move(read);
 }
 

@@ -189,8 +189,9 @@ class Registry {
  private:
   struct Family;
   struct Series;
-  Series& series(std::string_view name, std::string_view help, char type,
-                 Labels labels, Determinism det);
+  /// Find or create the series; the caller holds mutex_.
+  Series& series_locked(std::string_view name, std::string_view help,
+                        char type, Labels labels, Determinism det);
 
   mutable std::mutex mutex_;
   bool emit_build_info_ = false;

@@ -1,50 +1,45 @@
-// parallel_for / parallel_map on top of the shared process-lifetime
-// ThreadPool.
+// parallel_for / parallel_map: strands on a TaskGroup of the shared
+// process-lifetime ThreadPool.
 //
 // Both primitives are *deterministic by construction*: every index writes
 // only its own output slot, so results are identical to the serial loop for
-// any thread count. Work is handed out through an atomic cursor (dynamic
-// scheduling) — cheap tasks don't idle workers behind an expensive one, and
-// because results land by index, the schedule never shows in the output.
+// any thread count. Indices are handed out through an atomic cursor
+// (dynamic scheduling) — cheap indices don't idle strands behind an
+// expensive one, and because results land by index, the schedule never
+// shows in the output.
 //
-// No pool is constructed per call: strands are submitted to shared_pool(),
-// which spawns its workers once and reuses them for the life of the
-// process. The calling thread always runs one strand itself, so a call
-// makes progress even when every shared worker is busy serving another
-// concurrent parallel_for.
+// A call spawns min(thread_count(), n) - 1 strand tasks, each draining the
+// cursor, and runs one more strand on the calling thread, so it makes
+// progress even when every worker is busy. It then waits on its own group,
+// which helps only with its own strands: a parallel_for nested in another's
+// body fans out across idle workers too, and cannot deadlock, because no
+// waiter ever picks up work that could wait on it.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <exception>
-#include <future>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "util/thread_pool.hpp"
 
 namespace patchwork::util {
 
-/// Invoke fn(i) for every i in [0, n), fanned out over `threads` strands
-/// (default: thread_count()), one of which runs on the calling thread.
-/// Blocks until all indices complete. The first exception thrown by any
-/// fn(i) is rethrown on the calling thread.
-/// Runs serially when threads <= 1, n <= 1, or when already inside a
-/// parallel region — on a pool worker or in a caller-side strand — so
-/// nested parallelism degrades instead of deadlocking.
+/// Invoke fn(i) for every i in [0, n) over min(thread_count(), n) strands,
+/// one of which runs on the calling thread. Blocks until all indices
+/// complete. An exception thrown by fn(i) is rethrown on the calling
+/// thread once every strand has drained. Runs serially when
+/// thread_count() <= 1 or n <= 1.
 template <typename Fn>
-void parallel_for(std::size_t n, Fn&& fn, std::size_t threads = thread_count()) {
-  if (n == 0) return;
-  if (threads <= 1 || n == 1 || ThreadPool::on_worker_thread() ||
-      parallel_region_depth() > 0) {
+void parallel_for(std::size_t n, Fn&& fn) {
+  const std::size_t strands = std::min(thread_count(), n);
+  if (strands <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  const std::size_t strands = threads < n ? threads : n;
   std::atomic<std::size_t> cursor{0};
-  auto run_strand = [&cursor, n, &fn] {
-    detail::ParallelRegionScope region;
+  auto strand = [&cursor, n, &fn] {
     for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
          i < n; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
       fn(i);
@@ -52,40 +47,25 @@ void parallel_for(std::size_t n, Fn&& fn, std::size_t threads = thread_count()) 
   };
   ThreadPool& pool = shared_pool();
   pool.ensure_size(strands - 1);  // The caller itself runs the last strand.
-  std::vector<std::future<void>> done;
-  done.reserve(strands - 1);
-  for (std::size_t w = 0; w + 1 < strands; ++w) {
-    done.push_back(pool.submit(run_strand));
+  TaskGroup group(pool);
+  for (std::size_t s = 1; s < strands; ++s) {
+    group.spawn([&strand] { strand(); });
   }
-  std::exception_ptr first_error;
-  try {
-    run_strand();
-  } catch (...) {
-    first_error = std::current_exception();
-  }
-  // Drain every strand before rethrowing so no task outlives the frame the
-  // closures point into; get() rethrows the first stored exception.
-  for (std::future<void>& f : done) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  // Should the caller's strand throw, ~TaskGroup drains the spawned
+  // strands before the exception leaves the frame they point into.
+  strand();
+  group.wait();
 }
 
 /// Map fn over `items`, preserving input order in the result vector.
 /// The result type must be default-constructible (slots are pre-allocated
 /// so workers never contend on the output container).
 template <typename T, typename Fn>
-auto parallel_map(const std::vector<T>& items, Fn&& fn,
-                  std::size_t threads = thread_count())
+auto parallel_map(const std::vector<T>& items, Fn&& fn)
     -> std::vector<std::decay_t<std::invoke_result_t<Fn&, const T&>>> {
   std::vector<std::decay_t<std::invoke_result_t<Fn&, const T&>>> out(
       items.size());
-  parallel_for(
-      items.size(), [&](std::size_t i) { out[i] = fn(items[i]); }, threads);
+  parallel_for(items.size(), [&](std::size_t i) { out[i] = fn(items[i]); });
   return out;
 }
 

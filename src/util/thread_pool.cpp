@@ -1,27 +1,16 @@
 #include "util/thread_pool.hpp"
 
 #include <cstdlib>
-#include <string>
 #include <utility>
 
 namespace patchwork::util {
 
 namespace {
 
-// Set while a thread is executing inside ThreadPool::worker_loop(); lets
-// parallel_for() detect nesting and degrade to serial instead of
-// deadlocking on a pool that is busy running the caller itself.
-thread_local bool t_on_worker = false;
-
-// Identity of the pool worker running on this thread (work-stealing path):
-// which pool, and which per-worker deque belongs to it.
+// Identity of the pool worker running on this thread: which pool, and
+// which per-worker deque belongs to it.
 thread_local const void* t_worker_pool = nullptr;
 thread_local std::size_t t_worker_index = 0;
-
-// Incremented while a thread executes the body of its own parallel_for
-// region (caller threads participate in their region's strand loop, so
-// nesting can occur off pool workers too).
-thread_local std::size_t t_region_depth = 0;
 
 std::optional<std::size_t>& thread_count_override() {
   static std::optional<std::size_t> value;
@@ -30,20 +19,25 @@ std::optional<std::size_t>& thread_count_override() {
 
 std::atomic<TaskStealObserver> g_steal_observer{nullptr};
 
-}  // namespace
-
-void set_task_steal_observer(TaskStealObserver observer) {
-  g_steal_observer.store(observer, std::memory_order_release);
-}
-
-namespace {
 void notify_steal_observer() {
   if (TaskStealObserver observer =
           g_steal_observer.load(std::memory_order_acquire)) {
     observer();
   }
 }
+
+std::uint64_t ns_since(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
 }  // namespace
+
+void set_task_steal_observer(TaskStealObserver observer) {
+  g_steal_observer.store(observer, std::memory_order_release);
+}
 
 TaskGroup::~TaskGroup() {
   if (pending_.load(std::memory_order_acquire) != 0) {
@@ -61,13 +55,7 @@ void TaskGroup::spawn(std::function<void()> task) {
 
 void TaskGroup::wait() { pool_.wait(*this); }
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  workers_.reserve(threads);
-  deques_.resize(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
-}
+ThreadPool::ThreadPool(std::size_t threads) { ensure_size(threads); }
 
 ThreadPool::~ThreadPool() {
   {
@@ -94,98 +82,63 @@ void ThreadPool::ensure_size(std::size_t threads) {
   }
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> wrapped(std::move(task));
-  std::future<void> future = wrapped.get_future();
-  tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!workers_.empty()) {
-      queue_.push_back(
-          QueuedTask{std::move(wrapped), std::chrono::steady_clock::now()});
-      note_queue_depth_locked();
-      cv_.notify_one();
-      return future;
-    }
-  }
-  run_task(wrapped);  // Serial mode: run inline; the future carries throws.
-  return future;
-}
-
-void ThreadPool::note_queue_depth_locked() {
-  // Sample the high-water mark after the increment: any task that had to
-  // queue behind a worker leaves a mark >= 1. Counts both the legacy FIFO
-  // and the group deques.
-  const std::uint64_t depth =
-      queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::uint64_t seen = queue_depth_high_water_.load(std::memory_order_relaxed);
-  while (depth > seen && !queue_depth_high_water_.compare_exchange_weak(
-                             seen, depth, std::memory_order_relaxed)) {
-  }
-}
-
 void ThreadPool::spawn(TaskGroup& group, std::function<void()> task) {
   tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
   group.pending_.fetch_add(1, std::memory_order_acq_rel);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!workers_.empty() && !stopping_) {
-      std::size_t target;
-      if (t_worker_pool == this) {
-        target = t_worker_index;  // Own deque: LIFO locality.
-      } else {
-        target = next_deque_++ % deques_.size();
+      const std::size_t target = t_worker_pool == this
+                                     ? t_worker_index  // Own deque: LIFO.
+                                     : next_deque_++ % deques_.size();
+      deques_[target].push_back(GroupTask{&group, std::move(task),
+                                          std::chrono::steady_clock::now()});
+      // Sample the high-water mark after the increment: any task that had
+      // to queue behind a worker leaves a mark >= 1.
+      const std::uint64_t depth =
+          queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (depth > queue_depth_high_water_.load(std::memory_order_relaxed)) {
+        queue_depth_high_water_.store(depth, std::memory_order_relaxed);
       }
-      deques_[target].push_back(GroupTask{&group, std::move(task)});
-      ++group_tasks_queued_;
-      note_queue_depth_locked();
       cv_.notify_one();
       group_cv_.notify_all();  // A helping waiter may want to steal this.
       return;
     }
   }
-  // No workers (serial mode): run inline, same contract as submit().
-  GroupTask inline_task{&group, std::move(task)};
+  // No workers (serial mode): run inline; wait() still carries any throw.
+  GroupTask inline_task{&group, std::move(task), {}};
   run_group_task(inline_task);
+}
+
+void ThreadPool::pop_locked(std::deque<GroupTask>& deque, std::size_t i,
+                            GroupTask& out) {
+  out = std::move(deque[i]);
+  deque.erase(deque.begin() + static_cast<std::ptrdiff_t>(i));
+  queue_depth_.fetch_sub(1, std::memory_order_relaxed);
+  task_wait_ns_total_.fetch_add(ns_since(out.enqueued),
+                                std::memory_order_relaxed);
 }
 
 bool ThreadPool::take_group_task_locked(std::size_t self,
                                         const TaskGroup* only,
                                         GroupTask& out, bool& stole) {
-  if (self != kNoWorker && self < deques_.size()) {
+  if (self != kNoWorker) {
+    // Own deque, newest first (descendants of a waited group sit at the
+    // back of the owner's deque).
     std::deque<GroupTask>& own = deques_[self];
-    if (only == nullptr) {
-      if (!own.empty()) {
-        out = std::move(own.back());
-        own.pop_back();
-        --group_tasks_queued_;
-        queue_depth_.fetch_sub(1, std::memory_order_relaxed);
+    for (std::size_t i = own.size(); i-- > 0;) {
+      if (only == nullptr || own[i].group == only) {
+        pop_locked(own, i, out);
         return true;
-      }
-    } else {
-      // Waiting worker: newest matching task first (descendants of the
-      // waited group sit at the back of the owner's deque).
-      for (std::size_t i = own.size(); i-- > 0;) {
-        if (own[i].group == only) {
-          out = std::move(own[i]);
-          own.erase(own.begin() + static_cast<std::ptrdiff_t>(i));
-          --group_tasks_queued_;
-          queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-          return true;
-        }
       }
     }
   }
-  if (group_tasks_queued_ == 0) return false;
   for (std::size_t d = 0; d < deques_.size(); ++d) {
     if (d == self) continue;
     std::deque<GroupTask>& victim = deques_[d];
     for (std::size_t i = 0; i < victim.size(); ++i) {
       if (only != nullptr && victim[i].group != only) continue;
-      out = std::move(victim[i]);
-      victim.erase(victim.begin() + static_cast<std::ptrdiff_t>(i));
-      --group_tasks_queued_;
-      queue_depth_.fetch_sub(1, std::memory_order_relaxed);
+      pop_locked(victim, i, out);
       tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
       stole = true;
       return true;
@@ -195,8 +148,7 @@ bool ThreadPool::take_group_task_locked(std::size_t self,
 }
 
 void ThreadPool::wait(TaskGroup& group) {
-  const bool is_worker = t_worker_pool == this;
-  const std::size_t self = is_worker ? t_worker_index : kNoWorker;
+  const std::size_t self = t_worker_pool == this ? t_worker_index : kNoWorker;
   for (;;) {
     GroupTask task;
     bool have = false;
@@ -226,8 +178,6 @@ void ThreadPool::wait(TaskGroup& group) {
   if (error) std::rethrow_exception(error);
 }
 
-bool ThreadPool::on_worker_thread() { return t_on_worker; }
-
 PoolStats ThreadPool::stats() const {
   PoolStats s;
   s.tasks_submitted = tasks_submitted_.load(std::memory_order_relaxed);
@@ -251,17 +201,6 @@ void ThreadPool::reset_stats() {
   tasks_stolen_.store(0, std::memory_order_relaxed);
 }
 
-void ThreadPool::run_task(std::packaged_task<void()>& task) {
-  const auto start = std::chrono::steady_clock::now();
-  task();  // packaged_task stores any exception in its future.
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  task_run_ns_total_.fetch_add(static_cast<std::uint64_t>(ns),
-                               std::memory_order_relaxed);
-  tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-}
-
 void ThreadPool::run_group_task(GroupTask& task) {
   const auto start = std::chrono::steady_clock::now();
   try {
@@ -272,11 +211,7 @@ void ThreadPool::run_group_task(GroupTask& task) {
       task.group->first_error_ = std::current_exception();
     }
   }
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  task_run_ns_total_.fetch_add(static_cast<std::uint64_t>(ns),
-                               std::memory_order_relaxed);
+  task_run_ns_total_.fetch_add(ns_since(start), std::memory_order_relaxed);
   tasks_executed_.fetch_add(1, std::memory_order_relaxed);
   if (task.group->pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     // Last task down. The empty lock/unlock pairs with the waiter's
@@ -288,44 +223,23 @@ void ThreadPool::run_group_task(GroupTask& task) {
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
-  t_on_worker = true;
   t_worker_pool = this;
   t_worker_index = index;
   for (;;) {
-    std::packaged_task<void()> task;
-    GroupTask group_task;
-    bool have_group_task = false;
+    GroupTask task;
     bool stole = false;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] {
-        return stopping_ || !queue_.empty() || group_tasks_queued_ > 0;
+        return stopping_ || queue_depth_.load(std::memory_order_relaxed) > 0;
       });
-      if (!queue_.empty()) {
-        QueuedTask queued = std::move(queue_.front());
-        queue_.pop_front();
-        queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-        const auto wait_ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - queued.enqueued)
-                .count();
-        task_wait_ns_total_.fetch_add(static_cast<std::uint64_t>(wait_ns),
-                                      std::memory_order_relaxed);
-        task = std::move(queued.task);
-      } else if (take_group_task_locked(index, nullptr, group_task, stole)) {
-        have_group_task = true;
-      } else if (stopping_) {
-        return;  // Both queues drained.
-      } else {
-        continue;  // Raced with another worker; re-wait.
+      if (!take_group_task_locked(index, nullptr, task, stole)) {
+        if (stopping_) return;  // Deques drained.
+        continue;
       }
     }
-    if (have_group_task) {
-      if (stole) notify_steal_observer();
-      run_group_task(group_task);
-    } else {
-      run_task(task);
-    }
+    if (stole) notify_steal_observer();
+    run_group_task(task);
   }
 }
 
@@ -337,13 +251,6 @@ ThreadPool& shared_pool() {
   static ThreadPool pool(0);
   return pool;
 }
-
-std::size_t parallel_region_depth() { return t_region_depth; }
-
-namespace detail {
-ParallelRegionScope::ParallelRegionScope() { ++t_region_depth; }
-ParallelRegionScope::~ParallelRegionScope() { --t_region_depth; }
-}  // namespace detail
 
 std::size_t thread_count() {
   if (thread_count_override().has_value()) return *thread_count_override();

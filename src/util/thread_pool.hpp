@@ -1,23 +1,20 @@
-// A small thread pool — the concurrency substrate for the offline
+// The process's one scheduler — the concurrency substrate for the offline
 // analysis pipeline (Fig. 9: Digest -> Index -> Analyze -> Process), the
-// online per-site profiling path, and any future subsystem that wants
-// multi-core fan-out.
+// online per-(site, sample) render path, and any future subsystem that
+// wants multi-core fan-out. Callers reach it through util/parallel.hpp.
 //
 // Design rules, in priority order:
 //   1. Determinism first. The pool never reorders *results*: callers own
 //      output slots indexed by task, so byte-identical output falls out of
 //      the structure regardless of worker interleaving.
 //   2. Serial fallback. A pool of size 0 runs every task inline on the
-//      submitting thread — the same code path tests pin to compare parallel
-//      output against, and the mode `PATCHWORK_THREADS=0` selects.
+//      spawning thread — the mode `PATCHWORK_THREADS=0` selects.
 //   3. Exceptions propagate. A task that throws surfaces its exception to
-//      the caller through the returned future, never to std::terminate.
+//      the thread waiting on its group, never to std::terminate.
 //
-// Lifecycle: the parallel primitives (util/parallel.hpp) no longer build a
-// pool per call. They route through shared_pool(), a lazily-initialized
-// process-lifetime pool that grows on demand (workers are spawned once and
-// reused; the pool never shrinks). Per-call pools remain constructible for
-// tests and special cases.
+// Lifecycle: shared_pool() is a lazily-initialized process-lifetime pool
+// that grows on demand (workers are spawned once and reused; the pool
+// never shrinks). Per-call pools remain constructible for tests.
 #pragma once
 
 #include <atomic>
@@ -26,8 +23,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -40,32 +37,32 @@ namespace patchwork::util {
 /// queue_depth_high_water is guaranteed >= 1 whenever any task was queued
 /// behind a worker — it is sampled at enqueue time, after the increment.
 struct PoolStats {
-  std::uint64_t tasks_submitted = 0;  ///< submit()+spawn() calls (inline too).
+  std::uint64_t tasks_submitted = 0;  ///< spawn() calls (inline too).
   std::uint64_t tasks_executed = 0;
   std::uint64_t queue_depth = 0;      ///< Currently enqueued, not yet started.
   std::uint64_t queue_depth_high_water = 0;
-  std::uint64_t task_wait_ns_total = 0;  ///< Enqueue -> dequeue, summed.
+  std::uint64_t task_wait_ns_total = 0;  ///< Spawn -> dequeue, summed.
   std::uint64_t task_run_ns_total = 0;   ///< Task body execution, summed.
-  std::uint64_t tasks_stolen = 0;  ///< Group tasks taken off another
-                                   ///< worker's deque (or by a waiter).
+  std::uint64_t tasks_stolen = 0;  ///< Tasks taken off another worker's
+                                   ///< deque (or by a waiter).
 };
 
 class ThreadPool;
 
-/// A family of subtasks scheduled on a ThreadPool's work-stealing path.
+/// A family of tasks scheduled on a ThreadPool's work-stealing deques.
 /// spawn() pushes a task onto a per-worker deque (LIFO for the owner, FIFO
 /// for thieves); wait() blocks until every spawned task has finished,
 /// *helping* while it waits — the waiting thread runs tasks of this group
-/// itself instead of idling, so a hot sample that fans out into many
-/// bursts never parks the thread that decomposed it.
+/// itself instead of idling.
 ///
 /// Determinism contract: the group imposes no ordering — callers must
-/// address output slots (and RNG draws) by task index, exactly as with
-/// parallel_for. Exceptions: the first throwing task wins; wait()
-/// rethrows it after the group drains. A group is reusable after wait()
-/// returns. Groups may nest (a group task may spawn and wait on its own
-/// group); a waiting thread only helps with tasks of the group it waits
-/// on, which keeps helper recursion bounded by the spawn tree's depth.
+/// address output slots (and RNG draws) by task index. Exceptions: the
+/// first throwing task wins; wait() rethrows it after the group drains. A
+/// group is reusable after wait() returns. Groups may nest (a group task
+/// may spawn and wait on its own group); a waiting thread only helps with
+/// tasks of the group it waits on, which keeps helper recursion bounded by
+/// the spawn tree's depth and means a waiter never blocks on unrelated
+/// work.
 class TaskGroup {
  public:
   explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
@@ -92,10 +89,10 @@ class TaskGroup {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers. 0 workers means submit() runs tasks inline.
+  /// Spawns `threads` workers. 0 workers means spawned tasks run inline.
   explicit ThreadPool(std::size_t threads);
 
-  /// Joins all workers; outstanding queued tasks are completed first.
+  /// Joins all workers; queued tasks are completed first.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -105,27 +102,8 @@ class ThreadPool {
 
   /// Grow the pool to at least `threads` workers. Existing workers keep
   /// running (and keep their thread IDs); only the shortfall is spawned.
-  /// Never shrinks. Safe to call concurrently with submit().
+  /// Never shrinks. Safe to call concurrently with spawns.
   void ensure_size(std::size_t threads);
-
-  /// Enqueue one task. The future completes when the task returns and
-  /// carries any exception the task threw. When the pool has no workers
-  /// the task runs inline on the calling thread.
-  std::future<void> submit(std::function<void()> task);
-
-  /// True when called from inside one of this pool's workers.
-  static bool on_worker_thread();
-
-  /// Work-stealing spawn used by TaskGroup::spawn(). A worker pushes onto
-  /// its own deque (LIFO pop keeps the cache warm and bounds helper
-  /// recursion); an outside thread deals round-robin across worker deques.
-  /// Idle workers and helping waiters steal from the front (FIFO), so the
-  /// oldest — typically largest — subtask migrates first.
-  void spawn(TaskGroup& group, std::function<void()> task);
-
-  /// TaskGroup::wait() body: run/steal tasks of `group` until none remain
-  /// in flight, sleeping only when no group task is available anywhere.
-  void wait(TaskGroup& group);
 
   /// Snapshot of the scheduling counters (relaxed reads; exact once the
   /// pool is quiescent).
@@ -137,16 +115,25 @@ class ThreadPool {
   void reset_stats();
 
  private:
-  struct QueuedTask {
-    std::packaged_task<void()> task;
-    std::chrono::steady_clock::time_point enqueued;
-  };
+  friend class TaskGroup;
+
   struct GroupTask {
     TaskGroup* group = nullptr;
     std::function<void()> fn;
+    std::chrono::steady_clock::time_point enqueued;
   };
 
-  void run_task(std::packaged_task<void()>& task);
+  /// TaskGroup::spawn() body. A worker pushes onto its own deque (LIFO pop
+  /// keeps the cache warm and bounds helper recursion); an outside thread
+  /// deals round-robin across worker deques. Idle workers and helping
+  /// waiters steal from the front (FIFO), so the oldest task migrates
+  /// first.
+  void spawn(TaskGroup& group, std::function<void()> task);
+
+  /// TaskGroup::wait() body: run/steal tasks of `group` until none remain
+  /// in flight, sleeping only when no task of the group is queued anywhere.
+  void wait(TaskGroup& group);
+
   void run_group_task(GroupTask& task);
   /// Pop from the caller's own deque (back, any group) or steal from
   /// another deque (front; restricted to `only` when non-null). Caller
@@ -158,27 +145,29 @@ class ThreadPool {
   /// sample pool stats while holding their own locks).
   bool take_group_task_locked(std::size_t self, const TaskGroup* only,
                               GroupTask& out, bool& stole);
-  void note_queue_depth_locked();
+  /// Dequeue bookkeeping for the task at deque[i]: moves it to `out`,
+  /// drops the queue depth and adds its queueing time to the wait total.
+  void pop_locked(std::deque<GroupTask>& deque, std::size_t i,
+                  GroupTask& out);
   void worker_loop(std::size_t index);
 
   static constexpr std::size_t kNoWorker = ~std::size_t{0};
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;        ///< Workers: any task available/stop.
+  std::condition_variable cv_;        ///< Workers: task available/stop.
   std::condition_variable group_cv_;  ///< Waiters: group progress/spawn.
-  std::deque<QueuedTask> queue_;
-  /// Per-worker group-task deques (parallel to workers_); guarded by
-  /// mutex_ — group tasks are burst-sized, so the lock is cold next to
-  /// the task bodies.
+  /// Per-worker task deques (parallel to workers_); guarded by mutex_ —
+  /// tasks are strand-sized (util::parallel_for spawns at most one per
+  /// worker), so the lock is cold next to the task bodies.
   std::vector<std::deque<GroupTask>> deques_;
-  std::size_t group_tasks_queued_ = 0;  ///< Sum over deques_; under mutex_.
-  std::size_t next_deque_ = 0;          ///< Round-robin cursor for spawns
-                                        ///< from non-worker threads.
+  std::size_t next_deque_ = 0;  ///< Round-robin cursor for spawns from
+                                ///< non-worker threads.
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 
   std::atomic<std::uint64_t> tasks_submitted_{0};
   std::atomic<std::uint64_t> tasks_executed_{0};
+  /// Sum of deques_ sizes: written under mutex_, read relaxed by stats().
   std::atomic<std::uint64_t> queue_depth_{0};
   std::atomic<std::uint64_t> queue_depth_high_water_{0};
   std::atomic<std::uint64_t> task_wait_ns_total_{0};
@@ -187,7 +176,7 @@ class ThreadPool {
 };
 
 /// Observer invoked on the thief thread, after the pool mutex is
-/// released, each time a group task migrates off another worker's deque.
+/// released, each time a task migrates off another worker's deque.
 /// The obs trace layer installs one to surface steals on the
 /// flight-recorder timeline; pass nullptr to clear. The hook is a bare
 /// function pointer read with one relaxed load on the steal path —
@@ -200,20 +189,6 @@ void set_task_steal_observer(TaskStealObserver observer);
 /// persist until process exit, so a hot loop calling parallel_for at high
 /// frequency pays no per-call thread churn.
 ThreadPool& shared_pool();
-
-/// Depth of parallel_for() regions the calling thread is currently inside
-/// (on either a pool worker or a caller thread participating in its own
-/// region). Nested parallel_for calls see depth > 0 and degrade to serial
-/// instead of re-entering the shared pool.
-std::size_t parallel_region_depth();
-
-namespace detail {
-/// RAII marker for one parallel_for region on the current thread.
-struct ParallelRegionScope {
-  ParallelRegionScope();
-  ~ParallelRegionScope();
-};
-}  // namespace detail
 
 /// Worker-thread count the parallel primitives use:
 /// explicit set_thread_count() override, else the `PATCHWORK_THREADS`

@@ -3,7 +3,6 @@
 // never built into poisoned in-memory objects. Runs under ASan in CI.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "archive/record.hpp"
 #include "archive/sketch.hpp"
 #include "obs/metrics.hpp"
+#include "testing/temp_dir.hpp"
 #include "util/byte_io.hpp"
 #include "util/file_io.hpp"
 
@@ -21,12 +21,6 @@ namespace {
 
 class ArchiveCorruptTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "/patchwork_corrupt_test.pwar";
-    std::remove(path_.c_str());
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-
   // A record whose sketch layout is easy to index from the payload's end:
   // empty manifest, three 2-byte keys.
   EpochRecord sketch_record() {
@@ -73,7 +67,8 @@ class ArchiveCorruptTest : public ::testing::Test {
     return 0;
   }
 
-  std::string path_;
+  patchwork::testing::TestTempDir tmp_;
+  std::string path_ = tmp_.path("archive.pwar");
 };
 
 TEST_F(ArchiveCorruptTest, ValidPartsRejectsInvariantViolations) {

@@ -2,7 +2,6 @@
 // bytes, version skew, and compaction idempotence.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "archive/reader.hpp"
 #include "archive/writer.hpp"
 #include "obs/metrics.hpp"
+#include "testing/temp_dir.hpp"
 #include "util/crc32.hpp"
 #include "util/file_io.hpp"
 
@@ -20,12 +20,6 @@ namespace {
 
 class ArchiveIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "/patchwork_archive_io_test.pwar";
-    std::remove(path_.c_str());
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-
   EpochRecord record(std::uint64_t n) {
     EpochRecord r;
     r.label = "epoch" + std::to_string(n);
@@ -66,7 +60,8 @@ class ArchiveIoTest : public ::testing::Test {
     return 0;
   }
 
-  std::string path_;
+  patchwork::testing::TestTempDir tmp_;
+  std::string path_ = tmp_.path("archive.pwar");
 };
 
 TEST_F(ArchiveIoTest, AppendReopenRoundTrip) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "archive/query.hpp"
 #include "archive/reader.hpp"
 #include "archive/writer.hpp"
+#include "testing/temp_dir.hpp"
 #include "util/file_io.hpp"
 #include "util/thread_pool.hpp"
 
@@ -20,20 +20,9 @@ namespace {
 
 class FederationTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir();
-    for (const char* name : {"fed_a.pwar", "fed_b.pwar", "fed_out.pwar"}) {
-      std::remove((dir_ + "/" + name).c_str());
-    }
-  }
-  void TearDown() override {
-    for (const char* name : {"fed_a.pwar", "fed_b.pwar", "fed_out.pwar"}) {
-      std::remove((dir_ + "/" + name).c_str());
-    }
-    util::set_thread_count(std::nullopt);
-  }
+  void TearDown() override { util::set_thread_count(std::nullopt); }
 
-  std::string path(const char* name) const { return dir_ + "/" + name; }
+  std::string path(const char* name) const { return tmp_.path(name); }
 
   // Both deployments label their weeks the same way and both start epoch
   // indices at 0 — exactly the collision federation must survive.
@@ -73,7 +62,7 @@ class FederationTest : public ::testing::Test {
     return {{path("fed_a.pwar"), "alpha"}, {path("fed_b.pwar"), "beta"}};
   }
 
-  std::string dir_;
+  patchwork::testing::TestTempDir tmp_;
 };
 
 TEST_F(FederationTest, MergeThenQueryEqualsUnionQuery) {

@@ -2,7 +2,6 @@
 // rewrite, idempotent replay, crash recovery mid-commit, and GC.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -10,6 +9,7 @@
 #include "archive/query.hpp"
 #include "archive/reader.hpp"
 #include "archive/writer.hpp"
+#include "testing/temp_dir.hpp"
 #include "util/file_io.hpp"
 
 namespace patchwork::archive {
@@ -17,12 +17,6 @@ namespace {
 
 class IncrementalCompactionTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "/patchwork_incremental_test.pwar";
-    std::remove(path_.c_str());
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-
   EpochRecord record(std::uint64_t n) {
     EpochRecord r;
     r.label = "e" + std::to_string(n);
@@ -58,7 +52,8 @@ class IncrementalCompactionTest : public ::testing::Test {
     return bytes.value_or(std::vector<std::uint8_t>{});
   }
 
-  std::string path_;
+  patchwork::testing::TestTempDir tmp_;
+  std::string path_ = tmp_.path("archive.pwar");
 };
 
 TEST_F(IncrementalCompactionTest, CommitAppendsWithoutRewritingTheFile) {

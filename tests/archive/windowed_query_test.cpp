@@ -2,7 +2,6 @@
 // response cache.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "archive/reader.hpp"
 #include "archive/writer.hpp"
 #include "obs/metrics.hpp"
+#include "testing/temp_dir.hpp"
 #include "util/file_io.hpp"
 
 namespace patchwork::archive {
@@ -19,12 +19,6 @@ namespace {
 
 class WindowedQueryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "/patchwork_windowed_test.pwar";
-    std::remove(path_.c_str());
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-
   EpochRecord record(std::uint64_t n) {
     EpochRecord r;
     r.label = "e" + std::to_string(n);
@@ -50,7 +44,8 @@ class WindowedQueryTest : public ::testing::Test {
     return 0;
   }
 
-  std::string path_;
+  patchwork::testing::TestTempDir tmp_;
+  std::string path_ = tmp_.path("archive.pwar");
 };
 
 TEST_F(WindowedQueryTest, EpochWindowFiltersBeforeTheFold) {

@@ -6,7 +6,6 @@
 // byte-identical at thread counts 0/1/2/8.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -17,6 +16,7 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "testing/env_fixture.hpp"
+#include "testing/temp_dir.hpp"
 #include "util/parallel.hpp"
 
 namespace patchwork::core {
@@ -194,14 +194,13 @@ TEST(ObsDeterminism, ManifestWritesNextToProfileOutput) {
   util::set_thread_count(2);
   const RunArtifacts artifacts = run_congested_world();
 
-  const std::string path =
-      ::testing::TempDir() + "/patchwork_run_manifest.json";
+  const patchwork::testing::TestTempDir tmp;
+  const std::string path = tmp.path("patchwork_run_manifest.json");
   ASSERT_TRUE(obs::write_manifest(path, manifest_info()));
   std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.good());
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
-  std::remove(path.c_str());
 
   // The file embeds the deterministic section verbatim, carries the build
   // identity, and separates schedule-dependent data into wall_clock.

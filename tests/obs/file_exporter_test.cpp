@@ -7,12 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <thread>
 
 #include "obs/metrics.hpp"
+#include "testing/temp_dir.hpp"
 
 namespace patchwork::obs {
 namespace {
@@ -34,8 +34,8 @@ bool wait_for_content(const std::string& path, const std::string& needle) {
 }
 
 TEST(ObsFileExporter, TailsTwoSnapshotsAcrossACounterBump) {
-  const std::string path = ::testing::TempDir() + "/exporter_tail.prom";
-  std::remove(path.c_str());
+  const patchwork::testing::TestTempDir tmp;
+  const std::string path = tmp.path("exporter_tail.prom");
   Counter& tick = registry().counter("patchwork_exporter_test_total",
                                      "file exporter test counter");
   tick.add(1);
@@ -56,12 +56,11 @@ TEST(ObsFileExporter, TailsTwoSnapshotsAcrossACounterBump) {
             std::string::npos);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(exporter.snapshots_written(), after_stop);
-  std::remove(path.c_str());
 }
 
 TEST(ObsFileExporter, StopFlushesTheFinalRegistryState) {
-  const std::string path = ::testing::TempDir() + "/exporter_flush.prom";
-  std::remove(path.c_str());
+  const patchwork::testing::TestTempDir tmp;
+  const std::string path = tmp.path("exporter_flush.prom");
   Counter& tick = registry().counter("patchwork_exporter_flush_total",
                                      "shutdown flush test counter");
   tick.add(1);
@@ -82,12 +81,11 @@ TEST(ObsFileExporter, StopFlushesTheFinalRegistryState) {
   const std::uint64_t written = exporter.snapshots_written();
   EXPECT_TRUE(exporter.stop());
   EXPECT_EQ(exporter.snapshots_written(), written);
-  std::remove(path.c_str());
 }
 
 TEST(ObsFileExporter, SnapshotIsACompleteExposition) {
-  const std::string path = ::testing::TempDir() + "/exporter_complete.prom";
-  std::remove(path.c_str());
+  const patchwork::testing::TestTempDir tmp;
+  const std::string path = tmp.path("exporter_complete.prom");
   registry().counter("patchwork_exporter_complete_total", "helper").add(3);
   {
     FileExporter exporter(path, std::chrono::milliseconds(5));
@@ -108,7 +106,6 @@ TEST(ObsFileExporter, SnapshotIsACompleteExposition) {
         << "unparseable line: " << line;
     start = end + 1;
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

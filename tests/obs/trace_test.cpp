@@ -7,11 +7,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "testing/temp_dir.hpp"
 
 namespace patchwork::obs::trace {
 namespace {
@@ -158,15 +159,16 @@ TEST_F(Trace, ResetClearsEventsAndDrops) {
 }
 
 TEST_F(Trace, EnvConfigurationParsesPathAndCapacity) {
-  ::setenv("PATCHWORK_TRACE", "/tmp/patchwork_trace_test.json:128", 1);
+  const patchwork::testing::TestTempDir tmp;
+  const std::string path = tmp.path("trace.json");
+  ::setenv("PATCHWORK_TRACE", (path + ":128").c_str(), 1);
   EXPECT_TRUE(configure_from_env());
   EXPECT_TRUE(enabled());
-  EXPECT_EQ(env_configured_path(), "/tmp/patchwork_trace_test.json");
+  EXPECT_EQ(env_configured_path(), path);
   record_complete("env_event", 10, 20);
   EXPECT_TRUE(write_env_configured());
   EXPECT_FALSE(enabled());  // write_env_configured() stops tracing.
   ::unsetenv("PATCHWORK_TRACE");
-  ::remove("/tmp/patchwork_trace_test.json");
 }
 
 }  // namespace

@@ -2,19 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
+
+#include "testing/temp_dir.hpp"
 
 namespace patchwork::util {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 TEST(FileIo, AtomicWriteCreatesAndReplaces) {
-  const std::string path = temp_path("file_io_atomic.bin");
+  const patchwork::testing::TestTempDir tmp;
+  const std::string path = tmp.path("file_io_atomic.bin");
   ASSERT_TRUE(write_file_atomic(path, std::string_view("first")));
   auto bytes = read_file_bytes(path, 1 << 20);
   ASSERT_TRUE(bytes.has_value());
@@ -24,26 +22,26 @@ TEST(FileIo, AtomicWriteCreatesAndReplaces) {
   bytes = read_file_bytes(path, 1 << 20);
   ASSERT_TRUE(bytes.has_value());
   EXPECT_EQ(std::string(bytes->begin(), bytes->end()), "second, longer");
-  std::remove(path.c_str());
 }
 
 TEST(FileIo, BoundedReadRejectsOversizedFile) {
-  const std::string path = temp_path("file_io_bounded.bin");
+  const patchwork::testing::TestTempDir tmp;
+  const std::string path = tmp.path("file_io_bounded.bin");
   ASSERT_TRUE(write_file_atomic(path, std::string_view("0123456789")));
   EXPECT_TRUE(read_file_bytes(path, 10).has_value());
   EXPECT_FALSE(read_file_bytes(path, 9).has_value())
       << "a file over the bound must be rejected, not truncated";
-  std::remove(path.c_str());
 }
 
 TEST(FileIo, ReadMissingFileFails) {
-  EXPECT_FALSE(read_file_bytes(temp_path("no_such_file"), 1024).has_value());
-  EXPECT_FALSE(file_size_bytes(temp_path("no_such_file")).has_value());
+  const patchwork::testing::TestTempDir tmp;
+  EXPECT_FALSE(read_file_bytes(tmp.path("no_such_file"), 1024).has_value());
+  EXPECT_FALSE(file_size_bytes(tmp.path("no_such_file")).has_value());
 }
 
 TEST(FileIo, AppendAndTruncate) {
-  const std::string path = temp_path("file_io_append.bin");
-  std::remove(path.c_str());
+  const patchwork::testing::TestTempDir tmp;
+  const std::string path = tmp.path("file_io_append.bin");
   const std::vector<std::uint8_t> a{'a', 'b', 'c'};
   const std::vector<std::uint8_t> b{'d', 'e'};
   ASSERT_TRUE(append_file(path, a));
@@ -56,7 +54,6 @@ TEST(FileIo, AppendAndTruncate) {
   EXPECT_EQ(std::string(bytes->begin(), bytes->end()), "abc");
   // Growing via truncate_file is refused: recovery only ever shrinks.
   EXPECT_FALSE(truncate_file(path, 10));
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
+
+#include "testing/temp_dir.hpp"
 
 namespace patchwork::util {
 namespace {
@@ -121,8 +122,8 @@ TEST(LiveSinkSpecParse, BadLevelRejected) {
 }
 
 TEST(LiveSink, MirrorsRecordsToFileAboveThreshold) {
-  const std::string path = ::testing::TempDir() + "/patchwork_live_sink.log";
-  std::remove(path.c_str());
+  const patchwork::testing::TestTempDir tmp;
+  const std::string path = tmp.path("live_sink.log");
   set_live_sink(LiveSinkSpec{LogLevel::kWarn, path});
 
   Logger log;
@@ -135,7 +136,6 @@ TEST(LiveSink, MirrorsRecordsToFileAboveThreshold) {
   ASSERT_TRUE(in.good());
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
-  std::remove(path.c_str());
   EXPECT_EQ(content.find("below threshold"), std::string::npos);
   EXPECT_NE(content.find("back-off to 2"), std::string::npos);
   EXPECT_NE(content.find("WARN"), std::string::npos);

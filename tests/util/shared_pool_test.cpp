@@ -9,16 +9,18 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
-#include <numeric>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "testing/thread_count.hpp"
 #include "util/parallel.hpp"
 #include "util/thread_pool.hpp"
 
 namespace patchwork::util {
 namespace {
+
+using patchwork::testing::ScopedThreadCount;
 
 TEST(SharedPool, IsOneProcessWideInstance) {
   ThreadPool& a = shared_pool();
@@ -38,23 +40,22 @@ TEST(SharedPool, GrowsOnDemandAndNeverShrinks) {
 }
 
 TEST(SharedPool, WorkerThreadsAreStableAcrossParallelForCalls) {
-  // Run many parallel regions and record which OS threads executed loop
-  // bodies on pool workers. If parallel_for spun up a fresh pool per call,
-  // every round would mint new thread ids and the union would keep
+  // Run many parallel regions and record which OS threads other than the
+  // caller executed loop bodies. If parallel_for spun up a fresh pool per
+  // call, every round would mint new thread ids and the union would keep
   // growing; with the shared pool it is bounded by the pool size.
+  ScopedThreadCount threads(4);
+  const std::thread::id caller = std::this_thread::get_id();
   std::mutex mu;
   std::set<std::thread::id> worker_ids;
   constexpr int kRounds = 50;
   for (int round = 0; round < kRounds; ++round) {
-    parallel_for(
-        64,
-        [&](std::size_t) {
-          if (ThreadPool::on_worker_thread()) {
-            std::lock_guard<std::mutex> lock(mu);
-            worker_ids.insert(std::this_thread::get_id());
-          }
-        },
-        4);
+    parallel_for(64, [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) {
+        std::lock_guard<std::mutex> lock(mu);
+        worker_ids.insert(std::this_thread::get_id());
+      }
+    });
   }
   EXPECT_LE(worker_ids.size(), shared_pool().size());
 }
@@ -63,6 +64,7 @@ TEST(SharedPool, ConcurrentParallelForFromManyThreads) {
   // Several client threads each drive their own parallel_for through the
   // one shared pool. Caller participation guarantees forward progress even
   // when every pool worker is busy serving someone else.
+  ScopedThreadCount threads(4);
   constexpr int kClients = 4;
   constexpr std::size_t kItems = 2000;
   std::vector<std::vector<std::atomic<int>>> hits(kClients);
@@ -74,8 +76,7 @@ TEST(SharedPool, ConcurrentParallelForFromManyThreads) {
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      parallel_for(
-          kItems, [&](std::size_t i) { ++hits[c][i]; }, 4);
+      parallel_for(kItems, [&](std::size_t i) { ++hits[c][i]; });
     });
   }
   for (auto& t : clients) t.join();
@@ -86,50 +87,17 @@ TEST(SharedPool, ConcurrentParallelForFromManyThreads) {
   }
 }
 
-TEST(SharedPool, NestedCallsFromClientThreadsDegradeToSerial) {
-  // Depth guard: a parallel_for issued from inside a parallel region runs
-  // serially on the issuing thread instead of re-entering the pool.
-  std::atomic<int> total{0};
-  parallel_for(
-      4,
-      [&](std::size_t) {
-        EXPECT_GT(parallel_region_depth(), 0u);
-        parallel_for(16, [&](std::size_t) { ++total; }, 4);
-      },
-      2);
-  EXPECT_EQ(total.load(), 64);
-  EXPECT_EQ(parallel_region_depth(), 0u);
-}
-
 TEST(SharedPool, ReusableAfterIdlePeriod) {
+  ScopedThreadCount threads(4);
   std::atomic<int> first{0};
-  parallel_for(128, [&](std::size_t) { ++first; }, 4);
+  parallel_for(128, [&](std::size_t) { ++first; });
   EXPECT_EQ(first.load(), 128);
   // Workers idle on the condition variable; a later region must reuse
   // them without hiccups.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   std::atomic<int> second{0};
-  parallel_for(128, [&](std::size_t) { ++second; }, 4);
+  parallel_for(128, [&](std::size_t) { ++second; });
   EXPECT_EQ(second.load(), 128);
-}
-
-TEST(SharedPool, SubmitAndFuturesFromMultipleThreads) {
-  ThreadPool& pool = shared_pool();
-  pool.ensure_size(2);
-  std::atomic<int> ran{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 3; ++c) {
-    clients.emplace_back([&] {
-      std::vector<std::future<void>> futures;
-      futures.reserve(50);
-      for (int i = 0; i < 50; ++i) {
-        futures.push_back(pool.submit([&ran] { ++ran; }));
-      }
-      for (auto& f : futures) f.get();
-    });
-  }
-  for (auto& t : clients) t.join();
-  EXPECT_EQ(ran.load(), 150);
 }
 
 }  // namespace

@@ -2,109 +2,116 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "testing/thread_count.hpp"
 #include "util/parallel.hpp"
 
 namespace patchwork::util {
 namespace {
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&ran] { ++ran; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, ZeroThreadsRunsInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 0u);
-  bool ran = false;
-  auto future = pool.submit([&ran] { ran = true; });
-  // In serial mode the task has already run by the time submit() returns.
-  EXPECT_TRUE(ran);
-  future.get();
-}
-
-TEST(ThreadPool, PropagatesExceptionsThroughFuture) {
-  ThreadPool pool(2);
-  auto future =
-      pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  // The pool survives a throwing task and keeps serving.
-  auto ok = pool.submit([] {});
-  EXPECT_NO_THROW(ok.get());
-}
+using patchwork::testing::ScopedThreadCount;
 
 TEST(ThreadPool, ZeroThreadsStillCarriesExceptions) {
+  // Serial mode runs the task inside spawn(); its exception still surfaces
+  // from wait(), not from spawn().
   ThreadPool pool(0);
-  auto future = pool.submit([] { throw std::runtime_error("inline fail"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
+  TaskGroup group(pool);
+  EXPECT_NO_THROW(
+      group.spawn([] { throw std::runtime_error("inline fail"); }));
+  EXPECT_THROW(group.wait(), std::runtime_error);
 }
 
 TEST(ThreadPool, DestructorDrainsQueue) {
+  // Leaving the scope with spawned but unwaited tasks still runs every one:
+  // ~TaskGroup drains the group before ~ThreadPool joins the workers.
   std::atomic<int> ran{0};
   {
     ThreadPool pool(1);
-    for (int i = 0; i < 32; ++i) pool.submit([&ran] { ++ran; });
+    TaskGroup group(pool);
+    for (int i = 0; i < 32; ++i) group.spawn([&ran] { ++ran; });
   }
   EXPECT_EQ(ran.load(), 32);
 }
 
 TEST(Parallel, ForVisitsEveryIndexOnce) {
+  ScopedThreadCount threads(8);
   std::vector<int> hits(1000, 0);
-  parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; }, 8);
+  parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 1000);
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(Parallel, ForSerialWhenZeroThreads) {
+  ScopedThreadCount threads(0);
   std::vector<int> hits(100, 0);
-  parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; }, 0);
+  parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(Parallel, ForRethrowsTaskException) {
-  EXPECT_THROW(
-      parallel_for(
-          64,
-          [](std::size_t i) {
-            if (i == 17) throw std::runtime_error("index 17");
-          },
-          4),
-      std::runtime_error);
+  ScopedThreadCount threads(4);
+  std::atomic<int> completed{0};
+  EXPECT_THROW(parallel_for(64,
+                            [&](std::size_t i) {
+                              if (i == 17) throw std::runtime_error("17");
+                              ++completed;
+                            }),
+               std::runtime_error);
+  // The throw surfaces only after the other strands drained the cursor.
+  EXPECT_EQ(completed.load(), 63);
 }
 
 TEST(Parallel, MapPreservesInputOrder) {
+  ScopedThreadCount threads(8);
   std::vector<int> in(257);
   std::iota(in.begin(), in.end(), 0);
   const std::vector<int> out =
-      parallel_map(in, [](const int& v) { return v * v; }, 8);
+      parallel_map(in, [](const int& v) { return v * v; });
   ASSERT_EQ(out.size(), in.size());
   for (std::size_t i = 0; i < in.size(); ++i) {
     EXPECT_EQ(out[i], in[i] * in[i]);
   }
 }
 
-TEST(Parallel, NestedParallelForDegradesToSerial) {
+TEST(Parallel, NestedParallelForRunsInParallel) {
+  // Every inner body parks at a bounded rendezvous until a second thread
+  // has entered a body of the same inner loop. A nested region that ran
+  // serially would leave each inner loop on one thread.
+  ScopedThreadCount threads(4);
+  constexpr std::size_t kOuter = 2;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::array<std::set<std::thread::id>, kOuter> seen;
+  bool gave_up = false;
   std::atomic<int> total{0};
-  parallel_for(
-      8,
-      [&](std::size_t) {
-        parallel_for(8, [&](std::size_t) { ++total; }, 8);
-      },
-      4);
-  EXPECT_EQ(total.load(), 64);
+  parallel_for(kOuter, [&](std::size_t o) {
+    parallel_for(8, [&](std::size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      seen[o].insert(std::this_thread::get_id());
+      cv.notify_all();
+      if (!cv.wait_for(lock, std::chrono::seconds(5),
+                       [&] { return gave_up || seen[o].size() >= 2; })) {
+        gave_up = true;  // Fail once, not once per body.
+        cv.notify_all();
+      }
+      ++total;
+    });
+  });
+  EXPECT_EQ(total.load(), 16);
+  for (std::size_t o = 0; o < kOuter; ++o) {
+    EXPECT_GE(seen[o].size(), 2u) << "inner loop " << o;
+  }
 }
 
 TEST(TaskGroup, RunsEveryTaskOnce) {
@@ -225,6 +232,26 @@ TEST(TaskGroup, ManyGroupsInterleaved) {
   }
   for (auto& group : groups) group->wait();
   EXPECT_EQ(total.load(), 8 * 32);
+}
+
+TEST(PoolStats, QueuedGroupTaskRecordsWaitTime) {
+  // The only worker is busy when the second task is spawned, so that task
+  // sits in a deque until the waiting caller takes it: its queueing time
+  // must show in the wait total.
+  ThreadPool pool(1);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  TaskGroup group(pool);
+  group.spawn([&] {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!started.load()) std::this_thread::yield();
+  group.spawn([&release] { release.store(true); });
+  group.wait();
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.tasks_executed, 2u);
+  EXPECT_GT(stats.task_wait_ns_total, 0u);
 }
 
 TEST(Parallel, ThreadCountOverrideWins) {
