@@ -68,13 +68,13 @@ archive::EpochRecord synthetic_epoch(std::uint64_t n, util::Rng& rng) {
     load.frame_sizes = r.frame_sizes;
     r.site_loads.push_back(std::move(load));
   }
-  archive::TopFlowSketch sketch(kSketchCapacity);
+  archive::TopFlowSketch::Builder sketch(kSketchCapacity);
   for (std::size_t f = 0; f < kFlowsPerEpoch; ++f) {
     const std::uint64_t key = rng.uniform_u64(0, kFlowUniverse - 1);
     sketch.insert("flow" + std::to_string(key),
                   rng.uniform_u64(1000, 5000000));
   }
-  r.top_flows = std::move(sketch);
+  r.top_flows = std::move(sketch).build();
   return r;
 }
 

@@ -61,7 +61,10 @@ if [[ "$mode" == "all" || "$mode" == "tsan" ]]; then
   # CoordinatorDeterminism: the priority-queue plan feeds the same
   # per-burst render fan-out, so its worker/batch/SIMD sweeps exercise the
   # pool too; FlowSched rides along for the planner's obs-counter pushes.
-  ./build-tsan/tests/patchwork_tests --gtest_filter='SharedPool.*:ThreadPool.*:TaskGroup.*:Parallel.*:PoolStats.*:PipelineDeterminism.*:AggregateShards.*:CoordinatorDeterminism.*:FlowChurnDeterminism.*:FlowSched.*:SiteProfiler.RenderSampleCommitEquivalentToRenderPending:ObsRegistry.*:ObsDeterminism.*:ArchiveDeterminism.*:ArchiveIoTest.Compaction*:FederationTest.*:IncrementalCompactionTest.*:WindowedQueryTest.*:ObsFileExporter.*:PhiloxSimd.*:RngBulk.*:ScrapeServer.*:Trace.*:TraceDeterminism.*'
+  # QueryCacheConcurrency has barrier-released threads read one cached
+  # query's top flows: const sketch reads must never write (the sketch is
+  # canonical at rest). TopFlowSketch rides along for the builder's heap.
+  ./build-tsan/tests/patchwork_tests --gtest_filter='SharedPool.*:ThreadPool.*:TaskGroup.*:Parallel.*:PoolStats.*:PipelineDeterminism.*:AggregateShards.*:CoordinatorDeterminism.*:FlowChurnDeterminism.*:FlowSched.*:SiteProfiler.RenderSampleCommitEquivalentToRenderPending:ObsRegistry.*:ObsDeterminism.*:ArchiveDeterminism.*:ArchiveIoTest.Compaction*:FederationTest.*:IncrementalCompactionTest.*:WindowedQueryTest.*:QueryCacheConcurrency.*:TopFlowSketch.*:ObsFileExporter.*:PhiloxSimd.*:RngBulk.*:ScrapeServer.*:Trace.*:TraceDeterminism.*'
 fi
 
 if [[ "$mode" == "all" || "$mode" == "ubsan" ]]; then
@@ -77,8 +80,9 @@ if [[ "$mode" == "all" || "$mode" == "ubsan" ]]; then
   # need their own entries — 'Philox.*'/'Rng.*' do not match them.
   # FlowSched joins the counter-arithmetic surface: Pareto scale math,
   # Zipf weight tables, and the event planner's fractional-frame rounding
-  # all feed the same bounded-draw kernels.
-  ./build-ubsan/tests/patchwork_tests --gtest_filter='Philox.*:PhiloxSimd.*:Rng.*:RngBulk.*:RngBlock.*:WeightedTable.*:FrameBuilder.*:FrameStore.*:Pcap.*:FlowGen.*:FlowSched.*:Compress.*:SessionTest.*:TaskGroup.*:CoordinatorDeterminism.*'
+  # all feed the same bounded-draw kernels. TopFlowSketch covers the
+  # builder's heap index arithmetic (parent/child positions).
+  ./build-ubsan/tests/patchwork_tests --gtest_filter='Philox.*:PhiloxSimd.*:Rng.*:RngBulk.*:RngBlock.*:WeightedTable.*:FrameBuilder.*:FrameStore.*:Pcap.*:FlowGen.*:FlowSched.*:Compress.*:SessionTest.*:TaskGroup.*:CoordinatorDeterminism.*:TopFlowSketch.*'
 fi
 
 if [[ "$mode" == "all" || "$mode" == "asan" ]]; then

@@ -1,7 +1,7 @@
 #include "analysis/acap.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
 #include <tuple>
 
 namespace patchwork::analysis {
@@ -15,21 +15,32 @@ bool FlowKey::operator<(const FlowKey& other) const {
 }
 
 std::string FlowKey::to_string() const {
-  std::ostringstream os;
-  os << "vlan[";
+  std::string out;
+  out.reserve(40 + 6 * vlan_ids.size() + 8 * mpls_labels.size());
+  const auto append = [&out](std::uint32_t value) {
+    char digits[10] = {};
+    const auto end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+    out.append(digits, end);
+  };
+  out += "vlan[";
   for (std::size_t i = 0; i < vlan_ids.size(); ++i) {
-    if (i) os << ',';
-    os << vlan_ids[i];
+    if (i) out += ',';
+    append(vlan_ids[i]);
   }
-  os << "]mpls[";
+  out += "]mpls[";
   for (std::size_t i = 0; i < mpls_labels.size(); ++i) {
-    if (i) os << ',';
-    os << mpls_labels[i];
+    if (i) out += ',';
+    append(mpls_labels[i]);
   }
-  os << "]v" << static_cast<int>(ip_version) << " proto"
-     << static_cast<int>(l4_proto) << " " << static_cast<int>(port_a) << "<->"
-     << static_cast<int>(port_b);
-  return os.str();
+  out += "]v";
+  append(ip_version);
+  out += " proto";
+  append(l4_proto);
+  out += ' ';
+  append(port_a);
+  out += "<->";
+  append(port_b);
+  return out;
 }
 
 std::size_t FlowKeyHash::operator()(const FlowKey& k) const {

@@ -86,18 +86,16 @@ archive::EpochRecord extract_epoch_record(const ProfileReport& report,
   // Flows enter in FlowKey order, not hash-map order: exact per-flow byte
   // totals inserted in a canonical sequence make the sketch — and thus the
   // encoded record — independent of the aggregation's thread count.
-  std::vector<std::pair<FlowKey, std::uint64_t>> flows;
+  std::vector<const std::pair<const FlowKey, FlowAggregate>*> flows;
   flows.reserve(report.flow_aggregates.size());
-  for (const auto& [key, aggregate] : report.flow_aggregates) {
-    flows.emplace_back(key, aggregate.wire_bytes);
-  }
+  for (const auto& kv : report.flow_aggregates) flows.push_back(&kv);
   std::sort(flows.begin(), flows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  archive::TopFlowSketch sketch(meta.top_flow_capacity);
-  for (const auto& [key, bytes] : flows) {
-    sketch.insert(key.to_string(), bytes);
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  archive::TopFlowSketch::Builder sketch(meta.top_flow_capacity);
+  for (const auto* kv : flows) {
+    sketch.insert(kv->first.to_string(), kv->second.wire_bytes);
   }
-  record.top_flows = std::move(sketch);
+  record.top_flows = std::move(sketch).build();
   return record;
 }
 

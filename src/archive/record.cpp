@@ -450,8 +450,9 @@ bool decode_record(std::span<const std::uint8_t> payload,
     e.error = c.u64();
   }
   // A wire sketch that violates the space-saving invariants (entries above
-  // capacity, error above count) would make merge() silently wrong; treat
-  // it as corruption rather than building a poisoned sketch.
+  // capacity, error above count, a key listed twice) would make merge()
+  // silently wrong; treat it as corruption rather than building a
+  // poisoned sketch.
   if (!TopFlowSketch::valid_parts(sketch_capacity, entries)) return false;
   r.top_flows = TopFlowSketch::from_parts(sketch_capacity, sketch_floor,
                                           std::move(entries));

@@ -164,8 +164,8 @@ struct SupersedeMarker {
 std::vector<std::uint8_t> encode_record(const EpochRecord& record);
 /// Strict decode: any out-of-bounds length, trailing garbage, or a top-flow
 /// sketch violating its own invariants (entries above capacity, error above
-/// count) fails. `payload_version` selects the wire layout: version 1
-/// predates the origin tag, version 2 carries it.
+/// count, a duplicate key) fails. `payload_version` selects the wire
+/// layout: version 1 predates the origin tag, version 2 carries it.
 bool decode_record(std::span<const std::uint8_t> payload,
                    std::uint8_t payload_version, EpochRecord* out);
 /// Current-version convenience (tests, round-trips).

@@ -1,6 +1,9 @@
 #include "archive/sketch.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
+#include <utility>
 
 namespace patchwork::archive {
 
@@ -13,38 +16,110 @@ bool canonical_less(const TopFlowSketch::Entry& a,
   return a.key < b.key;
 }
 
-}  // namespace
-
-TopFlowSketch::TopFlowSketch(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-void TopFlowSketch::canonicalize() const {
-  if (!dirty_) return;
-  std::sort(entries_.begin(), entries_.end(), canonical_less);
-  dirty_ = false;
+// Whether any key appears twice: an open-addressed set of entry indices,
+// one hash per key (valid_parts runs on every decoded record). Linear
+// probing that runs long (crafted hash collisions) falls back to sorting
+// the keys, so hostile input stays O(n log n).
+bool has_duplicate_keys(const std::vector<TopFlowSketch::Entry>& entries) {
+  const std::size_t slots = std::bit_ceil(2 * entries.size() + 1);
+  std::vector<std::uint32_t> table(slots, 0);  // Entry index + 1; 0 = free.
+  const std::size_t mask = slots - 1;
+  std::size_t probes = 0;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    std::size_t h = std::hash<std::string_view>{}(entries[i].key) & mask;
+    for (; table[h] != 0; h = (h + 1) & mask) {
+      if (entries[table[h] - 1].key == entries[i].key) return true;
+      if (++probes > 4 * entries.size()) {
+        std::vector<std::string_view> keys;
+        keys.reserve(entries.size());
+        for (const TopFlowSketch::Entry& e : entries) keys.push_back(e.key);
+        std::sort(keys.begin(), keys.end());
+        return std::adjacent_find(keys.begin(), keys.end()) != keys.end();
+      }
+    }
+    table[h] = static_cast<std::uint32_t>(i + 1);
+  }
+  return false;
 }
 
-void TopFlowSketch::insert(const std::string& key, std::uint64_t count) {
-  for (Entry& e : entries_) {
-    if (e.key == key) {
-      e.count += count;
-      dirty_ = true;
-      return;
-    }
+}  // namespace
+
+TopFlowSketch::Builder::Builder(std::size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity) {}
+
+// heap_ is a max-heap under canonical order: every parent comes canonically
+// after its children, so the root is the entry a full sort would leave
+// last. Keys are unique, so that entry — the eviction victim — is unique.
+void TopFlowSketch::Builder::swap_nodes(std::size_t a, std::size_t b) {
+  std::swap(heap_[a], heap_[b]);
+  heap_[a]->heap_pos = a;
+  heap_[b]->heap_pos = b;
+}
+
+void TopFlowSketch::Builder::sift_up(std::size_t pos) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!canonical_less(heap_[parent]->entry, heap_[pos]->entry)) return;
+    swap_nodes(parent, pos);
+    pos = parent;
   }
-  if (entries_.size() < capacity_) {
-    entries_.push_back({key, floor_ + count, floor_});
-    dirty_ = true;
+}
+
+void TopFlowSketch::Builder::sift_down(std::size_t pos) {
+  const std::size_t n = heap_.size();
+  while (true) {
+    std::size_t last = pos;
+    for (const std::size_t child : {2 * pos + 1, 2 * pos + 2}) {
+      if (child < n && canonical_less(heap_[last]->entry,
+                                      heap_[child]->entry)) {
+        last = child;
+      }
+    }
+    if (last == pos) return;
+    swap_nodes(pos, last);
+    pos = last;
+  }
+}
+
+void TopFlowSketch::Builder::insert(std::string key, std::uint64_t count) {
+  if (const auto it = index_.find(key); it != index_.end()) {
+    // A larger count moves the entry canonically earlier: away from the
+    // root.
+    Slot& slot = *it->second;
+    slot.entry.count += count;
+    sift_down(slot.heap_pos);
+    return;
+  }
+  if (slots_.size() < capacity_) {
+    Slot& slot = slots_.emplace_back(
+        Slot{{std::move(key), floor_ + count, floor_}, heap_.size()});
+    heap_.push_back(&slot);
+    index_.emplace(slot.entry.key, &slot);
+    sift_up(slot.heap_pos);
     return;
   }
   // Evict the weakest entry (space-saving): the newcomer inherits its
-  // count as a floor. Canonical order puts it last.
-  canonicalize();
-  const std::uint64_t evicted = entries_.back().count;
+  // count as a floor and takes its slot.
+  Slot& victim = *heap_.front();
+  const std::uint64_t evicted = victim.entry.count;
   floor_ = std::max(floor_, evicted);
-  entries_.back() = {key, evicted + count, evicted};
-  dirty_ = true;
+  index_.erase(victim.entry.key);
+  victim.entry = {std::move(key), evicted + count, evicted};
+  index_.emplace(victim.entry.key, &victim);
+  sift_down(0);
 }
+
+TopFlowSketch TopFlowSketch::Builder::build() && {
+  TopFlowSketch sketch(capacity_);
+  sketch.floor_ = floor_;
+  sketch.entries_.reserve(slots_.size());
+  for (Slot& slot : slots_) sketch.entries_.push_back(std::move(slot.entry));
+  std::sort(sketch.entries_.begin(), sketch.entries_.end(), canonical_less);
+  return sketch;
+}
+
+TopFlowSketch::TopFlowSketch(std::size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void TopFlowSketch::merge(const TopFlowSketch& other) {
   // Union-sum via a key-sorted join: counts and errors add per key; a key
@@ -84,21 +159,13 @@ void TopFlowSketch::merge(const TopFlowSketch& other) {
   }
   floor_ = new_floor;
   entries_ = std::move(merged);
-  dirty_ = false;
 }
 
 std::vector<TopFlowSketch::Entry> TopFlowSketch::top(std::size_t k) const {
-  canonicalize();
-  std::vector<Entry> out(entries_.begin(),
-                         entries_.begin() +
-                             static_cast<std::ptrdiff_t>(
-                                 std::min(k, entries_.size())));
-  return out;
-}
-
-const std::vector<TopFlowSketch::Entry>& TopFlowSketch::entries() const {
-  canonicalize();
-  return entries_;
+  return std::vector<Entry>(
+      entries_.begin(),
+      entries_.begin() +
+          static_cast<std::ptrdiff_t>(std::min(k, entries_.size())));
 }
 
 bool TopFlowSketch::valid_parts(std::size_t capacity,
@@ -109,7 +176,7 @@ bool TopFlowSketch::valid_parts(std::size_t capacity,
   for (const Entry& e : entries) {
     if (e.error > e.count) return false;
   }
-  return true;
+  return !has_duplicate_keys(entries);
 }
 
 TopFlowSketch TopFlowSketch::from_parts(std::size_t capacity,
@@ -118,13 +185,10 @@ TopFlowSketch TopFlowSketch::from_parts(std::size_t capacity,
   TopFlowSketch s(std::max(capacity, entries.size()));
   s.floor_ = floor;
   s.entries_ = std::move(entries);
-  s.dirty_ = true;
+  if (!std::is_sorted(s.entries_.begin(), s.entries_.end(), canonical_less)) {
+    std::sort(s.entries_.begin(), s.entries_.end(), canonical_less);
+  }
   return s;
-}
-
-bool TopFlowSketch::operator==(const TopFlowSketch& other) const {
-  return capacity_ == other.capacity_ && floor_ == other.floor_ &&
-         entries() == other.entries();
 }
 
 }  // namespace patchwork::archive

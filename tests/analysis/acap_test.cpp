@@ -79,6 +79,49 @@ TEST(FlowKey, ToStringMentionsTags) {
   EXPECT_NE(k.to_string().find("77"), std::string::npos);
 }
 
+TEST(FlowKey, ToStringGoldenFormat) {
+  // The string keys archived sketches and flow_aggregate.csv rows; it
+  // omits addresses, so these are set only to show they do not appear.
+  FlowKey tcp;
+  tcp.ip_version = 4;
+  tcp.addr_a = {10, 0, 0, 1};
+  tcp.addr_b = {10, 0, 0, 2};
+  tcp.l4_proto = 6;
+  tcp.port_a = 1234;
+  tcp.port_b = 80;
+  EXPECT_EQ(tcp.to_string(), "vlan[]mpls[]v4 proto6 1234<->80");
+
+  FlowKey tagged = tcp;
+  tagged.vlan_ids = {100, 7};
+  tagged.mpls_labels = {16, 1, 300};
+  EXPECT_EQ(tagged.to_string(), "vlan[100,7]mpls[16,1,300]v4 proto6 1234<->80");
+
+  EXPECT_EQ(FlowKey{}.to_string(), "vlan[]mpls[]v0 proto0 0<->0");
+
+  FlowKey v6;
+  v6.ip_version = 6;
+  v6.addr_a[15] = 1;
+  v6.l4_proto = 17;
+  v6.port_a = 53;
+  v6.port_b = 5353;
+  EXPECT_EQ(v6.to_string(), "vlan[]mpls[]v6 proto17 53<->5353");
+
+  FlowKey widest;
+  widest.vlan_ids = {4095, 4095};
+  widest.mpls_labels = {1048575};
+  widest.ip_version = 4;
+  widest.l4_proto = 255;
+  widest.port_a = 65535;
+  widest.port_b = 65535;
+  EXPECT_EQ(widest.to_string(),
+            "vlan[4095,4095]mpls[1048575]v4 proto255 65535<->65535");
+
+  const auto a = Ipv4Address::from_octets(10, 0, 0, 1);
+  const auto b = Ipv4Address::from_octets(10, 0, 0, 2);
+  EXPECT_EQ(flow_key_of(parsed_tcp(a, b, 1, 2, 77)).to_string(),
+            "vlan[77]mpls[]v4 proto6 1<->2");
+}
+
 TEST(AbstractFrame, CapturesStackAndMetadata) {
   FrameBuilder b;
   b.ethernet(MacAddress::from_id(1), MacAddress::from_id(2))

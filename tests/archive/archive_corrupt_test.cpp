@@ -3,8 +3,10 @@
 // never built into poisoned in-memory objects. Runs under ASan in CI.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "archive/format.hpp"
@@ -27,11 +29,11 @@ class ArchiveCorruptTest : public ::testing::Test {
     EpochRecord r;
     r.label = "e0";
     r.frames = 10;
-    TopFlowSketch sketch(8);
+    TopFlowSketch::Builder sketch(8);
     sketch.insert("aa", 300);
     sketch.insert("bb", 200);
     sketch.insert("cc", 100);
-    r.top_flows = std::move(sketch);
+    r.top_flows = std::move(sketch).build();
     return r;
   }
 
@@ -100,6 +102,54 @@ TEST_F(ArchiveCorruptTest, EntriesAboveCapacityRejectedAtDecode) {
 
   put_u32_at(payload, capacity_offset(payload), 0);  // 3 entries, cap 0.
   EXPECT_FALSE(decode_record(payload, &out));
+}
+
+TEST_F(ArchiveCorruptTest, DuplicateSketchKeysRejected) {
+  // Insert and merge keep one entry per key. A wire sketch listing a key
+  // twice would survive a merge as two entries (top() lists the flow
+  // twice), so it is corrupt like any other invariant violation.
+  EXPECT_FALSE(
+      TopFlowSketch::valid_parts(4, {{"x", 50, 0}, {"x", 40, 0}}));
+  EXPECT_FALSE(TopFlowSketch::valid_parts(
+      4, {{"x", 50, 0}, {"y", 45, 0}, {"x", 40, 0}}));
+
+  // Keys whose hashes share their low bits pile into one probe run; the
+  // answer must not depend on how keys hash.
+  std::vector<TopFlowSketch::Entry> colliding;
+  for (int i = 0; colliding.size() < 10; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    if ((std::hash<std::string_view>{}(key) & 31) == 0) {
+      colliding.push_back({key, 10, 0});
+    }
+  }
+  EXPECT_TRUE(TopFlowSketch::valid_parts(16, colliding));
+  colliding.push_back(colliding.front());
+  EXPECT_FALSE(TopFlowSketch::valid_parts(16, colliding));
+
+  // Larger than any default sketch.
+  std::vector<TopFlowSketch::Entry> many;
+  for (int i = 0; i < 600; ++i) many.push_back({"f" + std::to_string(i), 1, 0});
+  EXPECT_TRUE(TopFlowSketch::valid_parts(600, many));
+  many.back().key = "f0";
+  EXPECT_FALSE(TopFlowSketch::valid_parts(600, many));
+
+  // Rename the second entry ("bb") to the first entry's key ("aa"): the
+  // payload still frames, checksums and decodes field by field.
+  std::vector<std::uint8_t> payload = encode_record(sketch_record());
+  const std::size_t first_key = capacity_offset(payload) + 4 + 8 + 4 + 4;
+  const std::size_t second_key = first_key + 2 + 8 + 8 + 4;
+  ASSERT_EQ(payload[first_key], 'a');
+  ASSERT_EQ(payload[second_key], 'b');
+  payload[second_key] = 'a';
+  payload[second_key + 1] = 'a';
+  EpochRecord out;
+  EXPECT_FALSE(decode_record(payload, &out));
+
+  write_archive_with_payload(payload);
+  ArchiveReader reader;
+  ASSERT_EQ(reader.open(path_), OpenError::kNone);
+  EXPECT_TRUE(reader.records().empty());
+  EXPECT_EQ(reader.corrupt_blocks(), 1u);
 }
 
 TEST_F(ArchiveCorruptTest, ErrorAboveCountRejectedAtDecode) {

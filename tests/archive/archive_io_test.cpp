@@ -37,12 +37,12 @@ class ArchiveIoTest : public ::testing::Test {
     r.site_loads.push_back(site);
     // More keys across the file than the sketch holds, so folds truncate
     // and the prefix-fold guarantee is exercised for real.
-    TopFlowSketch sketch(8);
+    TopFlowSketch::Builder sketch(8);
     for (std::uint64_t i = 0; i < 6; ++i) {
       sketch.insert("f" + std::to_string((n * 7 + i * 3) % 16),
                     100 * (n + 1) + 10 * i);
     }
-    r.top_flows = std::move(sketch);
+    r.top_flows = std::move(sketch).build();
     r.manifest_json = "{\"epoch\": " + std::to_string(n) + "}";
     return r;
   }

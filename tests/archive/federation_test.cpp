@@ -41,9 +41,9 @@ class FederationTest : public ::testing::Test {
     site.frames = 50;
     site.wire_bytes = 7000 + epoch;
     r.site_loads.push_back(site);
-    TopFlowSketch sketch(4);
+    TopFlowSketch::Builder sketch(4);
     sketch.insert("f" + std::to_string(epoch % 3), 100 * (epoch + 1));
-    r.top_flows = std::move(sketch);
+    r.top_flows = std::move(sketch).build();
     return r;
   }
 

@@ -31,11 +31,11 @@ class IncrementalCompactionTest : public ::testing::Test {
     site.site = n % 2 == 0 ? "STAR" : "DALL";
     site.frames = 500 + n;
     r.site_loads.push_back(site);
-    TopFlowSketch sketch(8);
+    TopFlowSketch::Builder sketch(8);
     for (std::uint64_t i = 0; i < 5; ++i) {
       sketch.insert("f" + std::to_string((n + i) % 9), 100 * (n + 1));
     }
-    r.top_flows = std::move(sketch);
+    r.top_flows = std::move(sketch).build();
     r.manifest_json = "{\"epoch\": " + std::to_string(n) + "}";
     return r;
   }

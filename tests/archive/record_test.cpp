@@ -49,10 +49,10 @@ EpochRecord sample_record(std::uint64_t epoch, const std::string& label) {
   site.switch_drops_suspected = 5;
   site.frame_sizes = r.frame_sizes;
   r.site_loads.push_back(site);
-  TopFlowSketch sketch(16);
+  TopFlowSketch::Builder sketch(16);
   sketch.insert("flowA", 1000 + epoch);
   sketch.insert("flowB", 500);
-  r.top_flows = std::move(sketch);
+  r.top_flows = std::move(sketch).build();
   r.manifest_json = "{\"seed\": " + std::to_string(epoch) + "}";
   return r;
 }

@@ -2,13 +2,16 @@
 // response cache.
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "archive/query.hpp"
 #include "archive/query_cache.hpp"
 #include "archive/reader.hpp"
+#include "archive/sketch.hpp"
 #include "archive/writer.hpp"
 #include "obs/metrics.hpp"
 #include "testing/temp_dir.hpp"
@@ -190,6 +193,50 @@ TEST_F(WindowedQueryTest, QueryCacheEvictsLeastRecentlyUsed) {
   (void)cache.get(path_, w1);  // Reload: w1 was evicted.
   EXPECT_EQ(counter_value("patchwork_archive_query_cache_misses_total"),
             misses_before + 1);
+}
+
+// Cached queries are shared as shared_ptr<const ArchiveQuery>, so their
+// const reads must be safe from many threads at once. A single-record
+// window's totals are that record's decoded sketch, read by top_flows().
+using QueryCacheConcurrency = WindowedQueryTest;
+
+TEST_F(QueryCacheConcurrency, SharedSingleRecordTopFlowsAgree) {
+  EpochRecord r = record(0);
+  TopFlowSketch::Builder builder(16);
+  for (int i = 0; i < 40; ++i) {
+    builder.insert("f" + std::to_string(i), 10 * (i % 7) + 1);
+  }
+  r.top_flows = std::move(builder).build();
+  const auto expected = r.top_flows.top(10);
+  {
+    ArchiveWriter writer;
+    ASSERT_EQ(writer.open(path_), OpenError::kNone);
+    ASSERT_TRUE(writer.append(r));
+  }
+
+  QueryCache cache(4);
+  const auto loaded = cache.get(path_);
+  ASSERT_EQ(loaded->record_count(), 1u);
+
+  constexpr std::size_t kReaders = 4;
+  std::barrier start(kReaders);
+  std::vector<std::vector<TopFlowSketch::Entry>> answers(kReaders);
+  std::vector<const ArchiveQuery*> seen(kReaders, nullptr);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      const auto query = cache.get(path_);  // A hit: the shared object.
+      seen[t] = query.get();
+      start.arrive_and_wait();
+      answers[t] = query->top_flows(10);
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+
+  for (std::size_t t = 0; t < kReaders; ++t) {
+    EXPECT_EQ(seen[t], loaded.get()) << "reader " << t;
+    EXPECT_EQ(answers[t], expected) << "reader " << t;
+  }
 }
 
 }  // namespace

@@ -108,11 +108,11 @@ TEST(ArchiveDeterminism, CompactionDeterministicAcrossThreadCounts) {
     r.frames = 100 + n;
     r.frame_sizes.edges = {64, 1519};
     r.frame_sizes.counts = {n};
-    archive::TopFlowSketch sketch(4);
+    archive::TopFlowSketch::Builder sketch(4);
     for (std::uint64_t i = 0; i < 6; ++i) {
       sketch.insert("f" + std::to_string((n + i) % 9), 10 * (n + i + 1));
     }
-    r.top_flows = std::move(sketch);
+    r.top_flows = std::move(sketch).build();
     records.push_back(std::move(r));
   }
   archive::CompactionOptions options;
