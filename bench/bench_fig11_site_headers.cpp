@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <iostream>
 
-#include "analysis/analyses.hpp"
 #include "bench_profile.hpp"
 #include "util/table.hpp"
 
@@ -18,7 +17,7 @@ int main() {
 
   bench::BenchWorld world;
   const auto profile = bench::gather_testbed_profile(world);
-  auto variety = analysis::analyze_site_header_variety(profile.digested.files);
+  auto variety = profile.analysis.site_loads;
   // The paper orders sites by distinct-header count.
   std::sort(variety.begin(), variety.end(),
             [](const auto& a, const auto& b) {

@@ -5,7 +5,6 @@
 // 1.93% of frames.
 #include <iostream>
 
-#include "analysis/analyses.hpp"
 #include "bench_profile.hpp"
 #include "util/table.hpp"
 
@@ -16,9 +15,8 @@ int main() {
 
   bench::BenchWorld world;
   const auto profile = bench::gather_testbed_profile(world);
-  const auto result =
-      analysis::analyze_header_occurrence(profile.digested.files);
-  const auto tagging = analysis::analyze_tagging(profile.digested.files);
+  const auto& result = profile.analysis.header_occurrence;
+  const auto& tagging = profile.analysis.tagging;
 
   util::TextTable table({"Header", "% of frames", "Bar"});
   const net::Protocol interesting[] = {

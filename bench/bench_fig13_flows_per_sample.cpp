@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <iostream>
 
-#include "analysis/analyses.hpp"
 #include "bench_profile.hpp"
 #include "traffic/flowgen.hpp"
 #include "util/histogram.hpp"
@@ -25,8 +24,7 @@ int main() {
   bench::BenchWorld world;
   const auto profile = bench::gather_testbed_profile(
       world, /*cycles=*/4, /*samples=*/3, /*max_frames=*/4000);
-  const auto counts =
-      analysis::analyze_flows_per_sample(profile.digested.files);
+  const auto& counts = profile.analysis.flows_per_sample;
 
   util::Histogram hist({0, 10, 30, 100, 300, 1000, 3000, 10000, 30000});
   for (const auto& row : counts) {
@@ -63,7 +61,7 @@ int main() {
   }
 
   // Flow aggregation across samples (the paper's stitching result).
-  const auto flows = analysis::aggregate_flows(profile.digested.files);
+  const auto& flows = profile.analysis.flow_aggregates;
   std::uint64_t largest = 0;
   std::size_t multi_sample = 0;
   for (const auto& [key, agg] : flows) {

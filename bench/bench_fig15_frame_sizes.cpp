@@ -7,9 +7,7 @@
 // 128-255 B = 5.79%; sites differ substantially (S3/S7 jumbo-heavy,
 // S11/S12 small-packet-heavy).
 #include <iostream>
-#include <set>
 
-#include "analysis/analyses.hpp"
 #include "bench_profile.hpp"
 #include "util/table.hpp"
 
@@ -22,8 +20,7 @@ int main() {
   const auto profile = bench::gather_testbed_profile(world);
 
   // Aggregate distribution first (the Section 8.2 numbers).
-  const auto aggregate =
-      analysis::analyze_frame_sizes(profile.digested.files);
+  const auto& aggregate = profile.analysis.frame_sizes;
   util::TextTable agg_table({"Bucket (B)", "Fraction", "Paper", "Bar"});
   struct Anchor {
     double lo;
@@ -43,16 +40,13 @@ int main() {
   // Per-site jumbo share (the striped columns of Fig. 15).
   std::cout << "\nPer-site jumbo share (striped columns):\n";
   util::TextTable site_table({"Site", "Frames", "Jumbo share", "Bar"});
-  std::set<std::string> sites;
-  for (const auto& f : profile.digested.files) sites.insert(f.site);
   double min_jumbo = 1.0, max_jumbo = 0.0;
-  for (const std::string& site : sites) {
-    const auto r =
-        analysis::analyze_frame_sizes_site(profile.digested.files, site);
+  for (const auto& site : profile.analysis.site_loads) {
+    const auto& r = site.frame_sizes;
     if (r.frames == 0) continue;
     min_jumbo = std::min(min_jumbo, r.jumbo_fraction());
     max_jumbo = std::max(max_jumbo, r.jumbo_fraction());
-    site_table.add_row({site, std::to_string(r.frames),
+    site_table.add_row({site.site, std::to_string(r.frames),
                         util::fmt_percent(r.jumbo_fraction(), 1),
                         bench::bar(r.jumbo_fraction(), 1.0, 40)});
   }

@@ -1,7 +1,7 @@
 // Shared profile-gathering step for the data-plane figure benches
 // (Figs. 11, 12, 13, 15): run Patchwork in all-experiment mode across the
-// simulated federation and digest the captures, exactly the paper's
-// pipeline.
+// simulated federation, digest the captures and analyze them, exactly the
+// paper's pipeline.
 #pragma once
 
 #include <iostream>
@@ -15,6 +15,7 @@ namespace patchwork::bench {
 struct GatheredProfile {
   core::ProfileRun run;
   analysis::DigestedProfile digested;
+  analysis::ProfileAnalysis analysis;
 };
 
 inline GatheredProfile gather_testbed_profile(BenchWorld& world,
@@ -35,6 +36,7 @@ inline GatheredProfile gather_testbed_profile(BenchWorld& world,
   GatheredProfile out;
   out.run = coordinator.run_all_experiment();
   out.digested = analysis::digest_profile(out.run.captures);
+  out.analysis = analysis::analyze(out.digested.files);
   std::cout << "[profile] " << out.run.captures.size() << " samples from "
             << out.run.reports.size() << " sites, "
             << out.digested.stats.frames << " frames digested\n\n";

@@ -9,6 +9,7 @@
 // capture NICs.
 //
 // Build & run:  ./build/examples/portability_demo
+#include <algorithm>
 #include <iostream>
 
 #include "analysis/analyses.hpp"
@@ -69,8 +70,9 @@ void profile_with(core::TestbedBackend& backend) {
   backend.release(lease);
 
   const auto files = analysis::digest_all(captures);
-  const auto occurrence = analysis::analyze_header_occurrence(files);
-  const auto stacks = analysis::analyze_top_stacks(files, 3);
+  const auto analyzed = analysis::analyze(files);
+  const auto& occurrence = analyzed.header_occurrence;
+  const std::size_t top = std::min<std::size_t>(3, analyzed.stacks.size());
 
   util::TextTable table({"Header", "% of frames"});
   for (net::Protocol p :
@@ -81,7 +83,8 @@ void profile_with(core::TestbedBackend& backend) {
   }
   table.print(std::cout);
   std::cout << "Top stacks:\n";
-  for (const auto& s : stacks) {
+  for (std::size_t i = 0; i < top; ++i) {
+    const analysis::StackCount& s = analyzed.stacks[i];
     std::cout << "  " << s.stack << "  ("
               << util::fmt_percent(s.fraction, 1) << ")\n";
   }

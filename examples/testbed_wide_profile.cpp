@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\nPer-site variety (Fig. 11 shape):\n";
   util::TextTable variety({"Site", "Distinct headers", "Deepest stack"});
-  for (const auto& site : report.site_variety) {
+  for (const auto& site : report.site_loads) {
     variety.add_row({site.site, std::to_string(site.distinct_headers),
                      std::to_string(site.deepest_stack)});
   }

@@ -65,6 +65,7 @@ struct AcapFile {
   util::Nanos start = 0;
   util::Nanos duration = 0;
   std::uint64_t switch_drops_suspected = 0;  ///< From congestion detection.
+  std::uint64_t pcap_bytes = 0;  ///< Size of the digested pcap.
   std::vector<AcapRecord> records;
 };
 

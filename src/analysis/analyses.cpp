@@ -1,10 +1,12 @@
 #include "analysis/analyses.hpp"
 
 #include <algorithm>
-#include <array>
-#include <set>
+#include <bitset>
+#include <iterator>
+#include <map>
+#include <string_view>
+#include <utility>
 
-#include "analysis/index.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
 
@@ -31,42 +33,6 @@ double FrameSizeResult::jumbo_fraction() const {
   return static_cast<double>(jumbo) / static_cast<double>(frames);
 }
 
-namespace {
-void add_frames(FrameSizeResult& result, const AcapFile& f) {
-  for (const AcapRecord& r : f.records) {
-    result.histogram.add(static_cast<double>(r.wire_length));
-    ++result.frames;
-  }
-}
-}  // namespace
-
-FrameSizeResult analyze_frame_sizes(const std::vector<AcapFile>& files) {
-  FrameSizeResult result;
-  for (const AcapFile& f : files) add_frames(result, f);
-  return result;
-}
-
-FrameSizeResult analyze_frame_sizes_site(const std::vector<AcapFile>& files,
-                                         const std::string& site) {
-  FrameSizeResult result;
-  for (const AcapFile& f : files) {
-    if (f.site == site) add_frames(result, f);
-  }
-  return result;
-}
-
-FrameSizeResult analyze_frame_sizes_site(const std::vector<AcapFile>& files,
-                                         const ProfileIndex& index,
-                                         const std::string& site) {
-  FrameSizeResult result;
-  // Only the indexed positions are touched; the histogram and frame count
-  // are order-insensitive sums, so skipping files cannot change the result.
-  for (std::size_t pos : index.by_site(site)) {
-    add_frames(result, files[pos]);
-  }
-  return result;
-}
-
 double HeaderOccurrenceResult::percent(net::Protocol p) const {
   if (frames == 0) return 0.0;
   return 100.0 *
@@ -74,188 +40,201 @@ double HeaderOccurrenceResult::percent(net::Protocol p) const {
          static_cast<double>(frames);
 }
 
-HeaderOccurrenceResult analyze_header_occurrence(
-    const std::vector<AcapFile>& files) {
-  HeaderOccurrenceResult result;
-  for (const AcapFile& f : files) {
-    for (const AcapRecord& r : f.records) {
-      ++result.frames;
-      for (net::Protocol p : r.stack) {
-        ++result.occurrences[static_cast<std::size_t>(p)];
-      }
-    }
-  }
-  return result;
-}
-
-std::vector<SiteHeaderVariety> analyze_site_header_variety(
-    const std::vector<AcapFile>& files) {
-  std::map<std::string, std::pair<std::set<net::Protocol>, std::size_t>> acc;
-  for (const AcapFile& f : files) {
-    auto& [protos, deepest] = acc[f.site];
-    for (const AcapRecord& r : f.records) {
-      for (net::Protocol p : r.stack) {
-        switch (p) {
-          case net::Protocol::kTruncated:
-          case net::Protocol::kMalformed:
-            break;
-          default:
-            protos.insert(p);
-        }
-      }
-      deepest = std::max(deepest, r.header_depth());
-    }
-  }
-  std::vector<SiteHeaderVariety> out;
-  out.reserve(acc.size());
-  for (const auto& [site, pd] : acc) {
-    out.push_back(SiteHeaderVariety{site, pd.first.size(), pd.second});
-  }
-  return out;
-}
-
-std::vector<SiteHeaderVariety> analyze_site_header_variety(
-    const std::vector<AcapFile>& files, const ProfileIndex& index) {
-  std::vector<SiteHeaderVariety> out;
-  const std::vector<std::string> sites = index.sites();  // Name-sorted.
-  out.reserve(sites.size());
-  for (const std::string& site : sites) {
-    std::set<net::Protocol> protos;
-    std::size_t deepest = 0;
-    for (std::size_t pos : index.by_site(site)) {
-      for (const AcapRecord& r : files[pos].records) {
-        for (net::Protocol p : r.stack) {
-          switch (p) {
-            case net::Protocol::kTruncated:
-            case net::Protocol::kMalformed:
-              break;
-            default:
-              protos.insert(p);
-          }
-        }
-        deepest = std::max(deepest, r.header_depth());
-      }
-    }
-    out.push_back(SiteHeaderVariety{site, protos.size(), deepest});
-  }
-  return out;
-}
-
-std::vector<SampleFlowCount> analyze_flows_per_sample(
-    const std::vector<AcapFile>& files) {
-  std::vector<SampleFlowCount> out;
-  out.reserve(files.size());
-  for (const AcapFile& f : files) {
-    std::set<FlowKey> flows;
-    for (const AcapRecord& r : f.records) flows.insert(r.flow);
-    out.push_back(SampleFlowCount{f.site, f.start, flows.size()});
-  }
-  return out;
-}
-
 namespace {
 
-/// Fold one file's records into a flow map. Used by both the serial path
-/// and every parallel chunk task (each chunk owns whole files, so per-file
-/// sample counting needs no cross-task coordination).
-void accumulate_file(
-    const AcapFile& f,
-    std::unordered_map<FlowKey, FlowAggregate, FlowKeyHash>& out) {
-  for (const AcapRecord& r : f.records) {
-    FlowAggregate& agg = out[r.flow];
-    if (agg.frames == 0) {
-      agg.first_seen = r.timestamp + f.start;
-      agg.last_seen = agg.first_seen;
-    } else {
-      agg.first_seen = std::min(agg.first_seen, r.timestamp + f.start);
-      agg.last_seen = std::max(agg.last_seen, r.timestamp + f.start);
-    }
-    ++agg.frames;
-    agg.wire_bytes += r.wire_length;
-    if (r.tcp_flags & net::tcp_flags::kRst) ++agg.rst_frames;
-  }
-  // Count distinct samples per flow.
-  std::set<FlowKey> in_sample;
-  for (const AcapRecord& r : f.records) in_sample.insert(r.flow);
-  for (const FlowKey& k : in_sample) ++out[k].samples;
+using ProtocolSet = std::bitset<net::kProtocolCount>;
+
+constexpr std::size_t bit(net::Protocol p) {
+  return static_cast<std::size_t>(p);
 }
 
-/// Merge a partial aggregate into `dst`. Every field is a sum, min, or
-/// max, so the merged value is independent of merge order — the sharded
-/// path is content-identical to the single-map path by construction.
-void merge_aggregate(FlowAggregate& dst, const FlowAggregate& src) {
-  if (dst.frames == 0) {
-    dst = src;
-    return;
+/// Hashes a header stack by its protocol bytes.
+struct StackHash {
+  std::size_t operator()(const std::vector<net::Protocol>& stack) const {
+    return std::hash<std::string_view>{}(std::string_view(
+        reinterpret_cast<const char*>(stack.data()), stack.size()));
   }
+};
+
+/// Frames per distinct header stack.
+using StackCounts =
+    std::unordered_map<std::vector<net::Protocol>, std::uint64_t, StackHash>;
+
+/// A site's row while it is being folded, plus every protocol seen there.
+struct SiteFold {
+  SiteLoad row;
+  ProtocolSet protocols;
+};
+
+/// Flow maps merge per FlowKeyHash % kFlowShards shard, one task each. The
+/// shard count is fixed, so a flow's shard does not depend on the thread
+/// count.
+constexpr std::size_t kFlowShards = 16;
+
+void merge_aggregate(FlowAggregate& dst, const FlowAggregate& src) {
   dst.first_seen = std::min(dst.first_seen, src.first_seen);
   dst.last_seen = std::max(dst.last_seen, src.last_seen);
   dst.frames += src.frames;
   dst.wire_bytes += src.wire_bytes;
   dst.rst_frames += src.rst_frames;
   dst.samples += src.samples;
+  dst.last_sample = std::max(dst.last_sample, src.last_sample);
 }
 
-}  // namespace
+/// What one chunk of contiguous files folds into. Every field merges by a
+/// sum, min, max or union, so the merged result cannot depend on where
+/// the chunks were cut; flows_per_sample concatenates in chunk order,
+/// which is file order.
+struct ChunkFold {
+  HeaderOccurrenceResult header_occurrence;
+  TcpControlResult tcp_control;
+  TaggingResult tagging;
+  StackCounts stacks;
+  std::vector<SampleFlowCount> flows_per_sample;
+  std::map<std::string, SiteFold> sites;
+  FlowMap flows;
+  std::array<FlowMap, kFlowShards> shards;  ///< `flows`, once split.
 
-std::unordered_map<FlowKey, FlowAggregate, FlowKeyHash> aggregate_flows(
-    const std::vector<AcapFile>& files) {
-  const std::size_t threads = util::thread_count();
-  if (threads <= 1 || files.size() <= 1) {
-    std::unordered_map<FlowKey, FlowAggregate, FlowKeyHash> out;
-    for (const AcapFile& f : files) accumulate_file(f, out);
-    return out;
+  /// Fold the file at input position `position`, touching each record once.
+  void add_file(const AcapFile& file, std::size_t position) {
+    // The site's row exists from its first file on, so a site whose only
+    // capture did not open still reports its sample.
+    auto [it, fresh] = sites.try_emplace(file.site);
+    SiteFold& site = it->second;
+    if (fresh) site.row.site = file.site;
+    ++site.row.samples;
+    site.row.pcap_bytes += file.pcap_bytes;
+    site.row.switch_drops_suspected += file.switch_drops_suspected;
+
+    std::size_t sample_flows = 0;
+    for (const AcapRecord& r : file.records) {
+      ProtocolSet seen;
+      for (net::Protocol p : r.stack) {
+        ++header_occurrence.occurrences[bit(p)];
+        seen.set(bit(p));
+      }
+      ++header_occurrence.frames;
+      ++stacks[r.stack];
+
+      site.protocols |= seen;
+      site.row.deepest_stack =
+          std::max(site.row.deepest_stack, r.header_depth());
+      ++site.row.frames;
+      site.row.wire_bytes += r.wire_length;
+      site.row.frame_sizes.histogram.add(static_cast<double>(r.wire_length));
+      ++site.row.frame_sizes.frames;
+
+      const bool vlan = seen.test(bit(net::Protocol::kVlan));
+      const bool mpls = seen.test(bit(net::Protocol::kMpls));
+      ++tagging.frames;
+      if (vlan) ++tagging.vlan_tagged;
+      if (mpls) ++tagging.mpls_tagged;
+      if (vlan && mpls) ++tagging.both_tagged;
+      if (!vlan && !mpls) ++tagging.untagged;
+
+      if (seen.test(bit(net::Protocol::kTcp))) {
+        using namespace net::tcp_flags;
+        ++tcp_control.tcp_frames;
+        if (r.tcp_flags & kSyn) ++tcp_control.syn;
+        if (r.tcp_flags & kFin) ++tcp_control.fin;
+        if (r.tcp_flags & kRst) ++tcp_control.rst;
+        // A pure ACK ends at the TCP header: nothing followed on the wire.
+        if ((r.tcp_flags & kAck) && !(r.tcp_flags & (kSyn | kFin | kRst)) &&
+            r.stack.back() == net::Protocol::kTcp) {
+          ++tcp_control.pure_ack;
+        }
+      }
+
+      FlowAggregate& agg = flows[r.flow];
+      const util::Nanos t = file.start + r.timestamp;
+      if (agg.frames == 0 || agg.last_sample != position) {
+        agg.last_sample = position;
+        ++agg.samples;
+        ++sample_flows;
+      }
+      agg.first_seen = agg.frames == 0 ? t : std::min(agg.first_seen, t);
+      agg.last_seen = agg.frames == 0 ? t : std::max(agg.last_seen, t);
+      ++agg.frames;
+      agg.wire_bytes += r.wire_length;
+      if (r.tcp_flags & net::tcp_flags::kRst) ++agg.rst_frames;
+    }
+    flows_per_sample.push_back(
+        SampleFlowCount{file.site, file.start, sample_flows});
   }
 
-  // Sharded two-phase aggregation. Phase 1 splits the files into
-  // contiguous chunks, one task each; every task buckets its flows into
-  // kFlowShards local maps keyed by FlowKeyHash % kFlowShards. Phase 2
-  // merges shard s across all chunks (chunk order, one task per shard —
-  // tasks never touch another task's shard, so no locks). The shard count
-  // is fixed so the shard a flow lands in, and therefore the merged
-  // content, is the same at any thread count; merge order cannot show in
-  // the result anyway because every FlowAggregate field merges
-  // commutatively.
-  constexpr std::size_t kFlowShards = 16;
-  const std::size_t chunks = std::min(threads, files.size());
-  std::vector<std::array<std::unordered_map<FlowKey, FlowAggregate,
-                                            FlowKeyHash>,
-                         kFlowShards>>
-      partial(chunks);
-  util::parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t lo = files.size() * c / chunks;
-    const std::size_t hi = files.size() * (c + 1) / chunks;
-    std::unordered_map<FlowKey, FlowAggregate, FlowKeyHash> local;
-    for (std::size_t f = lo; f < hi; ++f) accumulate_file(files[f], local);
-    for (auto& [key, agg] : local) {
-      partial[c][FlowKeyHash{}(key) % kFlowShards].emplace(key,
-                                                          std::move(agg));
+  /// Move every flow node into its shard map.
+  void split_flows() {
+    while (!flows.empty()) {
+      auto node = flows.extract(flows.begin());
+      shards[FlowKeyHash{}(node.key()) % kFlowShards].insert(std::move(node));
     }
-  });
+  }
 
-  std::array<std::unordered_map<FlowKey, FlowAggregate, FlowKeyHash>,
-             kFlowShards>
-      shards;
+  /// Fold a later chunk's everything-but-flows into this one.
+  void merge(ChunkFold&& later) {
+    header_occurrence.frames += later.header_occurrence.frames;
+    for (std::size_t i = 0; i < net::kProtocolCount; ++i) {
+      header_occurrence.occurrences[i] +=
+          later.header_occurrence.occurrences[i];
+    }
+    tcp_control.tcp_frames += later.tcp_control.tcp_frames;
+    tcp_control.syn += later.tcp_control.syn;
+    tcp_control.fin += later.tcp_control.fin;
+    tcp_control.rst += later.tcp_control.rst;
+    tcp_control.pure_ack += later.tcp_control.pure_ack;
+    tagging.frames += later.tagging.frames;
+    tagging.vlan_tagged += later.tagging.vlan_tagged;
+    tagging.mpls_tagged += later.tagging.mpls_tagged;
+    tagging.both_tagged += later.tagging.both_tagged;
+    tagging.untagged += later.tagging.untagged;
+    for (const auto& [stack, frames] : later.stacks) stacks[stack] += frames;
+    flows_per_sample.insert(
+        flows_per_sample.end(),
+        std::make_move_iterator(later.flows_per_sample.begin()),
+        std::make_move_iterator(later.flows_per_sample.end()));
+    for (auto& [name, src] : later.sites) {
+      auto [it, fresh] = sites.try_emplace(name, std::move(src));
+      if (fresh) continue;
+      SiteLoad& dst = it->second.row;
+      dst.samples += src.row.samples;
+      dst.frames += src.row.frames;
+      dst.wire_bytes += src.row.wire_bytes;
+      dst.pcap_bytes += src.row.pcap_bytes;
+      dst.switch_drops_suspected += src.row.switch_drops_suspected;
+      dst.frame_sizes.histogram += src.row.frame_sizes.histogram;
+      dst.frame_sizes.frames += src.row.frame_sizes.frames;
+      dst.deepest_stack = std::max(dst.deepest_stack, src.row.deepest_stack);
+      it->second.protocols |= src.protocols;
+    }
+  }
+};
+
+/// Merge the chunks' flow maps. Shard s of every later chunk merges into
+/// the first chunk's shard s in chunk order (one task per shard), and the
+/// shards then join into the result. Nodes move between maps; only a key
+/// that two chunks share is looked up, to merge its aggregates. A single
+/// chunk's map is the result.
+FlowMap merge_flows(std::vector<ChunkFold>& folds) {
+  if (folds.size() == 1) return std::move(folds.front().flows);
+  std::array<FlowMap, kFlowShards>& merged = folds.front().shards;
   util::parallel_for(kFlowShards, [&](std::size_t s) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      for (auto& [key, agg] : partial[c][s]) {
-        merge_aggregate(shards[s][key], agg);
+    for (std::size_t c = 1; c < folds.size(); ++c) {
+      FlowMap& src = folds[c].shards[s];
+      merged[s].merge(src);  // Moves every node whose key is new.
+      for (const auto& [key, agg] : src) {
+        merge_aggregate(merged[s].find(key)->second, agg);
       }
     }
   });
-
-  std::unordered_map<FlowKey, FlowAggregate, FlowKeyHash> out;
+  FlowMap out;
   std::size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
+  for (const FlowMap& shard : merged) total += shard.size();
   out.reserve(total);
-  for (auto& shard : shards) {  // Shard order: deterministic assembly.
-    for (auto& [key, agg] : shard) out.emplace(key, agg);
-  }
+  for (FlowMap& shard : merged) out.merge(shard);
   return out;
 }
 
-FlowDistributionResult analyze_flow_distribution(
-    const std::unordered_map<FlowKey, FlowAggregate, FlowKeyHash>& flows) {
+FlowDistributionResult flow_distribution_of(const FlowMap& flows) {
   FlowDistributionResult result;
   std::vector<double> sizes;
   sizes.reserve(flows.size());
@@ -278,71 +257,69 @@ FlowDistributionResult analyze_flow_distribution(
   return result;
 }
 
-TcpControlResult analyze_tcp_control(const std::vector<AcapFile>& files) {
-  TcpControlResult result;
-  for (const AcapFile& f : files) {
-    for (const AcapRecord& r : f.records) {
-      if (!r.has(net::Protocol::kTcp)) continue;
-      ++result.tcp_frames;
-      using namespace net::tcp_flags;
-      if (r.tcp_flags & kSyn) ++result.syn;
-      if (r.tcp_flags & kFin) ++result.fin;
-      if (r.tcp_flags & kRst) ++result.rst;
-      // A pure ACK ends at the TCP header: nothing followed on the wire.
-      if ((r.tcp_flags & kAck) && !(r.tcp_flags & (kSyn | kFin | kRst)) &&
-          r.stack.back() == net::Protocol::kTcp) {
-        ++result.pure_ack;
-      }
-    }
-  }
-  return result;
-}
-
-std::vector<StackCount> analyze_top_stacks(const std::vector<AcapFile>& files,
-                                           std::size_t k) {
-  std::map<std::string, std::uint64_t> counts;
-  std::uint64_t total = 0;
-  for (const AcapFile& f : files) {
-    for (const AcapRecord& r : f.records) {
-      std::string stack;
-      for (net::Protocol p : r.stack) {
-        if (!stack.empty()) stack += '/';
-        stack += net::to_string(p);
-      }
-      ++counts[stack];
-      ++total;
-    }
-  }
+/// Name each distinct stack once and rank them: most frames first, then by
+/// name.
+std::vector<StackCount> rank_stacks(const StackCounts& counts,
+                                    std::uint64_t total) {
   std::vector<StackCount> out;
   out.reserve(counts.size());
-  for (const auto& [stack, n] : counts) {
+  for (const auto& [stack, frames] : counts) {
+    std::string name;
+    for (net::Protocol p : stack) {
+      if (!name.empty()) name += '/';
+      name += net::to_string(p);
+    }
     out.push_back(StackCount{
-        stack, n,
-        total ? static_cast<double>(n) / static_cast<double>(total) : 0.0});
+        std::move(name), frames,
+        total ? static_cast<double>(frames) / static_cast<double>(total)
+              : 0.0});
   }
   std::sort(out.begin(), out.end(), [](const StackCount& a,
                                        const StackCount& b) {
     if (a.frames != b.frames) return a.frames > b.frames;
     return a.stack < b.stack;
   });
-  if (out.size() > k) out.resize(k);
   return out;
 }
 
-TaggingResult analyze_tagging(const std::vector<AcapFile>& files) {
-  TaggingResult result;
-  for (const AcapFile& f : files) {
-    for (const AcapRecord& r : f.records) {
-      ++result.frames;
-      const bool vlan = r.has(net::Protocol::kVlan);
-      const bool mpls = r.has(net::Protocol::kMpls);
-      if (vlan) ++result.vlan_tagged;
-      if (mpls) ++result.mpls_tagged;
-      if (vlan && mpls) ++result.both_tagged;
-      if (!vlan && !mpls) ++result.untagged;
-    }
+}  // namespace
+
+ProfileAnalysis analyze(const std::vector<AcapFile>& files) {
+  const std::size_t chunks =
+      std::max<std::size_t>(1, std::min(util::thread_count(), files.size()));
+  std::vector<ChunkFold> folds(chunks);
+  util::parallel_for(chunks, [&](std::size_t c) {
+    const std::size_t lo = files.size() * c / chunks;
+    const std::size_t hi = files.size() * (c + 1) / chunks;
+    for (std::size_t f = lo; f < hi; ++f) folds[c].add_file(files[f], f);
+    if (chunks > 1) folds[c].split_flows();
+  });
+
+  ProfileAnalysis out;
+  out.flow_aggregates = merge_flows(folds);
+  ChunkFold& all = folds.front();
+  for (std::size_t c = 1; c < chunks; ++c) all.merge(std::move(folds[c]));
+
+  out.header_occurrence = all.header_occurrence;
+  out.tcp_control = all.tcp_control;
+  out.tagging = all.tagging;
+  out.stacks = rank_stacks(all.stacks, all.header_occurrence.frames);
+  out.flows_per_sample = std::move(all.flows_per_sample);
+  ProtocolSet headers;
+  headers.set().reset(bit(net::Protocol::kTruncated));
+  headers.reset(bit(net::Protocol::kMalformed));
+  out.site_loads.reserve(all.sites.size());
+  for (auto& [name, site] : all.sites) {
+    site.row.distinct_headers = (site.protocols & headers).count();
+    // The site histograms partition the profile's.
+    out.frame_sizes.histogram += site.row.frame_sizes.histogram;
+    out.frame_sizes.frames += site.row.frame_sizes.frames;
+    out.site_loads.push_back(std::move(site.row));
   }
-  return result;
+  out.distinct_flows = out.flow_aggregates.size();
+  out.flow_distribution = flow_distribution_of(out.flow_aggregates);
+  out.largest_flow_bytes = out.flow_distribution.largest_flow_bytes;
+  return out;
 }
 
 }  // namespace patchwork::analysis

@@ -2,13 +2,12 @@
 // example, to characterize frame sizes, the types of headers observed in
 // the captures, and classify flows".
 //
-// Each analysis consumes AcapFiles and produces a plain result struct; the
-// Process step (report.hpp) turns results into CSV.
+// analyze() runs every analysis in one fold over the AcapFiles and returns
+// one plain result struct; the Process step (report.hpp) turns it into CSV.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -17,8 +16,6 @@
 #include "util/histogram.hpp"
 
 namespace patchwork::analysis {
-
-class ProfileIndex;  // analysis/index.hpp
 
 // --- Frame sizes (Fig. 15 and the Section 8.2 aggregate) -----------------
 
@@ -34,16 +31,6 @@ struct FrameSizeResult {
   double jumbo_fraction() const;        ///< Frames > 1518 B.
 };
 
-FrameSizeResult analyze_frame_sizes(const std::vector<AcapFile>& files);
-FrameSizeResult analyze_frame_sizes_site(const std::vector<AcapFile>& files,
-                                         const std::string& site);
-/// Index-assisted variant: touches only the files the index lists for
-/// `site` instead of scanning the whole profile (the Section 6.2.4 point
-/// of the Index step). Result is identical to the scanning variant.
-FrameSizeResult analyze_frame_sizes_site(const std::vector<AcapFile>& files,
-                                         const ProfileIndex& index,
-                                         const std::string& site);
-
 // --- Header occurrence (Fig. 12) -----------------------------------------
 
 struct HeaderOccurrenceResult {
@@ -55,24 +42,22 @@ struct HeaderOccurrenceResult {
   double percent(net::Protocol p) const;
 };
 
-HeaderOccurrenceResult analyze_header_occurrence(
-    const std::vector<AcapFile>& files);
+// --- Per-site rows (Fig. 11, Fig. 15 per site, capture volume) -----------
 
-// --- Per-site header variety (Fig. 11) ------------------------------------
-
-struct SiteHeaderVariety {
+/// One site's row: how many sample windows it contributed, what hit the
+/// wire and what survived to pcap, its frame sizes and its header variety.
+/// Every file of the site counts, including one whose pcap did not open.
+struct SiteLoad {
   std::string site;
+  std::uint64_t samples = 0;
+  std::uint64_t frames = 0;
+  std::uint64_t wire_bytes = 0;
+  std::uint64_t pcap_bytes = 0;
+  std::uint64_t switch_drops_suspected = 0;
+  FrameSizeResult frame_sizes;
   std::size_t distinct_headers = 0;  ///< y1-axis of Fig. 11.
   std::size_t deepest_stack = 0;     ///< y2-axis of Fig. 11.
 };
-
-std::vector<SiteHeaderVariety> analyze_site_header_variety(
-    const std::vector<AcapFile>& files);
-/// Index-assisted variant: iterates sites via the index's site directory
-/// rather than re-grouping every file. Identical output (both orders are
-/// sorted by site name).
-std::vector<SiteHeaderVariety> analyze_site_header_variety(
-    const std::vector<AcapFile>& files, const ProfileIndex& index);
 
 // --- Flows (Fig. 13 and the flow-size aggregation) ------------------------
 
@@ -82,10 +67,6 @@ struct SampleFlowCount {
   std::size_t flows = 0;
 };
 
-/// Distinct flows in each sample (each AcapFile is one sample window).
-std::vector<SampleFlowCount> analyze_flows_per_sample(
-    const std::vector<AcapFile>& files);
-
 struct FlowAggregate {
   std::uint64_t frames = 0;
   std::uint64_t wire_bytes = 0;  ///< Sum of original frame lengths.
@@ -93,12 +74,12 @@ struct FlowAggregate {
   util::Nanos last_seen = 0;
   std::uint32_t rst_frames = 0;
   std::uint32_t samples = 0;  ///< Distinct samples the flow appeared in.
+  /// Input position of the last sample the flow appeared in; the fold
+  /// counts a flow once per sample by comparing against it.
+  std::size_t last_sample = 0;
 };
 
-/// Cross-sample flow stitching: "we also analyzed across samples to piece
-/// together flow snippets and aggregate their packets."
-std::unordered_map<FlowKey, FlowAggregate, FlowKeyHash> aggregate_flows(
-    const std::vector<AcapFile>& files);
+using FlowMap = std::unordered_map<FlowKey, FlowAggregate, FlowKeyHash>;
 
 // --- Flow size & duration distributions (Section 4's profile definition:
 // "the sizes and durations of flows") -----------------------------------
@@ -119,9 +100,6 @@ struct FlowDistributionResult {
   double p99_flow_bytes = 0.0;
 };
 
-FlowDistributionResult analyze_flow_distribution(
-    const std::unordered_map<FlowKey, FlowAggregate, FlowKeyHash>& flows);
-
 // --- TCP control information (Section 4: e.g. RST-flagged packets) --------
 
 struct TcpControlResult {
@@ -132,8 +110,6 @@ struct TcpControlResult {
   std::uint64_t pure_ack = 0;  ///< ACK set, no payload on the wire.
 };
 
-TcpControlResult analyze_tcp_control(const std::vector<AcapFile>& files);
-
 // --- Typical encapsulation stacks (Section 8.2's examples) -----------------
 
 struct StackCount {
@@ -141,11 +117,6 @@ struct StackCount {
   std::uint64_t frames = 0;
   double fraction = 0.0;  ///< Of all frames.
 };
-
-/// The `k` most frequent abstract header stacks — the data behind the
-/// paper's "examples of typical encapsulations include ..." passage.
-std::vector<StackCount> analyze_top_stacks(const std::vector<AcapFile>& files,
-                                           std::size_t k = 10);
 
 // --- Encapsulation / tagging (Fig. 12's VLAN/MPLS finding) ----------------
 
@@ -157,6 +128,33 @@ struct TaggingResult {
   std::uint64_t untagged = 0;
 };
 
-TaggingResult analyze_tagging(const std::vector<AcapFile>& files);
+// --- The whole Analyze step -------------------------------------------------
+
+struct ProfileAnalysis {
+  FrameSizeResult frame_sizes;
+  HeaderOccurrenceResult header_occurrence;
+  TcpControlResult tcp_control;
+  TaggingResult tagging;
+  /// Every distinct abstract header stack, most frequent first (ties by
+  /// name) — the data behind the paper's "examples of typical
+  /// encapsulations include ..." passage.
+  std::vector<StackCount> stacks;
+  /// Distinct flows in each sample (each AcapFile is one sample window),
+  /// in input order.
+  std::vector<SampleFlowCount> flows_per_sample;
+  /// One row per site, sorted by site name.
+  std::vector<SiteLoad> site_loads;
+  /// Cross-sample flow stitching: "we also analyzed across samples to piece
+  /// together flow snippets and aggregate their packets."
+  FlowMap flow_aggregates;
+  FlowDistributionResult flow_distribution;
+  std::uint64_t distinct_flows = 0;
+  std::uint64_t largest_flow_bytes = 0;
+};
+
+/// Run every analysis over a digested profile, touching each record once.
+/// The files are split into min(thread_count(), files) contiguous chunks,
+/// each folded by one task; the result is identical at any thread count.
+ProfileAnalysis analyze(const std::vector<AcapFile>& files);
 
 }  // namespace patchwork::analysis

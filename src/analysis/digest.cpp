@@ -21,6 +21,7 @@ AcapFile digest(const RawCapture& capture, DigestStats* stats) {
   out.start = capture.start;
   out.duration = capture.duration;
   out.switch_drops_suspected = capture.switch_drops_suspected;
+  out.pcap_bytes = capture.pcap.size();
 
   auto reader = pcap::PcapReader::open(capture.pcap);
   if (!reader) {

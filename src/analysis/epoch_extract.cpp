@@ -70,10 +70,7 @@ archive::EpochRecord extract_epoch_record(const ProfileReport& report,
     out.wire_bytes = load.wire_bytes;
     out.pcap_bytes = load.pcap_bytes;
     out.switch_drops_suspected = load.switch_drops_suspected;
-    const auto it = report.site_frame_sizes.find(load.site);
-    if (it != report.site_frame_sizes.end()) {
-      out.frame_sizes = to_hist_counts(it->second.histogram);
-    }
+    out.frame_sizes = to_hist_counts(load.frame_sizes.histogram);
     record.site_loads.push_back(std::move(out));
     record.samples += load.samples;
     record.pcap_bytes += load.pcap_bytes;

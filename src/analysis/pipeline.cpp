@@ -1,9 +1,7 @@
 #include "analysis/pipeline.hpp"
 
-#include <algorithm>
 #include <array>
 #include <functional>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -21,77 +19,14 @@ DigestedProfile digest_profile(const std::vector<RawCapture>& captures) {
 
 ProfileReport run_pipeline(const std::vector<RawCapture>& captures) {
   ProfileReport report;
-  DigestedProfile digested;
+  std::vector<AcapFile> files;
   {
     OBS_SPAN("pipeline/digest_all");
-    digested.files = digest_all(captures, &report.digest_stats);
+    files = digest_all(captures, &report.digest_stats);
   }
-
-  // Analyze step: the passes are independent and each writes a distinct
-  // report field, so they fan out as one task each. Flow aggregation and
-  // the distribution derived from it stay one task to keep the dependency
-  // inside a single thread. The Index step rides in the pass array too:
-  // its task builds the ProfileIndex and immediately consumes it for the
-  // per-site header-variety analysis; the Process step below reuses it for
-  // the per-site frame-size CSV, so index construction overlaps the other
-  // passes instead of serializing in front of them.
-  std::optional<ProfileIndex> index;
-  const std::array<std::function<void()>, 8> passes = {
-      [&] { report.frame_sizes = analyze_frame_sizes(digested.files); },
-      [&] {
-        report.header_occurrence = analyze_header_occurrence(digested.files);
-      },
-      [&] {
-        index.emplace(digested.files);
-        report.site_variety =
-            analyze_site_header_variety(digested.files, *index);
-      },
-      [&] { report.flows_per_sample = analyze_flows_per_sample(digested.files); },
-      [&] { report.tcp_control = analyze_tcp_control(digested.files); },
-      [&] { report.tagging = analyze_tagging(digested.files); },
-      [&] { report.top_stacks = analyze_top_stacks(digested.files); },
-      [&] {
-        report.flow_aggregates = aggregate_flows(digested.files);
-        report.distinct_flows = report.flow_aggregates.size();
-        report.flow_distribution =
-            analyze_flow_distribution(report.flow_aggregates);
-        report.largest_flow_bytes = report.flow_distribution.largest_flow_bytes;
-      },
-  };
   {
     OBS_SPAN("pipeline/analyze");
-    util::parallel_for(passes.size(), [&](std::size_t i) { passes[i](); });
-  }
-
-  // Per-site accounting rides after the analyze barrier because it needs
-  // the index (built in the pass array above). Each site is one task;
-  // digest_all preserves input order, so files[pos] pairs with
-  // captures[pos] and pcap byte counts attribute to the right sample.
-  {
-    OBS_SPAN("pipeline/site_profile");
-    const std::vector<std::string> sites = index->sites();
-    std::vector<SiteLoad> loads(sites.size());
-    std::vector<FrameSizeResult> sizes(sites.size());
-    util::parallel_for(sites.size(), [&](std::size_t i) {
-      sizes[i] = analyze_frame_sizes_site(digested.files, *index, sites[i]);
-      SiteLoad load;
-      load.site = sites[i];
-      for (std::size_t pos : index->by_site(sites[i])) {
-        const AcapFile& file = digested.files[pos];
-        ++load.samples;
-        load.frames += file.records.size();
-        for (const AcapRecord& record : file.records) {
-          load.wire_bytes += record.wire_length;
-        }
-        load.pcap_bytes += captures[pos].pcap.size();
-        load.switch_drops_suspected += file.switch_drops_suspected;
-      }
-      loads[i] = std::move(load);
-    });
-    report.site_loads = std::move(loads);
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      report.site_frame_sizes.emplace(sites[i], std::move(sizes[i]));
-    }
+    static_cast<ProfileAnalysis&>(report) = analyze(files);
   }
 
   // Process step: render every CSV, one parallel task per file, each into
@@ -102,7 +37,7 @@ ProfileReport run_pipeline(const std::vector<RawCapture>& captures) {
        [&](std::ostream& os) { write_frame_size_csv(os, report.frame_sizes); }},
       {"site_frame_sizes.csv",
        [&](std::ostream& os) {
-         write_site_frame_size_csv(os, digested.files, *index);
+         write_site_frame_size_csv(os, report.site_loads);
        }},
       {"header_occurrence.csv",
        [&](std::ostream& os) {
@@ -110,7 +45,7 @@ ProfileReport run_pipeline(const std::vector<RawCapture>& captures) {
        }},
       {"site_variety.csv",
        [&](std::ostream& os) {
-         write_site_variety_csv(os, report.site_variety);
+         write_site_variety_csv(os, report.site_loads);
        }},
       {"flows_per_sample.csv",
        [&](std::ostream& os) {
@@ -125,7 +60,7 @@ ProfileReport run_pipeline(const std::vector<RawCapture>& captures) {
       {"tagging.csv",
        [&](std::ostream& os) { write_tagging_csv(os, report.tagging); }},
       {"top_stacks.csv",
-       [&](std::ostream& os) { write_top_stacks_csv(os, report.top_stacks); }},
+       [&](std::ostream& os) { write_top_stacks_csv(os, report.stacks); }},
       {"flow_distribution.csv",
        [&](std::ostream& os) {
          write_flow_distribution_csv(os, report.flow_distribution);

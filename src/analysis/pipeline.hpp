@@ -1,51 +1,24 @@
 // End-to-end offline analysis pipeline (Fig. 9):
-//   gathered captures -> Digest -> Index -> Analyze -> Process (CSV).
+//   gathered captures -> Digest -> Analyze -> Process (CSV).
 //
 // This is the phase that runs *outside* the testbed, after the coordinator
-// has downloaded the compressed captures and logs.
+// has downloaded the compressed captures and logs. The paper's Index step
+// locates a site's acap files among "dozens of gigabytes"; here every file
+// is in memory and read once, and the Analyze fold's per-site state does
+// that job.
 #pragma once
 
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/analyses.hpp"
 #include "analysis/digest.hpp"
-#include "analysis/index.hpp"
 
 namespace patchwork::analysis {
 
-/// One site's capture-volume accounting for a run: how many sample
-/// windows it contributed, what hit the wire, and what survived to pcap.
-struct SiteLoad {
-  std::string site;
-  std::uint64_t samples = 0;
-  std::uint64_t frames = 0;
-  std::uint64_t wire_bytes = 0;
-  std::uint64_t pcap_bytes = 0;
-  std::uint64_t switch_drops_suspected = 0;
-};
-
-struct ProfileReport {
+struct ProfileReport : ProfileAnalysis {
   DigestStats digest_stats;
-  FrameSizeResult frame_sizes;
-  HeaderOccurrenceResult header_occurrence;
-  std::vector<SiteHeaderVariety> site_variety;
-  std::vector<SampleFlowCount> flows_per_sample;
-  TcpControlResult tcp_control;
-  TaggingResult tagging;
-  std::vector<StackCount> top_stacks;
-  FlowDistributionResult flow_distribution;
-  std::uint64_t distinct_flows = 0;
-  std::uint64_t largest_flow_bytes = 0;
-  /// Stitched cross-sample flow aggregates (the flow_aggregate.csv data,
-  /// kept for consumers like the archive's top-flow summary).
-  std::unordered_map<FlowKey, FlowAggregate, FlowKeyHash> flow_aggregates;
-  /// Per-site accounting, sorted by site name.
-  std::vector<SiteLoad> site_loads;
-  /// Per-site frame-size distributions (index-assisted), keyed by site.
-  std::map<std::string, FrameSizeResult> site_frame_sizes;
   /// CSV outputs of the Process step, keyed by file name.
   std::map<std::string, std::string> csv_files;
 };
@@ -53,7 +26,7 @@ struct ProfileReport {
 /// Run the full pipeline over a gathered profile.
 ProfileReport run_pipeline(const std::vector<RawCapture>& captures);
 
-/// Digest + index only (for callers that drive analyses selectively).
+/// Digest only (for callers that analyze the files themselves).
 struct DigestedProfile {
   std::vector<AcapFile> files;
   DigestStats stats;

@@ -1,9 +1,7 @@
 #include "analysis/report.hpp"
 
 #include <algorithm>
-#include <set>
 
-#include "analysis/index.hpp"
 #include "util/csv.hpp"
 
 namespace patchwork::analysis {
@@ -21,37 +19,14 @@ void write_frame_size_csv(std::ostream& out, const FrameSizeResult& result) {
 }
 
 void write_site_frame_size_csv(std::ostream& out,
-                               const std::vector<AcapFile>& files) {
-  std::set<std::string> sites;
-  for (const AcapFile& f : files) sites.insert(f.site);
+                               const std::vector<SiteLoad>& sites) {
   util::CsvWriter csv(out, {"site", "bucket_lo", "bucket_hi", "fraction",
                             "jumbo_fraction"});
-  for (const std::string& site : sites) {
-    const FrameSizeResult r = analyze_frame_sizes_site(files, site);
+  for (const SiteLoad& site : sites) {
+    const FrameSizeResult& r = site.frame_sizes;
     for (std::size_t i = 0; i < r.histogram.bucket_count(); ++i) {
       csv.begin_row()
-          .add(site)
-          .add(r.histogram.bucket_lo(i))
-          .add(r.histogram.bucket_hi(i))
-          .add(r.histogram.fraction(i))
-          .add(r.jumbo_fraction())
-          .end_row();
-    }
-  }
-}
-
-void write_site_frame_size_csv(std::ostream& out,
-                               const std::vector<AcapFile>& files,
-                               const ProfileIndex& index) {
-  util::CsvWriter csv(out, {"site", "bucket_lo", "bucket_hi", "fraction",
-                            "jumbo_fraction"});
-  // index.sites() is name-sorted, matching the std::set order of the
-  // scanning variant; each per-site pass reads only that site's files.
-  for (const std::string& site : index.sites()) {
-    const FrameSizeResult r = analyze_frame_sizes_site(files, index, site);
-    for (std::size_t i = 0; i < r.histogram.bucket_count(); ++i) {
-      csv.begin_row()
-          .add(site)
+          .add(site.site)
           .add(r.histogram.bucket_lo(i))
           .add(r.histogram.bucket_hi(i))
           .add(r.histogram.fraction(i))
@@ -76,9 +51,9 @@ void write_header_occurrence_csv(std::ostream& out,
 }
 
 void write_site_variety_csv(std::ostream& out,
-                            const std::vector<SiteHeaderVariety>& rows) {
+                            const std::vector<SiteLoad>& sites) {
   util::CsvWriter csv(out, {"site", "distinct_headers", "deepest_stack"});
-  for (const SiteHeaderVariety& r : rows) {
+  for (const SiteLoad& r : sites) {
     csv.begin_row()
         .add(r.site)
         .add(static_cast<std::uint64_t>(r.distinct_headers))
@@ -99,9 +74,7 @@ void write_flows_per_sample_csv(std::ostream& out,
   }
 }
 
-void write_flow_aggregate_csv(
-    std::ostream& out,
-    const std::unordered_map<FlowKey, FlowAggregate, FlowKeyHash>& flows) {
+void write_flow_aggregate_csv(std::ostream& out, const FlowMap& flows) {
   util::CsvWriter csv(out, {"flow", "frames", "wire_bytes", "samples",
                             "rst_frames", "span_s"});
   // Deterministic output order: largest flows first.
@@ -138,8 +111,10 @@ void write_tcp_control_csv(std::ostream& out,
 
 void write_top_stacks_csv(std::ostream& out,
                           const std::vector<StackCount>& rows) {
+  constexpr std::size_t kTopStacks = 10;
   util::CsvWriter csv(out, {"stack", "frames", "fraction"});
-  for (const StackCount& r : rows) {
+  for (std::size_t i = 0; i < std::min(rows.size(), kTopStacks); ++i) {
+    const StackCount& r = rows[i];
     csv.begin_row().add(r.stack).add(r.frames).add(r.fraction).end_row();
   }
 }

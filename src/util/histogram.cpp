@@ -36,6 +36,17 @@ void Histogram::add(double value, std::uint64_t count) {
   counts_[lo] += count;
 }
 
+Histogram& Histogram::operator+=(const Histogram& other) {
+  assert(edges_ == other.edges_);
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    counts_[i] += other.counts_[i];
+  }
+  underflow_ += other.underflow_;
+  overflow_ += other.overflow_;
+  total_ += other.total_;
+  return *this;
+}
+
 double Histogram::fraction(std::size_t i) const {
   if (total_ == 0) return 0.0;
   return static_cast<double>(counts_.at(i)) / static_cast<double>(total_);

@@ -23,6 +23,9 @@ class Histogram {
 
   void add(double value, std::uint64_t count = 1);
 
+  /// Add `other`'s counts bucket by bucket. Both must share their edges.
+  Histogram& operator+=(const Histogram& other);
+
   std::size_t bucket_count() const { return counts_.size(); }
   std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
   std::uint64_t underflow() const { return underflow_; }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "analysis/digest.hpp"
+#include "analysis/report.hpp"
 #include "net/frame_builder.hpp"
 #include "testing/fixtures.hpp"
 #include "util/stats.hpp"
@@ -29,7 +32,7 @@ TEST(FrameSizes, CountsByWireLength) {
       {tcp_frame(1, 2, 1, 2, 1900), tcp_frame(1, 2, 1, 2, 1900),
        tcp_frame(1, 2, 1, 2, 70), tcp_frame(1, 2, 1, 2, 300)}));
   const auto files = digest_all(captures);
-  const FrameSizeResult result = analyze_frame_sizes(files);
+  const FrameSizeResult result = analyze(files).frame_sizes;
   EXPECT_EQ(result.frames, 4u);
   EXPECT_DOUBLE_EQ(result.fraction_in(1519), 0.5);
   EXPECT_DOUBLE_EQ(result.fraction_in(65), 0.25);
@@ -42,10 +45,12 @@ TEST(FrameSizes, PerSiteFiltering) {
   captures.push_back(make_capture("S1", 0, {tcp_frame(1, 2, 1, 2, 2000)}));
   captures.push_back(make_capture("S2", 0, {tcp_frame(1, 2, 1, 2, 80)}));
   const auto files = digest_all(captures);
-  EXPECT_DOUBLE_EQ(analyze_frame_sizes_site(files, "S1").jumbo_fraction(),
-                   1.0);
-  EXPECT_DOUBLE_EQ(analyze_frame_sizes_site(files, "S2").jumbo_fraction(),
-                   0.0);
+  const std::vector<SiteLoad> sites = analyze(files).site_loads;
+  ASSERT_EQ(sites.size(), 2u);
+  EXPECT_EQ(sites[0].site, "S1");
+  EXPECT_EQ(sites[1].site, "S2");
+  EXPECT_DOUBLE_EQ(sites[0].frame_sizes.jumbo_fraction(), 1.0);
+  EXPECT_DOUBLE_EQ(sites[1].frame_sizes.jumbo_fraction(), 0.0);
 }
 
 TEST(HeaderOccurrence, EthernetCanExceedHundredPercent) {
@@ -63,7 +68,7 @@ TEST(HeaderOccurrence, EthernetCanExceedHundredPercent) {
   std::vector<RawCapture> captures;
   captures.push_back(make_capture("S1", 0, {b.build()}));
   const auto files = digest_all(captures);
-  const HeaderOccurrenceResult result = analyze_header_occurrence(files);
+  const HeaderOccurrenceResult result = analyze(files).header_occurrence;
   EXPECT_DOUBLE_EQ(result.percent(net::Protocol::kEthernet), 200.0);
   EXPECT_DOUBLE_EQ(result.percent(net::Protocol::kIpv4), 100.0);
   EXPECT_DOUBLE_EQ(result.percent(net::Protocol::kIcmp), 0.0);
@@ -74,7 +79,7 @@ TEST(SiteVariety, CountsDistinctHeadersAndDepth) {
   captures.push_back(make_capture(
       "S1", 0, {tcp_frame(1, 2, 1, 443), tcp_frame(1, 2, 1, 5201)}));
   const auto files = digest_all(captures);
-  const auto variety = analyze_site_header_variety(files);
+  const auto variety = analyze(files).site_loads;
   ASSERT_EQ(variety.size(), 1u);
   // eth, vlan, mpls, ipv4, tcp (+payload protocols excluded from depth but
   // counted as distinct headers when recognized).
@@ -91,7 +96,7 @@ TEST(FlowsPerSample, DistinctFlowCount) {
        tcp_frame(2, 1, 443, 1000),  // Reverse direction: same flow.
        tcp_frame(3, 4, 5, 6)}));
   const auto files = digest_all(captures);
-  const auto counts = analyze_flows_per_sample(files);
+  const auto counts = analyze(files).flows_per_sample;
   ASSERT_EQ(counts.size(), 1u);
   EXPECT_EQ(counts[0].flows, 2u);
 }
@@ -105,7 +110,7 @@ TEST(FlowAggregate, StitchesAcrossSamples) {
       "S1", 0, {tcp_frame(1, 2, 1000, 443, 700, util::kSecond)},
       10 * util::kMinute));
   const auto files = digest_all(captures);
-  const auto flows = aggregate_flows(files);
+  const auto flows = analyze(files).flow_aggregates;
   ASSERT_EQ(flows.size(), 1u);
   const FlowAggregate& agg = flows.begin()->second;
   EXPECT_EQ(agg.frames, 2u);
@@ -121,7 +126,7 @@ TEST(FlowAggregate, RstCounting) {
       {tcp_frame(1, 2, 1, 2, 256, 0, 100, net::tcp_flags::kRst),
        tcp_frame(1, 2, 1, 2, 256, 1, 100)}));
   const auto files = digest_all(captures);
-  const auto flows = aggregate_flows(files);
+  const auto flows = analyze(files).flow_aggregates;
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows.begin()->second.rst_frames, 1u);
 }
@@ -141,7 +146,7 @@ TEST(TcpControl, ClassifiesFlags) {
        tcp_frame(1, 2, 1, 2, 256, 0, 100, net::tcp_flags::kRst),
        ack.build()}));
   const auto files = digest_all(captures);
-  const TcpControlResult result = analyze_tcp_control(files);
+  const TcpControlResult result = analyze(files).tcp_control;
   EXPECT_EQ(result.tcp_frames, 4u);
   EXPECT_EQ(result.syn, 1u);
   EXPECT_EQ(result.fin, 1u);
@@ -160,7 +165,7 @@ TEST(FlowDistribution, BucketsSizesAndDurations) {
                 tcp_frame(3, 4, 5, 6, 70, 0)},
       10 * util::kMinute));
   const auto files = digest_all(captures);
-  const auto result = analyze_flow_distribution(aggregate_flows(files));
+  const auto result = analyze(files).flow_distribution;
   EXPECT_EQ(result.flows, 2u);
   EXPECT_EQ(result.largest_flow_bytes, 1200u);
   // 1200 B lands in [1000, 1e4); 70 B in [10, 100).
@@ -180,7 +185,7 @@ TEST(FlowDistribution, BucketsSizesAndDurations) {
 }
 
 TEST(FlowDistribution, EmptyInput) {
-  const auto result = analyze_flow_distribution({});
+  const auto result = analyze({}).flow_distribution;
   EXPECT_EQ(result.flows, 0u);
   EXPECT_DOUBLE_EQ(result.median_flow_bytes, 0.0);
   EXPECT_DOUBLE_EQ(result.p95_flow_bytes, 0.0);
@@ -195,7 +200,7 @@ TEST(TopStacks, OrdersByFrequencyAndReportsFractions) {
        tcp_frame(5, 6, 7, 5201),  // Three identical stacks.
        tcp_frame(1, 2, 1, 443)}));
   const auto files = digest_all(captures);
-  const auto stacks = analyze_top_stacks(files, 10);
+  const auto stacks = analyze(files).stacks;
   ASSERT_GE(stacks.size(), 2u);
   EXPECT_EQ(stacks[0].frames, 3u);
   EXPECT_DOUBLE_EQ(stacks[0].fraction, 0.75);
@@ -205,13 +210,27 @@ TEST(TopStacks, OrdersByFrequencyAndReportsFractions) {
 }
 
 TEST(TopStacks, KLimitsOutput) {
+  // Stacks with 0..11 VLAN tags: twelve distinct stacks. The analysis keeps
+  // them all; top_stacks.csv lists the ten most frequent.
+  std::vector<net::Frame> frames;
+  for (int tags = 0; tags < 12; ++tags) {
+    net::FrameBuilder b;
+    b.ethernet(net::MacAddress::from_id(1), net::MacAddress::from_id(2));
+    for (int t = 0; t < tags; ++t) b.vlan(static_cast<std::uint16_t>(10 + t));
+    b.ipv4(net::Ipv4Address::from_octets(10, 0, 0, 1),
+           net::Ipv4Address::from_octets(10, 0, 0, 2))
+        .tcp(1, 2, net::tcp_flags::kAck);
+    frames.push_back(b.build());
+  }
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0,
-      {tcp_frame(1, 2, 1, 5201), tcp_frame(1, 2, 1, 443),
-       tcp_frame(1, 2, 1, 22)}));
+  captures.push_back(make_capture("S1", 0, frames));
   const auto files = digest_all(captures);
-  EXPECT_LE(analyze_top_stacks(files, 2).size(), 2u);
+  const auto stacks = analyze(files).stacks;
+  EXPECT_EQ(stacks.size(), 12u);
+  std::ostringstream os;
+  write_top_stacks_csv(os, stacks);
+  const std::string csv = os.str();
+  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 1 + 10);
 }
 
 TEST(Tagging, ClassifiesVlanMplsCombinations) {
@@ -225,7 +244,7 @@ TEST(Tagging, ClassifiesVlanMplsCombinations) {
   captures.push_back(make_capture(
       "S1", 0, {tcp_frame(1, 2, 1, 2), untagged.build()}));
   const auto files = digest_all(captures);
-  const TaggingResult result = analyze_tagging(files);
+  const TaggingResult result = analyze(files).tagging;
   EXPECT_EQ(result.frames, 2u);
   EXPECT_EQ(result.vlan_tagged, 1u);
   EXPECT_EQ(result.mpls_tagged, 1u);

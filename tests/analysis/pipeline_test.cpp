@@ -25,7 +25,7 @@ TEST(Pipeline, RunsAllStages) {
   const ProfileReport report = run_pipeline(sample_profile());
   EXPECT_EQ(report.digest_stats.frames, 3u);
   EXPECT_EQ(report.frame_sizes.frames, 3u);
-  EXPECT_EQ(report.site_variety.size(), 2u);
+  EXPECT_EQ(report.site_loads.size(), 2u);
   EXPECT_EQ(report.flows_per_sample.size(), 2u);
   EXPECT_EQ(report.distinct_flows, 2u);
   EXPECT_GT(report.largest_flow_bytes, 1900u);

@@ -48,7 +48,7 @@ TEST(EndToEnd, ProfileThenAnalyze) {
   // traffic: no malformed frames.
   EXPECT_EQ(report.digest_stats.malformed_frames, 0u);
   // Site variety covers the sampled sites.
-  EXPECT_GE(report.site_variety.size(), 2u);
+  EXPECT_GE(report.site_loads.size(), 2u);
   // Every CSV materialized.
   EXPECT_EQ(report.csv_files.size(), 10u);
 }

@@ -54,7 +54,7 @@ analysis::ProfileReport* ProfileFidelity::report_ = nullptr;
 TEST_F(ProfileFidelity, ProfileIsSubstantial) {
   ASSERT_NE(report_, nullptr);
   EXPECT_GT(report_->digest_stats.frames, 10000u);
-  EXPECT_GT(report_->site_variety.size(), 15u);
+  EXPECT_GT(report_->site_loads.size(), 15u);
 }
 
 TEST_F(ProfileFidelity, JumboBucketDominatesFrameSizes) {
@@ -99,13 +99,13 @@ TEST_F(ProfileFidelity, MostTrafficIsTagged) {
 
 TEST_F(ProfileFidelity, DeepestStacksBetween5And12) {
   // Fig. 11 (y2): maximal header prefixes of 6-12 headers per site.
-  for (const auto& site : report_->site_variety) {
+  for (const auto& site : report_->site_loads) {
     EXPECT_GE(site.deepest_stack, 4u) << site.site;
     EXPECT_LE(site.deepest_stack, 12u) << site.site;
   }
   // At least one site reaches the deep-encapsulation regime.
   std::size_t deepest = 0;
-  for (const auto& site : report_->site_variety) {
+  for (const auto& site : report_->site_loads) {
     deepest = std::max(deepest, site.deepest_stack);
   }
   EXPECT_GE(deepest, 8u);
@@ -115,7 +115,7 @@ TEST_F(ProfileFidelity, SitesShowDiverseHeaderVariety) {
   // Fig. 11 (y1) / finding B2: "most FABRIC sites exhibit a low variety
   // of protocols in their traffic, but some sites use many types".
   std::size_t lo = 1000, hi = 0;
-  for (const auto& site : report_->site_variety) {
+  for (const auto& site : report_->site_loads) {
     lo = std::min(lo, site.distinct_headers);
     hi = std::max(hi, site.distinct_headers);
   }

@@ -35,6 +35,21 @@ TEST(Histogram, WeightedAdd) {
   EXPECT_EQ(h.total(), 7u);
 }
 
+TEST(Histogram, MergeAddsEveryBucket) {
+  Histogram a({0, 10, 20});
+  Histogram b({0, 10, 20});
+  a.add(5);
+  a.add(-1);
+  b.add(15, 3);
+  b.add(25);
+  a += b;
+  EXPECT_EQ(a.bucket(0), 1u);
+  EXPECT_EQ(a.bucket(1), 3u);
+  EXPECT_EQ(a.underflow(), 1u);
+  EXPECT_EQ(a.overflow(), 1u);
+  EXPECT_EQ(a.total(), 6u);
+}
+
 TEST(Histogram, FractionIncludesOutOfRangeSamples) {
   Histogram h({0, 10});
   h.add(5);
