@@ -36,9 +36,13 @@ bool FileExporter::stop() {
 
 bool FileExporter::write_now() {
   const std::string text = expose_text(deterministic_only_);
-  if (!util::write_file_atomic(path_, text)) return false;
+  // Count the snapshot before the rename makes it visible, so a reader that
+  // sees its bytes in the file also sees it counted; a failed write is
+  // taken back.
   snapshots_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  if (util::write_file_atomic(path_, text)) return true;
+  snapshots_.fetch_sub(1, std::memory_order_relaxed);
+  return false;
 }
 
 void FileExporter::run() {

@@ -52,7 +52,9 @@ class FileExporter {
   /// Returns false on IO failure.
   bool write_now();
 
-  /// Snapshots successfully written so far (including the final one).
+  /// Snapshots successfully written so far (including the final one). A
+  /// snapshot is counted just before it replaces the file, so one in
+  /// flight may already be counted; one whose write fails is not.
   std::uint64_t snapshots_written() const {
     return snapshots_.load(std::memory_order_relaxed);
   }
