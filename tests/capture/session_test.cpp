@@ -7,6 +7,7 @@
 #include "capture/anonymize.hpp"
 #include "net/frame_builder.hpp"
 #include "net/parser.hpp"
+#include "util/crc32.hpp"
 
 namespace patchwork::capture {
 namespace {
@@ -199,6 +200,67 @@ TEST_F(SessionTest, ViewAndFramePathsEmitIdenticalStreams) {
   EXPECT_EQ(a.stats.sampled_out, b.stats.sampled_out);
   EXPECT_EQ(a.stats.dropped_capacity, b.stats.dropped_capacity);
   EXPECT_EQ(a.pcap, b.pcap);
+}
+
+// Offload accounting under overload: the NIC filters and samples first, so
+// the host drains only the thinned stream, at offered_pps times the
+// fraction that passed both. These pin every counter and the pcap bytes.
+struct OffloadOverload {
+  CaptureStats stats;
+  std::uint32_t pcap_crc = 0;
+};
+
+OffloadOverload run_offload_overload(const char* filter_text,
+                                     double pass_fraction,
+                                     const host::HostSpec& host) {
+  // Alternating 443/22 flows, so "port 443" passes exactly half.
+  std::vector<net::Frame> frames;
+  for (std::size_t i = 0; i < 600; ++i) {
+    frames.push_back(FrameBuilder()
+                         .ethernet(MacAddress::from_id(1),
+                                   MacAddress::from_id(2))
+                         .ipv4(Ipv4Address::from_octets(10, 0, 0, 1),
+                               Ipv4Address::from_octets(10, 0, 0, 2))
+                         .tcp(50000, i % 2 == 0 ? 443 : 22)
+                         .payload(4)
+                         .pad_to(1514)
+                         .build(static_cast<util::Nanos>(i) * 1000));
+  }
+  CaptureConfig config;
+  config.method = CaptureMethod::kFpgaDpdk;
+  config.cores = 1;
+  config.sample_1_in_n = 3;
+  config.filter = std::get<Filter>(Filter::compile(filter_text));
+  util::Rng rng(17);
+  CaptureSession session(config, host, rng);
+  const double offered_pps = 100e9 / (8.0 * 1514.0) * 4.0;
+  // Even the thinned stream overruns the host, so the drain stage drops.
+  EXPECT_GT(offered_pps * pass_fraction / 3.0, session.capacity_pps(1514.0));
+  const CaptureResult result = session.run(frames, offered_pps);
+  OffloadOverload out;
+  out.stats = result.stats;
+  out.pcap_crc = util::crc32(result.pcap);
+  return out;
+}
+
+TEST_F(SessionTest, OffloadPartialFilterDrainsTheThinnedStream) {
+  const OffloadOverload run = run_offload_overload("port 443", 0.5, host);
+  EXPECT_EQ(run.stats.offered, 600u);
+  EXPECT_EQ(run.stats.filtered_out, 300u);
+  EXPECT_EQ(run.stats.sampled_out, 200u);
+  EXPECT_EQ(run.stats.dropped_capacity, 66u);
+  EXPECT_EQ(run.stats.captured, 34u);
+  EXPECT_EQ(run.pcap_crc, 0x65ac8b64u);
+}
+
+TEST_F(SessionTest, OffloadMatchAllFilterDrainsTheSampledStream) {
+  const OffloadOverload run = run_offload_overload("", 1.0, host);
+  EXPECT_EQ(run.stats.offered, 600u);
+  EXPECT_EQ(run.stats.filtered_out, 0u);
+  EXPECT_EQ(run.stats.sampled_out, 400u);
+  EXPECT_EQ(run.stats.dropped_capacity, 161u);
+  EXPECT_EQ(run.stats.captured, 39u);
+  EXPECT_EQ(run.pcap_crc, 0x5e70a2d7u);
 }
 
 TEST_F(SessionTest, EmptyInputProducesValidEmptyPcap) {
