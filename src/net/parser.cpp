@@ -47,23 +47,65 @@ std::string ParsedFrame::stack_string() const {
 
 namespace {
 
-/// Dissection state threaded through the layer walkers.
+/// The next header the walk decodes: which walker, at what offset.
+struct Step {
+  enum Walker : std::uint8_t {
+    kDone,
+    kEthernet,
+    kVlan,
+    kMpls,
+    kPseudoWire,
+    kArp,
+    kIpv4,
+    kIpv6,
+    kGre,
+    kTcp,
+    kUdp,
+    kIcmp,
+    kIcmpv6,
+    kDns,
+  };
+  Walker walker = kDone;
+  std::size_t off = 0;
+};
+
+/// Dissection state threaded through the layer walkers. Each walker
+/// records its layer and returns the next header to decode, and run()
+/// loops until one returns kDone, so the walk uses constant stack however
+/// deep the headers are stacked.
 class Dissector {
  public:
-  Dissector(ByteView buf, std::size_t wire_length)
-      : buf_(buf), wire_length_(wire_length) {}
+  Dissector(ByteView buf, std::size_t wire_length, ParsedFrame& out)
+      : buf_(buf), wire_length_(wire_length), out_(out) {}
 
-  ParsedFrame take(util::Nanos timestamp) {
-    ParsedFrame out = std::move(result_);
-    out.wire_length = wire_length_;
-    out.captured_length = buf_.size();
-    out.timestamp = timestamp;
-    return out;
+  void run() {
+    for (Step step{Step::kEthernet, 0}; step.walker != Step::kDone;) {
+      step = decode(step);
+    }
   }
 
-  void run() { ethernet(0); }
-
  private:
+  Step decode(Step step) {
+    const std::size_t off = step.off;
+    switch (step.walker) {
+      case Step::kEthernet: return ethernet(off);
+      case Step::kVlan: return vlan(off);
+      case Step::kMpls: return mpls(off);
+      case Step::kPseudoWire: return pseudowire(off);
+      case Step::kArp: return arp(off);
+      case Step::kIpv4: return ipv4(off);
+      case Step::kIpv6: return ipv6(off);
+      case Step::kGre: return gre(off);
+      case Step::kTcp: return tcp(off);
+      case Step::kUdp: return udp(off);
+      case Step::kIcmp: return icmp(off, Protocol::kIcmp);
+      case Step::kIcmpv6: return icmp(off, Protocol::kIcmpv6);
+      case Step::kDns: return dns(off);
+      case Step::kDone: break;
+    }
+    return {};
+  }
+
   /// True if the capture ends before a header of `need` bytes at `off`
   /// could complete but the original frame did extend that far — i.e. the
   /// snaplen, not the sender, cut it short.
@@ -72,194 +114,155 @@ class Dissector {
   }
 
   void add(Protocol p, std::size_t off, std::size_t len) {
-    result_.layers.push_back(LayerInfo{p, off, len});
+    out_.layers.push_back(LayerInfo{p, off, len});
   }
 
-  void mark_tail(std::size_t off, std::size_t need) {
+  Step mark_tail(std::size_t off, std::size_t need) {
     if (truncated_at(off, need)) {
       add(Protocol::kTruncated, off, buf_.size() - off);
     } else if (off < buf_.size()) {
       add(Protocol::kMalformed, off, buf_.size() - off);
     }
+    return {};
   }
 
-  void payload_tail(std::size_t off, Protocol label = Protocol::kPayload) {
+  Step payload_tail(std::size_t off, Protocol label = Protocol::kPayload) {
     const std::size_t have = buf_.size() > off ? buf_.size() - off : 0;
     const std::size_t wire = wire_length_ > off ? wire_length_ - off : 0;
-    if (wire == 0) return;  // Nothing followed on the wire (e.g. bare ACK).
+    if (wire == 0) return {};  // Nothing followed on the wire (bare ACK).
     add(label, off, have);
+    return {};
   }
 
-  void ethernet(std::size_t off) {
+  Step ethernet(std::size_t off) {
     auto eth = EthernetHeader::decode(buf_, off);
-    if (!eth) {
-      mark_tail(off, EthernetHeader::kSize);
-      return;
-    }
+    if (!eth) return mark_tail(off, EthernetHeader::kSize);
     add(Protocol::kEthernet, off, EthernetHeader::kSize);
-    by_ethertype(eth->ethertype, off + EthernetHeader::kSize);
+    return by_ethertype(eth->ethertype, off + EthernetHeader::kSize);
   }
 
-  void by_ethertype(std::uint16_t ethertype, std::size_t off) {
+  Step by_ethertype(std::uint16_t ethertype, std::size_t off) {
     switch (ethertype) {
-      case kEtherTypeVlan: vlan(off); break;
-      case kEtherTypeMplsUnicast: mpls(off); break;
-      case kEtherTypeIpv4: ipv4(off); break;
-      case kEtherTypeIpv6: ipv6(off); break;
-      case kEtherTypeArp: arp(off); break;
-      default: payload_tail(off); break;
+      case kEtherTypeVlan: return {Step::kVlan, off};
+      case kEtherTypeMplsUnicast: return {Step::kMpls, off};
+      case kEtherTypeIpv4: return {Step::kIpv4, off};
+      case kEtherTypeIpv6: return {Step::kIpv6, off};
+      case kEtherTypeArp: return {Step::kArp, off};
+      default: return payload_tail(off);
     }
   }
 
-  void vlan(std::size_t off) {
+  Step vlan(std::size_t off) {
     auto tag = VlanTag::decode(buf_, off);
-    if (!tag) {
-      mark_tail(off, VlanTag::kSize);
-      return;
-    }
+    if (!tag) return mark_tail(off, VlanTag::kSize);
     add(Protocol::kVlan, off, VlanTag::kSize);
-    result_.vlan_ids.push_back(tag->vid);
-    by_ethertype(tag->ethertype, off + VlanTag::kSize);
+    out_.vlan_ids.push_back(tag->vid);
+    return by_ethertype(tag->ethertype, off + VlanTag::kSize);
   }
 
-  void mpls(std::size_t off) {
+  Step mpls(std::size_t off) {
     auto label = MplsLabel::decode(buf_, off);
-    if (!label) {
-      mark_tail(off, MplsLabel::kSize);
-      return;
-    }
+    if (!label) return mark_tail(off, MplsLabel::kSize);
     add(Protocol::kMpls, off, MplsLabel::kSize);
-    result_.mpls_labels.push_back(label->label);
+    out_.mpls_labels.push_back(label->label);
     const std::size_t next = off + MplsLabel::kSize;
-    if (!label->bottom_of_stack) {
-      mpls(next);
-      return;
-    }
+    if (!label->bottom_of_stack) return {Step::kMpls, next};
     // Below the MPLS stack there is no type field. Use the standard first-
     // nibble heuristic: 4 = IPv4, 6 = IPv6, 0 = pseudowire control word.
-    if (!fits(buf_, next, 1)) {
-      mark_tail(next, 1);
-      return;
-    }
-    const std::uint8_t nibble = get_u8(buf_, next) >> 4;
-    if (nibble == 4) {
-      ipv4(next);
-    } else if (nibble == 6) {
-      ipv6(next);
-    } else if (nibble == 0) {
-      pseudowire(next);
-    } else {
-      add(Protocol::kMalformed, next, buf_.size() - next);
+    if (!fits(buf_, next, 1)) return mark_tail(next, 1);
+    switch (get_u8(buf_, next) >> 4) {
+      case 4: return {Step::kIpv4, next};
+      case 6: return {Step::kIpv6, next};
+      case 0: return {Step::kPseudoWire, next};
+      default:
+        add(Protocol::kMalformed, next, buf_.size() - next);
+        return {};
     }
   }
 
-  void pseudowire(std::size_t off) {
+  Step pseudowire(std::size_t off) {
     auto cw = PseudoWireControlWord::decode(buf_, off);
-    if (!cw) {
-      mark_tail(off, PseudoWireControlWord::kSize);
-      return;
-    }
+    if (!cw) return mark_tail(off, PseudoWireControlWord::kSize);
     add(Protocol::kPseudoWire, off, PseudoWireControlWord::kSize);
-    ethernet(off + PseudoWireControlWord::kSize);
+    return {Step::kEthernet, off + PseudoWireControlWord::kSize};
   }
 
-  void arp(std::size_t off) {
+  Step arp(std::size_t off) {
     auto h = ArpHeader::decode(buf_, off);
-    if (!h) {
-      mark_tail(off, ArpHeader::kSize);
-      return;
-    }
+    if (!h) return mark_tail(off, ArpHeader::kSize);
     add(Protocol::kArp, off, ArpHeader::kSize);
+    return {};
   }
 
-  void ipv4(std::size_t off) {
+  Step ipv4(std::size_t off) {
     auto h = Ipv4Header::decode(buf_, off);
-    if (!h) {
-      mark_tail(off, Ipv4Header::kSize);
-      return;
-    }
+    if (!h) return mark_tail(off, Ipv4Header::kSize);
     add(Protocol::kIpv4, off, Ipv4Header::kSize);
-    result_.ipv4 = h;
-    by_ip_proto(h->protocol, off + Ipv4Header::kSize);
+    out_.ipv4 = h;
+    return by_ip_proto(h->protocol, off + Ipv4Header::kSize);
   }
 
-  void ipv6(std::size_t off) {
+  Step ipv6(std::size_t off) {
     auto h = Ipv6Header::decode(buf_, off);
-    if (!h) {
-      mark_tail(off, Ipv6Header::kSize);
-      return;
-    }
+    if (!h) return mark_tail(off, Ipv6Header::kSize);
     add(Protocol::kIpv6, off, Ipv6Header::kSize);
-    result_.ipv6 = h;
-    by_ip_proto(h->next_header, off + Ipv6Header::kSize);
+    out_.ipv6 = h;
+    return by_ip_proto(h->next_header, off + Ipv6Header::kSize);
   }
 
-  void by_ip_proto(std::uint8_t proto, std::size_t off) {
+  Step by_ip_proto(std::uint8_t proto, std::size_t off) {
     switch (proto) {
-      case kIpProtoTcp: tcp(off); break;
-      case kIpProtoUdp: udp(off); break;
-      case kIpProtoIcmp: icmp(off, Protocol::kIcmp); break;
-      case kIpProtoIcmpv6: icmp(off, Protocol::kIcmpv6); break;
-      case kIpProtoGre: gre(off); break;
-      default: payload_tail(off); break;
+      case kIpProtoTcp: return {Step::kTcp, off};
+      case kIpProtoUdp: return {Step::kUdp, off};
+      case kIpProtoIcmp: return {Step::kIcmp, off};
+      case kIpProtoIcmpv6: return {Step::kIcmpv6, off};
+      case kIpProtoGre: return {Step::kGre, off};
+      default: return payload_tail(off);
     }
   }
 
-  void gre(std::size_t off) {
+  Step gre(std::size_t off) {
     auto h = GreHeader::decode(buf_, off);
-    if (!h) {
-      mark_tail(off, GreHeader::kSize);
-      return;
-    }
+    if (!h) return mark_tail(off, GreHeader::kSize);
     add(Protocol::kGre, off, GreHeader::kSize);
     const std::size_t next = off + GreHeader::kSize;
     if (h->protocol_type == kEtherTypeTransparentEthernet) {
-      ethernet(next);
-    } else {
-      by_ethertype(h->protocol_type, next);
+      return {Step::kEthernet, next};
     }
+    return by_ethertype(h->protocol_type, next);
   }
 
-  void tcp(std::size_t off) {
+  Step tcp(std::size_t off) {
     auto h = TcpHeader::decode(buf_, off);
-    if (!h) {
-      mark_tail(off, TcpHeader::kSize);
-      return;
-    }
+    if (!h) return mark_tail(off, TcpHeader::kSize);
     add(Protocol::kTcp, off, TcpHeader::kSize);
-    result_.tcp = h;
-    app_layer(off + TcpHeader::kSize, h->src_port, h->dst_port,
-              /*over_tcp=*/true);
+    out_.tcp = h;
+    return app_layer(off + TcpHeader::kSize, h->src_port, h->dst_port,
+                     /*over_tcp=*/true);
   }
 
-  void udp(std::size_t off) {
+  Step udp(std::size_t off) {
     auto h = UdpHeader::decode(buf_, off);
-    if (!h) {
-      mark_tail(off, UdpHeader::kSize);
-      return;
-    }
+    if (!h) return mark_tail(off, UdpHeader::kSize);
     add(Protocol::kUdp, off, UdpHeader::kSize);
-    result_.udp = h;
-    app_layer(off + UdpHeader::kSize, h->src_port, h->dst_port,
-              /*over_tcp=*/false);
+    out_.udp = h;
+    return app_layer(off + UdpHeader::kSize, h->src_port, h->dst_port,
+                     /*over_tcp=*/false);
   }
 
-  void icmp(std::size_t off, Protocol which) {
+  Step icmp(std::size_t off, Protocol which) {
     auto h = IcmpHeader::decode(buf_, off);
-    if (!h) {
-      mark_tail(off, IcmpHeader::kSize);
-      return;
-    }
+    if (!h) return mark_tail(off, IcmpHeader::kSize);
     add(which, off, IcmpHeader::kSize);
-    payload_tail(off + IcmpHeader::kSize);
+    return payload_tail(off + IcmpHeader::kSize);
   }
 
   /// Port-based application classification, mirroring the paper's note that
   /// tshark uses layer-4 ports to classify the payload that follows.
-  void app_layer(std::size_t off, std::uint16_t src_port,
+  Step app_layer(std::size_t off, std::uint16_t src_port,
                  std::uint16_t dst_port, bool over_tcp) {
     const std::size_t wire_rest = wire_length_ > off ? wire_length_ - off : 0;
-    if (wire_rest == 0) return;  // e.g. a payload-free TCP ACK.
+    if (wire_rest == 0) return {};  // e.g. a payload-free TCP ACK.
     auto is_port = [&](std::uint16_t p) {
       return src_port == p || dst_port == p;
     };
@@ -267,88 +270,71 @@ class Dissector {
       if (is_port(kPortTls)) {
         if (auto tls = TlsRecordHeader::decode(buf_, off)) {
           add(Protocol::kTls, off, TlsRecordHeader::kSize);
-          payload_tail(off + TlsRecordHeader::kSize);
-          return;
+          return payload_tail(off + TlsRecordHeader::kSize);
         }
         if (truncated_at(off, TlsRecordHeader::kSize)) {
-          mark_tail(off, TlsRecordHeader::kSize);
-          return;
+          return mark_tail(off, TlsRecordHeader::kSize);
         }
       }
       if (is_port(kPortSsh) && looks_like_ssh_banner(buf_, off)) {
         add(Protocol::kSsh, off, buf_.size() - off);
-        return;
+        return {};
       }
       if (is_port(kPortHttp) && looks_like_http(buf_, off)) {
         add(Protocol::kHttp, off, buf_.size() - off);
-        return;
+        return {};
       }
-      if (is_port(kPortDns)) {
-        dns(off);
-        return;
-      }
-      if (is_port(kPortIperf)) {
-        payload_tail(off, Protocol::kIperf);
-        return;
-      }
-      payload_tail(off);
-      return;
+      if (is_port(kPortDns)) return {Step::kDns, off};
+      if (is_port(kPortIperf)) return payload_tail(off, Protocol::kIperf);
+      return payload_tail(off);
     }
     // UDP.
-    if (is_port(kPortDns)) {
-      dns(off);
-      return;
-    }
+    if (is_port(kPortDns)) return {Step::kDns, off};
     if (is_port(kPortNtp)) {
       if (auto h = NtpHeader::decode(buf_, off)) {
         add(Protocol::kNtp, off, NtpHeader::kSize);
-        return;
+        return {};
       }
       if (truncated_at(off, NtpHeader::kSize)) {
-        mark_tail(off, NtpHeader::kSize);
-        return;
+        return mark_tail(off, NtpHeader::kSize);
       }
     }
     if (is_port(kPortVxlan)) {
       if (auto h = VxlanHeader::decode(buf_, off)) {
         add(Protocol::kVxlan, off, VxlanHeader::kSize);
-        result_.vxlan_vni = h->vni;
-        ethernet(off + VxlanHeader::kSize);
-        return;
+        out_.vxlan_vni = h->vni;
+        return {Step::kEthernet, off + VxlanHeader::kSize};
       }
       if (truncated_at(off, VxlanHeader::kSize)) {
-        mark_tail(off, VxlanHeader::kSize);
-        return;
+        return mark_tail(off, VxlanHeader::kSize);
       }
     }
-    if (is_port(kPortIperf)) {
-      payload_tail(off, Protocol::kIperf);
-      return;
-    }
-    payload_tail(off);
+    if (is_port(kPortIperf)) return payload_tail(off, Protocol::kIperf);
+    return payload_tail(off);
   }
 
-  void dns(std::size_t off) {
+  Step dns(std::size_t off) {
     auto h = DnsHeader::decode(buf_, off);
-    if (!h) {
-      mark_tail(off, DnsHeader::kSize);
-      return;
-    }
+    if (!h) return mark_tail(off, DnsHeader::kSize);
     add(Protocol::kDns, off, DnsHeader::kSize);
+    return {};
   }
 
   ByteView buf_;
   std::size_t wire_length_;
-  ParsedFrame result_;
+  ParsedFrame& out_;
 };
 
 }  // namespace
 
 ParsedFrame parse_bytes(ByteView bytes, std::size_t wire_length,
                         util::Nanos timestamp) {
-  Dissector d(bytes, wire_length);
-  d.run();
-  return d.take(timestamp);
+  ParsedFrame out;
+  out.wire_length = wire_length;
+  out.captured_length = bytes.size();
+  out.timestamp = timestamp;
+  Dissector(bytes, wire_length, out).run();
+  return out;
 }
 
 ParsedFrame parse_frame(const Frame& frame) {
