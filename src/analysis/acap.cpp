@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <string_view>
 #include <tuple>
 
 namespace patchwork::analysis {
@@ -63,6 +64,12 @@ std::size_t FlowKeyHash::operator()(const FlowKey& k) const {
   mix(k.port_a);
   mix(k.port_b);
   return static_cast<std::size_t>(h);
+}
+
+std::size_t ProtocolStackHash::operator()(const ProtocolStack& stack) const {
+  static_assert(sizeof(net::Protocol) == 1);
+  return std::hash<std::string_view>{}(std::string_view(
+      reinterpret_cast<const char*>(stack.data()), stack.size()));
 }
 
 std::size_t AcapRecord::header_depth() const {
@@ -127,7 +134,6 @@ FlowKey flow_key_of(const net::ParsedFrame& frame) {
 
 AcapRecord abstract_frame(const net::ParsedFrame& frame) {
   AcapRecord rec;
-  rec.stack.reserve(frame.layers.size());
   for (const net::LayerInfo& l : frame.layers) rec.stack.push_back(l.protocol);
   rec.wire_length = static_cast<std::uint32_t>(frame.wire_length);
   rec.captured_length = static_cast<std::uint32_t>(frame.captured_length);

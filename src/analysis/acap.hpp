@@ -15,6 +15,7 @@
 
 #include "net/parser.hpp"
 #include "net/protocol.hpp"
+#include "util/small_vec.hpp"
 #include "util/units.hpp"
 
 namespace patchwork::analysis {
@@ -25,8 +26,8 @@ namespace patchwork::analysis {
 /// treated as different flows". Endpoints are stored canonically (lower
 /// endpoint first) so a flow's two directions share one key.
 struct FlowKey {
-  std::vector<std::uint16_t> vlan_ids;
-  std::vector<std::uint32_t> mpls_labels;
+  net::VlanIds vlan_ids;
+  net::MplsLabels mpls_labels;
   std::uint8_t ip_version = 0;  ///< 0 = non-IP.
   std::array<std::uint8_t, 16> addr_a{};
   std::array<std::uint8_t, 16> addr_b{};
@@ -45,9 +46,18 @@ struct FlowKeyHash {
   std::size_t operator()(const FlowKey& k) const;
 };
 
+/// A record's header stack, held inline up to the dissector's inline layer
+/// count.
+using ProtocolStack = util::SmallVec<net::Protocol, net::kInlineLayers>;
+
+/// Hashes a header stack by its protocol bytes.
+struct ProtocolStackHash {
+  std::size_t operator()(const ProtocolStack& stack) const;
+};
+
 /// One dissected frame, abstracted.
 struct AcapRecord {
-  std::vector<net::Protocol> stack;  ///< Outermost first.
+  ProtocolStack stack;  ///< Outermost first.
   std::uint32_t wire_length = 0;
   std::uint32_t captured_length = 0;
   util::Nanos timestamp = 0;

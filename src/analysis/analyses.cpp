@@ -4,7 +4,6 @@
 #include <bitset>
 #include <iterator>
 #include <map>
-#include <string_view>
 #include <utility>
 
 #include "util/parallel.hpp"
@@ -48,17 +47,9 @@ constexpr std::size_t bit(net::Protocol p) {
   return static_cast<std::size_t>(p);
 }
 
-/// Hashes a header stack by its protocol bytes.
-struct StackHash {
-  std::size_t operator()(const std::vector<net::Protocol>& stack) const {
-    return std::hash<std::string_view>{}(std::string_view(
-        reinterpret_cast<const char*>(stack.data()), stack.size()));
-  }
-};
-
 /// Frames per distinct header stack.
 using StackCounts =
-    std::unordered_map<std::vector<net::Protocol>, std::uint64_t, StackHash>;
+    std::unordered_map<ProtocolStack, std::uint64_t, ProtocolStackHash>;
 
 /// A site's row while it is being folded, plus every protocol seen there.
 struct SiteFold {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "net/frame_builder.hpp"
 
 namespace patchwork::analysis {
@@ -149,6 +153,72 @@ TEST(AbstractFrame, NonTcpHasZeroFlags) {
   const AcapRecord rec = abstract_frame(net::parse_frame(b.build()));
   EXPECT_EQ(rec.tcp_flags, 0);
   EXPECT_EQ(rec.flow.l4_proto, net::kIpProtoUdp);
+}
+
+TEST(FlowKey, OrderAgreesWithVectorOrder) {
+  // FlowKey::operator< orders flow_aggregate.csv ties and the flows an
+  // epoch's sketch is built from; it must be the lexicographic order the
+  // vector-keyed FlowKey had, tags first.
+  const std::vector<std::vector<std::uint16_t>> vlans{
+      {}, {1}, {1, 2}, {1, 2, 3, 4, 5}, {2}, {1, 2, 3, 4, 5, 6}};
+  const std::vector<std::vector<std::uint32_t>> mpls{
+      {}, {7}, {7, 8, 9, 10, 11}, {8}};
+  struct Key {
+    FlowKey key;
+    std::vector<std::uint16_t> vlan;
+    std::vector<std::uint32_t> mpls;
+    std::uint16_t port = 0;
+  };
+  std::vector<Key> keys;
+  for (const auto& v : vlans) {
+    for (const auto& m : mpls) {
+      for (std::uint16_t port : {80, 443}) {
+        Key k{{}, v, m, port};
+        for (auto x : v) k.key.vlan_ids.push_back(x);
+        for (auto x : m) k.key.mpls_labels.push_back(x);
+        k.key.port_a = port;
+        keys.push_back(std::move(k));
+      }
+    }
+  }
+  for (const Key& a : keys) {
+    for (const Key& b : keys) {
+      const bool expected = std::tie(a.vlan, a.mpls, a.port) <
+                            std::tie(b.vlan, b.mpls, b.port);
+      ASSERT_EQ(a.key < b.key, expected);
+      ASSERT_EQ(a.key == b.key, a.vlan == b.vlan && a.mpls == b.mpls &&
+                                    a.port == b.port);
+    }
+  }
+}
+
+TEST(ProtocolStackHash, EqualStacksHashEqual) {
+  using net::Protocol;
+  const ProtocolStackHash hash;
+  const ProtocolStack short_stack{Protocol::kEthernet, Protocol::kIpv4,
+                                  Protocol::kTcp};
+  // The same three protocols held in a heap block: a spilled stack that
+  // was assigned a short one keeps its block.
+  ProtocolStack reused;
+  for (std::size_t i = 0; i < 3 * net::kInlineLayers; ++i) {
+    reused.push_back(Protocol::kMpls);
+  }
+  ASSERT_TRUE(reused.spilled());
+  reused = short_stack;
+  ASSERT_TRUE(reused.spilled());
+  EXPECT_EQ(reused, short_stack);
+  EXPECT_EQ(hash(reused), hash(short_stack));
+
+  ProtocolStack deep;
+  for (std::size_t i = 0; i < 3 * net::kInlineLayers; ++i) {
+    deep.push_back(i % 2 ? Protocol::kVlan : Protocol::kMpls);
+  }
+  const ProtocolStack copy = deep;
+  ProtocolStack source = deep;
+  const ProtocolStack moved = std::move(source);
+  EXPECT_EQ(hash(copy), hash(deep));
+  EXPECT_EQ(hash(moved), hash(deep));
+  EXPECT_EQ(hash(ProtocolStack{}), hash(ProtocolStack{}));
 }
 
 }  // namespace

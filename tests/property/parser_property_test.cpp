@@ -3,6 +3,8 @@
 // gracefully — never inventing structure — under any truncation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/parser.hpp"
 #include "traffic/flowgen.hpp"
 #include "traffic/workload.hpp"
@@ -84,7 +86,7 @@ TEST_P(ParserFuzz, TagExtractionMatchesFlowSpec) {
     const ParsedFrame parsed =
         parse_frame(traffic::make_data_frame(flow, 0));
     if (flow.app == traffic::FlowApp::kArp) continue;  // VLAN-only path.
-    EXPECT_EQ(parsed.mpls_labels, flow.mpls_labels);
+    EXPECT_TRUE(std::ranges::equal(parsed.mpls_labels, flow.mpls_labels));
     if (flow.vlan_id) {
       ASSERT_FALSE(parsed.vlan_ids.empty());
       EXPECT_EQ(parsed.vlan_ids.front(), *flow.vlan_id);
