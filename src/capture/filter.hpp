@@ -39,6 +39,10 @@ class Filter {
 
   bool matches(const net::ParsedFrame& frame) const;
 
+  /// True for the match-all filter, which reads nothing of a frame, so
+  /// callers need not dissect one to evaluate it.
+  bool matches_all() const { return root_ == nullptr; }
+
   /// Original source text ("" for the match-all filter).
   const std::string& source() const { return source_; }
 

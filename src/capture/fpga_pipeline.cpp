@@ -2,9 +2,12 @@
 
 namespace patchwork::capture {
 
-bool FpgaPipeline::admit_parsed(const net::ParsedFrame& parsed) {
+bool FpgaPipeline::admit(const net::FrameView& view) {
   ++stats_.seen;
-  if (!config_.filter.matches(parsed)) {
+  const Filter& filter = config_.filter;
+  if (!filter.matches_all() &&
+      !filter.matches(net::parse_bytes(view.bytes, view.wire_length,
+                                       view.timestamp))) {
     ++stats_.filtered_out;
     return false;
   }
@@ -18,12 +21,8 @@ bool FpgaPipeline::admit_parsed(const net::ParsedFrame& parsed) {
 }
 
 bool FpgaPipeline::admit(const net::Frame& frame) {
-  return admit_parsed(net::parse_frame(frame));
-}
-
-bool FpgaPipeline::admit(const net::FrameView& view) {
-  return admit_parsed(
-      net::parse_bytes(view.bytes, view.wire_length, view.timestamp));
+  return admit(
+      net::FrameView{frame.bytes(), frame.wire_length(), frame.timestamp()});
 }
 
 net::Frame FpgaPipeline::edit(const net::Frame& frame) {

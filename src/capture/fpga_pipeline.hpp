@@ -40,12 +40,12 @@ class FpgaPipeline {
 
   /// The drop decision alone: filter -> 1-in-N sample. Counts
   /// filtered_out/sampled_out; advances the sampler exactly as process()
-  /// would, so per-stage callers see identical admissions.
-  bool admit(const net::Frame& frame);
-
-  /// Zero-copy admit over a synthesized frame view — same decision and
-  /// stats as the Frame overload.
+  /// would, so per-stage callers see identical admissions. Dissects the
+  /// frame only if the filter reads it (not for the match-all filter).
   bool admit(const net::FrameView& view);
+
+  /// Owning-frame convenience overload; forwards to the view overload.
+  bool admit(const net::Frame& frame);
 
   /// The edit alone: truncate -> anonymize, for a frame admit() accepted.
   net::Frame edit(const net::Frame& frame);
@@ -61,8 +61,6 @@ class FpgaPipeline {
   void reset_stats() { stats_ = PipelineStats{}; }
 
  private:
-  bool admit_parsed(const net::ParsedFrame& parsed);
-
   const CaptureConfig& config_;
   Anonymizer anonymizer_;
   PipelineStats stats_;

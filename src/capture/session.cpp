@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "net/parser.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
@@ -113,24 +112,8 @@ CaptureResult CaptureSession::run(std::span<const net::FrameView> frames,
   };
 
   // Effective host arrival rate under offload: the filter/sampler thins
-  // the stream on the NIC first. Estimate the pass fraction from the data.
+  // the stream on the NIC first. Measured by the filter stage below.
   double pass_fraction = 1.0;
-  if (offload) {
-    std::uint64_t pass = 0;
-    for (const net::FrameView& f : frames) {
-      if (config_.filter.matches(
-              net::parse_bytes(f.bytes, f.wire_length, f.timestamp))) {
-        ++pass;
-      }
-    }
-    pass_fraction = frames.empty()
-                        ? 1.0
-                        : static_cast<double>(pass) /
-                              static_cast<double>(frames.size());
-    if (config_.sample_1_in_n > 1) {
-      pass_fraction /= static_cast<double>(config_.sample_1_in_n);
-    }
-  }
 
   // The inner loop, staged so each phase is observable as one span per
   // sample window. Stage order matches the data path of each method —
@@ -147,6 +130,16 @@ CaptureResult CaptureSession::run(std::span<const net::FrameView> frames,
       for (const net::FrameView& frame : frames) {
         if (pipeline.admit(frame)) admitted.push_back(&frame);
       }
+    }
+    // The fraction of the offered frames the filter passed, thinned by the
+    // sampler's 1-in-N.
+    const PipelineStats& nic = pipeline.stats();
+    if (!frames.empty()) {
+      pass_fraction = static_cast<double>(nic.seen - nic.filtered_out) /
+                      static_cast<double>(frames.size());
+    }
+    if (config_.sample_1_in_n > 1) {
+      pass_fraction /= static_cast<double>(config_.sample_1_in_n);
     }
     {
       // Host capacity on the thinned stream.
