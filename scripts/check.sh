@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full correctness gate: release build + complete test suite, then the whole
-# suite again under ThreadSanitizer, then once more under AddressSanitizer +
-# UBSan (where any UB report is fatal).
+# Full correctness gate: release build + complete test suite + the
+# full-size output bytes of every perfbench workload, then the whole suite
+# again under ThreadSanitizer, then once more under AddressSanitizer + UBSan
+# (where any UB report is fatal).
 #
 # Usage: scripts/check.sh [--tsan-only | --asan-only | --release-only]
 set -euo pipefail
@@ -18,13 +19,26 @@ case "${1:-}" in
 esac
 
 if [[ "$mode" == "all" || "$mode" == "release" ]]; then
-  echo "== release: configure + build + full ctest =="
+  echo "== release: configure + build + full ctest + perfbench outputs =="
   cmake --preset release
   cmake --build --preset release -j "$(nproc)"
   # Every case is its own process writing its own temp directory, so the
   # suite must pass in parallel; repeating it catches schedule-dependent
   # flakes.
   ctest --preset release -j "$(nproc)" --repeat until-fail:3
+  # One short pass of each workload at seed 1: its CSV and archive digests
+  # must match perfbench/expected.json, which run.py reports as
+  # "correct": true on its last line.
+  for workload in testbed_epoch slice_filtered_churn archive_history; do
+    verdict="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+                 --seconds 1 | tail -n 1)"
+    if [[ "$verdict" != *'"correct": true'* ]]; then
+      echo "perfbench $workload: outputs differ from expected.json" >&2
+      echo "$verdict" >&2
+      exit 1
+    fi
+    echo "perfbench $workload: correct"
+  done
 fi
 
 if [[ "$mode" == "all" || "$mode" == "tsan" ]]; then
