@@ -12,6 +12,7 @@
 #include "analysis/digest.hpp"
 #include "bench_util.hpp"
 #include "capture/session.hpp"
+#include "core/window_render.hpp"
 #include "traffic/flowgen.hpp"
 #include "util/table.hpp"
 
@@ -20,15 +21,20 @@ int main() {
   bench::banner("Ablation — truncation size vs fidelity/storage/rate",
                 "Sections 6.2.2 & 8.1.4 (truncation) design choice");
 
-  // One fixed window of realistic traffic.
+  // One fixed window of realistic traffic, planned on a fork of the
+  // stream and rendered the way the profiler renders a sample.
   util::Rng rng(77);
   const auto profiles = traffic::make_site_profiles(rng, 1);
   traffic::WindowParams params;
   params.duration = 20 * util::kSecond;
   params.target_bps = 2e9;
   params.max_frames = 8000;
-  const traffic::WindowTraffic window =
-      traffic::generate_window(rng, profiles[0], params);
+  const util::Rng window_rng = rng.fork();
+  util::Rng plan_rng = window_rng.split(traffic::kWindowPlanStream);
+  const traffic::WindowPlan plan =
+      traffic::plan_window(plan_rng, profiles[0], params);
+  const core::RenderedWindow window = core::render_window(
+      plan, window_rng, params.duration, /*delivery=*/1.0, 0, {});
 
   host::HostSpec host;
   util::TextTable table({"Snaplen (B)", "Truncated stacks", "Stored MB",

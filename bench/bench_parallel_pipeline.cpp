@@ -51,7 +51,9 @@ std::vector<analysis::RawCapture> synthetic_profile() {
     for (int sample = 0; sample < kSamplesPerSite; ++sample) {
       pcap::PcapWriter writer(200);
       for (int f = 0; f < kFramesPerSample; ++f) {
-        writer.write(profile_frame(site, f + sample * 31));
+        const net::Frame frame = profile_frame(site, f + sample * 31);
+        writer.write_record(frame.bytes(), frame.wire_length(),
+                            frame.timestamp());
       }
       analysis::RawCapture raw;
       raw.site = "S" + std::to_string(site);

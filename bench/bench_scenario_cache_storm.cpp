@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/window_render.hpp"
 #include "flowsched/event_gen.hpp"
 #include "net/parser.hpp"
 #include "telemetry/netflow.hpp"
@@ -71,8 +72,12 @@ StormResult run_storm(const traffic::SiteWorkloadProfile& profile,
   StormResult out;
   const auto t0 = std::chrono::steady_clock::now();
   util::Rng rng(kSeed);
-  const traffic::WindowTraffic window = flowsched::generate_event_window(
-      rng, profile, window_params(), flow_config(churn_fpm));
+  const util::Rng window_rng = rng.fork();
+  util::Rng plan_rng = window_rng.split(traffic::kWindowPlanStream);
+  const traffic::WindowPlan plan = flowsched::plan_event_window(
+      plan_rng, profile, window_params(), flow_config(churn_fpm));
+  const core::RenderedWindow window = core::render_window(
+      plan, window_rng, window_params().duration, /*delivery=*/1.0, 0, {});
   out.frames = window.frames.size();
 
   telemetry::NetflowCache::Config cache_config;
@@ -82,12 +87,14 @@ StormResult run_storm(const traffic::SiteWorkloadProfile& profile,
   telemetry::NetflowCache cache(cache_config);
 
   util::Nanos next_sweep = util::kSecond;
-  for (const net::Frame& frame : window.frames) {
-    while (frame.timestamp() >= next_sweep) {
+  for (const net::FrameView& frame : window.frames) {
+    while (frame.timestamp >= next_sweep) {
       cache.sweep(next_sweep);
       next_sweep += util::kSecond;
     }
-    cache.observe(net::parse_frame(frame), frame.timestamp());
+    cache.observe(
+        net::parse_bytes(frame.bytes, frame.wire_length, frame.timestamp),
+        frame.timestamp);
   }
   cache.flush(window_params().duration);
   out.records = cache.drain();

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/window_render.hpp"
 #include "flowsched/event_gen.hpp"
 #include "traffic/flowgen.hpp"
 #include "traffic/workload.hpp"
@@ -65,15 +66,37 @@ flowsched::FlowModelConfig incast_config() {
   return config;
 }
 
+/// One rendered window and the flow count its plan reports.
+struct Window {
+  std::size_t flow_count = 0;
+  core::RenderedWindow rendered;
+};
+
+/// Plan on a fork of a fresh kSeed stream with the event (or mix) model,
+/// then render at full delivery, as the profiler renders a sample.
+Window render(const traffic::SiteWorkloadProfile& profile, bool event) {
+  util::Rng rng(kSeed);
+  const util::Rng window_rng = rng.fork();
+  util::Rng plan_rng = window_rng.split(traffic::kWindowPlanStream);
+  const traffic::WindowPlan plan =
+      event ? flowsched::plan_event_window(plan_rng, profile,
+                                           incast_params(), incast_config())
+            : traffic::plan_window(plan_rng, profile, incast_params());
+  return Window{plan.flow_count,
+                core::render_window(plan, window_rng,
+                                    incast_params().duration,
+                                    /*delivery=*/1.0, 0, {})};
+}
+
 /// Per-100ms-bin wire bytes of a rendered window.
-std::vector<double> bin_bytes(const traffic::WindowTraffic& window) {
+std::vector<double> bin_bytes(const Window& window) {
   const std::size_t bins = static_cast<std::size_t>(
       incast_params().duration / kBin);
   std::vector<double> out(bins, 0.0);
-  for (const net::Frame& f : window.frames) {
+  for (const net::FrameView& f : window.rendered.frames) {
     const std::size_t b =
-        std::min(bins - 1, static_cast<std::size_t>(f.timestamp() / kBin));
-    out[b] += static_cast<double>(f.wire_length());
+        std::min(bins - 1, static_cast<std::size_t>(f.timestamp / kBin));
+    out[b] += static_cast<double>(f.wire_length);
   }
   return out;
 }
@@ -118,30 +141,29 @@ CapacityOutcome apply_capacity(const std::vector<double>& bins,
   return out;
 }
 
-bool windows_identical(const traffic::WindowTraffic& a,
-                       const traffic::WindowTraffic& b) {
-  if (a.frames.size() != b.frames.size()) return false;
-  for (std::size_t i = 0; i < a.frames.size(); ++i) {
-    if (a.frames[i].timestamp() != b.frames[i].timestamp()) return false;
-    const auto ba = a.frames[i].bytes();
-    const auto bb = b.frames[i].bytes();
-    if (!std::equal(ba.begin(), ba.end(), bb.begin(), bb.end())) return false;
+bool windows_identical(const Window& a, const Window& b) {
+  const std::vector<net::FrameView>& fa = a.rendered.frames;
+  const std::vector<net::FrameView>& fb = b.rendered.frames;
+  if (fa.size() != fb.size()) return false;
+  for (std::size_t i = 0; i < fa.size(); ++i) {
+    if (fa[i].timestamp != fb[i].timestamp) return false;
+    if (!std::equal(fa[i].bytes.begin(), fa[i].bytes.end(),
+                    fb[i].bytes.begin(), fb[i].bytes.end())) {
+      return false;
+    }
   }
   return true;
 }
 
 struct TimedWindow {
   double ms = 0.0;
-  traffic::WindowTraffic window;
+  Window window;
 };
 
 TimedWindow generate_event(const traffic::SiteWorkloadProfile& profile) {
   TimedWindow out;
-  util::Rng rng(kSeed);
   const auto t0 = std::chrono::steady_clock::now();
-  out.window = flowsched::generate_event_window(rng, profile,
-                                                incast_params(),
-                                                incast_config());
+  out.window = render(profile, /*event=*/true);
   const auto t1 = std::chrono::steady_clock::now();
   out.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   return out;
@@ -163,10 +185,7 @@ int main() {
   // same target rate.
   util::set_thread_count(1);
   const TimedWindow event = generate_event(profile);
-  traffic::WindowTraffic mix = [&] {
-    util::Rng rng(kSeed);
-    return traffic::generate_window(rng, profile, incast_params());
-  }();
+  const Window mix = render(profile, /*event=*/false);
   util::set_thread_count(std::nullopt);
 
   const std::vector<double> event_bins = bin_bytes(event.window);
@@ -174,10 +193,11 @@ int main() {
   const BurstShape event_shape = shape_of(event_bins);
   const BurstShape mix_shape = shape_of(mix_bins);
 
-  std::cout << "event: " << event.window.frames.size() << " frames, "
-            << event.window.flow_count << " flow activations, peak/mean "
-            << event_shape.peak_to_mean << "\n";
-  std::cout << "mix:   " << mix.frames.size() << " frames, "
+  std::cout << "event: " << event.window.rendered.frames.size()
+            << " frames, " << event.window.flow_count
+            << " flow activations, peak/mean " << event_shape.peak_to_mean
+            << "\n";
+  std::cout << "mix:   " << mix.rendered.frames.size() << " frames, "
             << mix.flow_count << " flows, peak/mean "
             << mix_shape.peak_to_mean << "\n\n";
 
@@ -237,11 +257,12 @@ int main() {
   std::cout << "\nJSON:\n"
             << "{\n"
             << "  \"bench\": \"scenario_incast\",\n"
-            << "  \"note\": \"Event-window generation is serial by design; "
+            << "  \"note\": \"Event-window planning is serial by design; "
                "the worker sweep checks schedule inertness, not speedup.\",\n"
             << "  \"hardware_threads\": " << hw << ",\n"
             << "  \"serial_ms\": " << event.ms << ",\n"
-            << "  \"frames\": " << event.window.frames.size() << ",\n"
+            << "  \"frames\": " << event.window.rendered.frames.size()
+            << ",\n"
             << "  \"flow_activations\": " << event.window.flow_count << ",\n"
             << "  \"peak_to_mean\": {\"event\": " << event_shape.peak_to_mean
             << ", \"mix\": " << mix_shape.peak_to_mean << "},\n"

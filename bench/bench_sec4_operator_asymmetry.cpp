@@ -52,9 +52,10 @@ int main() {
     pcap_bytes += capture.pcap.size();
     auto reader = pcap::PcapReader::open(capture.pcap);
     if (!reader) continue;
-    while (auto frame = reader->next()) {
-      cache.observe(net::parse_frame(*frame),
-                    capture.start + frame->timestamp());
+    while (auto view = reader->next_view()) {
+      cache.observe(
+          net::parse_bytes(view->bytes, view->wire_length, view->timestamp),
+          capture.start + view->timestamp);
     }
     cache.sweep(capture.start + capture.duration);
   }

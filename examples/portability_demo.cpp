@@ -1,9 +1,9 @@
 // Portability demo — the Section 9 future-work abstraction layer in use.
 //
 // The same capture workflow (discover -> lease a capture node -> mirror the
-// busiest port -> sample -> analyze -> release) runs unchanged against two
-// different testbeds behind the TestbedBackend interface: a FABRIC-like
-// federation site and an Emulab-like cluster. The printed profiles expose
+// busiest port -> capture samples -> analyze -> release) runs unchanged
+// against two different testbeds behind the TestbedBackend interface: a
+// FABRIC-like federation site and an Emulab-like cluster. The printed profiles expose
 // each testbed's character: FABRIC shows FPGA offload and a deep
 // MPLS/pseudowire underlay; Emulab shows VLAN-only isolation and fewer
 // capture NICs.
@@ -15,7 +15,6 @@
 #include "analysis/analyses.hpp"
 #include "analysis/digest.hpp"
 #include "core/testbed_backend.hpp"
-#include "pcap/pcap.hpp"
 #include "util/table.hpp"
 
 using namespace patchwork;
@@ -51,19 +50,10 @@ void profile_with(core::TestbedBackend& backend) {
   }
   backend.mirror(source, lease.destinations.front());
 
-  // Three 20-second samples, then analysis.
+  // Three captured 20-second samples, then analysis.
   std::vector<analysis::RawCapture> captures;
   for (int s = 0; s < 3; ++s) {
-    const auto window = backend.sample(source, 20 * util::kSecond, 2500);
-    pcap::PcapWriter writer(200);
-    for (const net::Frame& f : window.frames) writer.write(f);
-    analysis::RawCapture raw;
-    raw.site = backend.name();
-    raw.port = source.value;
-    raw.start = backend.now();
-    raw.duration = 20 * util::kSecond;
-    raw.pcap = writer.take_buffer();
-    captures.push_back(std::move(raw));
+    captures.push_back(backend.sample(source, 20 * util::kSecond, 2500));
     backend.advance(5 * util::kMinute);
   }
   backend.unmirror(source);

@@ -101,13 +101,4 @@ std::size_t Anonymizer::scrub(std::span<std::uint8_t> bytes,
   return rewritten;
 }
 
-net::Frame Anonymizer::scrub_frame(const net::Frame& frame) const {
-  std::vector<std::uint8_t> bytes(frame.bytes().begin(),
-                                  frame.bytes().end());
-  const net::ParsedFrame parsed = net::parse_frame(frame);
-  scrub(bytes, parsed);
-  return net::Frame(std::move(bytes), frame.wire_length(),
-                    frame.timestamp());
-}
-
 }  // namespace patchwork::capture

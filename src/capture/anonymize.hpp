@@ -16,9 +16,7 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "net/packet.hpp"
 #include "net/parser.hpp"
 
 namespace patchwork::capture {
@@ -33,9 +31,6 @@ class Anonymizer {
   /// of a pcap stream — so the zero-copy write path can scrub in place.
   std::size_t scrub(std::span<std::uint8_t> bytes,
                     const net::ParsedFrame& parsed) const;
-
-  /// Convenience: dissects, scrubs, and returns a new frame.
-  net::Frame scrub_frame(const net::Frame& frame) const;
 
   std::uint32_t map_ipv4(std::uint32_t addr) const;
   std::uint64_t keyed_hash(std::uint64_t value) const;

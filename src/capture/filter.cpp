@@ -26,8 +26,9 @@ enum class Qualifier : std::uint8_t { kAny, kSrc, kDst };
 
 struct Filter::Node {
   enum class Op : std::uint8_t { kAnd, kOr, kNot, kPred } op = Op::kPred;
-  NodePtr lhs;
-  NodePtr rhs;
+  /// kAnd/kOr: every operand of one chain, left to right, so a chain's
+  /// length adds no depth to the tree. kNot: the single operand.
+  std::vector<NodePtr> operands;
 
   PredKind pred = PredKind::kProto;
   Qualifier qualifier = Qualifier::kAny;
@@ -73,10 +74,13 @@ bool frame_has_host(const net::ParsedFrame& f, Qualifier q,
 }  // namespace
 
 bool Filter::Node::eval(const net::ParsedFrame& f) const {
+  const auto eval_operand = [&f](const NodePtr& n) { return n->eval(f); };
   switch (op) {
-    case Op::kAnd: return lhs->eval(f) && rhs->eval(f);
-    case Op::kOr: return lhs->eval(f) || rhs->eval(f);
-    case Op::kNot: return !lhs->eval(f);
+    case Op::kAnd: return std::all_of(operands.begin(), operands.end(),
+                                      eval_operand);
+    case Op::kOr: return std::any_of(operands.begin(), operands.end(),
+                                     eval_operand);
+    case Op::kNot: return !operands.front()->eval(f);
     case Op::kPred: break;
   }
   switch (pred) {
@@ -128,10 +132,17 @@ std::vector<std::string> tokenize(std::string_view text) {
   return out;
 }
 
+// Field widths, as tcpdump checks them.
+constexpr std::uint32_t kMaxPort = 65535;
+constexpr std::uint32_t kMaxVlanId = 4095;
+constexpr std::uint32_t kMaxMplsLabel = (1u << 20) - 1;
+constexpr std::uint32_t kMaxLength = 0xffffffffu;
+
 struct Parser {
   const std::vector<std::string>& tokens;
   std::size_t pos = 0;
   std::optional<Filter::CompileError> error;
+  std::size_t depth = 0;  ///< Open "(" and "not" levels.
 
   bool at_end() const { return pos >= tokens.size(); }
   const std::string* peek() const {
@@ -148,71 +159,79 @@ struct Parser {
     if (!error) error = Filter::CompileError{std::move(message), pos};
   }
 
-  std::optional<std::uint32_t> number() {
+  /// A decimal number no larger than `max`.
+  std::optional<std::uint32_t> number(std::uint32_t max) {
     if (at_end()) {
       fail("expected number");
       return std::nullopt;
     }
     const std::string& t = tokens[pos];
-    std::uint32_t v = 0;
+    std::uint64_t v = 0;
     for (char c : t) {
       if (c < '0' || c > '9') {
         fail("expected number, got '" + t + "'");
         return std::nullopt;
       }
-      v = v * 10 + static_cast<std::uint32_t>(c - '0');
+      v = v * 10 + static_cast<std::uint64_t>(c - '0');
+      if (v > max) {
+        fail("number '" + t + "' out of range (max " + std::to_string(max) +
+             ")");
+        return std::nullopt;
+      }
     }
     ++pos;
-    return v;
+    return static_cast<std::uint32_t>(v);
+  }
+
+  /// One chain of `op` ("and" / "or") operands, each parsed by `operand`,
+  /// as a single node; a lone operand stands for itself.
+  Filter::NodePtr parse_chain(std::string_view keyword, Filter::Node::Op op,
+                              Filter::NodePtr (Parser::*operand)()) {
+    auto first = (this->*operand)();
+    if (!first || peek() == nullptr || *peek() != keyword) return first;
+    auto node = std::make_unique<Filter::Node>();
+    node->op = op;
+    node->operands.push_back(std::move(first));
+    while (accept(keyword)) {
+      auto next = (this->*operand)();
+      if (!next) return nullptr;
+      node->operands.push_back(std::move(next));
+    }
+    return node;
   }
 
   Filter::NodePtr parse_or() {
-    auto lhs = parse_and();
-    while (lhs && accept("or")) {
-      auto rhs = parse_and();
-      if (!rhs) return nullptr;
-      auto node = std::make_unique<Filter::Node>();
-      node->op = Filter::Node::Op::kOr;
-      node->lhs = std::move(lhs);
-      node->rhs = std::move(rhs);
-      lhs = std::move(node);
-    }
-    return lhs;
+    return parse_chain("or", Filter::Node::Op::kOr, &Parser::parse_and);
   }
 
   Filter::NodePtr parse_and() {
-    auto lhs = parse_unary();
-    while (lhs && accept("and")) {
-      auto rhs = parse_unary();
-      if (!rhs) return nullptr;
-      auto node = std::make_unique<Filter::Node>();
-      node->op = Filter::Node::Op::kAnd;
-      node->lhs = std::move(lhs);
-      node->rhs = std::move(rhs);
-      lhs = std::move(node);
-    }
-    return lhs;
+    return parse_chain("and", Filter::Node::Op::kAnd, &Parser::parse_unary);
   }
 
   Filter::NodePtr parse_unary() {
-    if (accept("not")) {
-      auto inner = parse_unary();
-      if (!inner) return nullptr;
+    const std::string* tok = peek();
+    const bool negate = tok != nullptr && *tok == "not";
+    if (!negate && (tok == nullptr || *tok != "(")) return parse_predicate();
+    if (depth == Filter::kMaxNesting) {
+      fail("nesting deeper than " + std::to_string(Filter::kMaxNesting));
+      return nullptr;
+    }
+    ++pos;
+    ++depth;
+    Filter::NodePtr inner = negate ? parse_unary() : parse_or();
+    --depth;
+    if (!inner) return nullptr;
+    if (negate) {
       auto node = std::make_unique<Filter::Node>();
       node->op = Filter::Node::Op::kNot;
-      node->lhs = std::move(inner);
+      node->operands.push_back(std::move(inner));
       return node;
     }
-    if (accept("(")) {
-      auto inner = parse_or();
-      if (!inner) return nullptr;
-      if (!accept(")")) {
-        fail("expected ')'");
-        return nullptr;
-      }
-      return inner;
+    if (!accept(")")) {
+      fail("expected ')'");
+      return nullptr;
     }
-    return parse_predicate();
+    return inner;
   }
 
   Filter::NodePtr make_pred(PredKind kind) {
@@ -234,7 +253,7 @@ struct Parser {
       qual = Qualifier::kDst;
     }
     if (accept("port")) {
-      auto n = number();
+      auto n = number(kMaxPort);
       if (!n) return nullptr;
       auto node = make_pred(PredKind::kPort);
       node->qualifier = qual;
@@ -262,14 +281,14 @@ struct Parser {
       return nullptr;
     }
     if (accept("less")) {
-      auto n = number();
+      auto n = number(kMaxLength);
       if (!n) return nullptr;
       auto node = make_pred(PredKind::kLess);
       node->number = *n;
       return node;
     }
     if (accept("greater")) {
-      auto n = number();
+      auto n = number(kMaxLength);
       if (!n) return nullptr;
       auto node = make_pred(PredKind::kGreater);
       node->number = *n;
@@ -282,7 +301,7 @@ struct Parser {
       // Optional id: "vlan 100".
       if (!at_end() && !tokens[pos].empty() && tokens[pos][0] >= '0' &&
           tokens[pos][0] <= '9') {
-        auto n = number();
+        auto n = number(kMaxVlanId);
         if (!n) return nullptr;
         node->pred = PredKind::kVlanId;
         node->number = *n;
@@ -294,7 +313,7 @@ struct Parser {
       node->proto = net::Protocol::kMpls;
       if (!at_end() && !tokens[pos].empty() && tokens[pos][0] >= '0' &&
           tokens[pos][0] <= '9') {
-        auto n = number();
+        auto n = number(kMaxMplsLabel);
         if (!n) return nullptr;
         node->pred = PredKind::kMplsLabel;
         node->number = *n;

@@ -49,6 +49,10 @@ class Filter {
   struct Node;
   using NodePtr = std::unique_ptr<Node>;
 
+  /// Deepest nesting compile() accepts. Each "(" and each "not" opens
+  /// one level; deeper input is a CompileError, not a stack overflow.
+  static constexpr std::size_t kMaxNesting = 256;
+
   struct CompileError {
     std::string message;
     std::size_t position = 0;  ///< Token index where parsing failed.

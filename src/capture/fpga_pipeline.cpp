@@ -20,24 +20,6 @@ bool FpgaPipeline::admit(const net::FrameView& view) {
   return true;
 }
 
-bool FpgaPipeline::admit(const net::Frame& frame) {
-  return admit(
-      net::FrameView{frame.bytes(), frame.wire_length(), frame.timestamp()});
-}
-
-net::Frame FpgaPipeline::edit(const net::Frame& frame) {
-  net::Frame out = frame.truncate(config_.snaplen);
-  if (config_.anonymize) {
-    // Re-dissect the truncated copy so rewrite offsets are in bounds.
-    std::vector<std::uint8_t> bytes(out.bytes().begin(), out.bytes().end());
-    const net::ParsedFrame reparsed = net::parse_frame(out);
-    anonymizer_.scrub(bytes, reparsed);
-    out = net::Frame(std::move(bytes), out.wire_length(), out.timestamp());
-  }
-  ++stats_.emitted;
-  return out;
-}
-
 void FpgaPipeline::edit_in_place(std::span<std::uint8_t> bytes,
                                  std::size_t wire_length,
                                  util::Nanos timestamp) {
@@ -49,11 +31,6 @@ void FpgaPipeline::edit_in_place(std::span<std::uint8_t> bytes,
     anonymizer_.scrub(bytes, parsed);
   }
   ++stats_.emitted;
-}
-
-std::optional<net::Frame> FpgaPipeline::process(const net::Frame& frame) {
-  if (!admit(frame)) return std::nullopt;
-  return edit(frame);
 }
 
 }  // namespace patchwork::capture

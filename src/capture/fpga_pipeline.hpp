@@ -10,13 +10,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #include "capture/anonymize.hpp"
 #include "capture/config.hpp"
 #include "net/frame_store.hpp"
-#include "net/packet.hpp"
 #include "net/parser.hpp"
 
 namespace patchwork::capture {
@@ -33,27 +31,16 @@ class FpgaPipeline {
   explicit FpgaPipeline(const CaptureConfig& config)
       : config_(config), anonymizer_(config.anonymize_key) {}
 
-  /// Run one frame through filter -> 1-in-N sample -> truncate ->
-  /// anonymize. Returns the edited frame, or nullopt if dropped by the
-  /// filter or sampler. Equivalent to admit() followed by edit().
-  std::optional<net::Frame> process(const net::Frame& frame);
-
-  /// The drop decision alone: filter -> 1-in-N sample. Counts
-  /// filtered_out/sampled_out; advances the sampler exactly as process()
-  /// would, so per-stage callers see identical admissions. Dissects the
-  /// frame only if the filter reads it (not for the match-all filter).
+  /// The drop decision: filter -> 1-in-N sample. Counts
+  /// filtered_out/sampled_out and advances the sampler. Dissects the frame
+  /// only if the filter reads it (not for the match-all filter).
   bool admit(const net::FrameView& view);
 
-  /// Owning-frame convenience overload; forwards to the view overload.
-  bool admit(const net::Frame& frame);
-
-  /// The edit alone: truncate -> anonymize, for a frame admit() accepted.
-  net::Frame edit(const net::Frame& frame);
-
-  /// Zero-copy edit: anonymizes `bytes` in place (they must already be
-  /// truncated to snaplen, e.g. a record slice the pcap writer returned)
-  /// and counts the emission. Dissection uses `wire_length`/`timestamp` so
-  /// offsets match what edit() would have produced.
+  /// The edit, for a frame admit() accepted: anonymizes `bytes` in place
+  /// (they must already be truncated to snaplen, e.g. the record slice the
+  /// pcap writer returned) and counts the emission. Dissection uses
+  /// `wire_length`/`timestamp`, so rewrite offsets stay in bounds of the
+  /// truncated bytes.
   void edit_in_place(std::span<std::uint8_t> bytes, std::size_t wire_length,
                      util::Nanos timestamp);
 

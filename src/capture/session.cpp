@@ -71,17 +71,6 @@ double CaptureSession::capacity_pps(double mean_wire_bytes) const {
   return 0.0;
 }
 
-CaptureResult CaptureSession::run(std::span<const net::Frame> frames,
-                                  double offered_pps) {
-  // Borrow each frame's bytes as a view; the primary path never copies.
-  std::vector<net::FrameView> views;
-  views.reserve(frames.size());
-  for (const net::Frame& f : frames) {
-    views.push_back(net::FrameView{f.bytes(), f.wire_length(), f.timestamp()});
-  }
-  return run(std::span<const net::FrameView>(views), offered_pps);
-}
-
 CaptureResult CaptureSession::run(std::span<const net::FrameView> frames,
                                   double offered_pps) {
   CaptureResult result;

@@ -57,10 +57,6 @@ class CaptureSession {
   CaptureResult run(std::span<const net::FrameView> frames,
                     double offered_pps);
 
-  /// Owning-frame convenience overload; converts to views and delegates.
-  /// Byte-identical output and RNG consumption to the view path.
-  CaptureResult run(std::span<const net::Frame> frames, double offered_pps);
-
   const CaptureConfig& config() const { return config_; }
 
   /// Capacity (frames/s) of the configured method for a given mean wire

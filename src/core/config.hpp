@@ -97,9 +97,9 @@ struct ProfilerConfig {
   bool congestion_mitigation = false;
 
   /// Frames per synthesis subtask when a sample's render is decomposed for
-  /// the work-stealing pool. 0 = PATCHWORK_RENDER_BATCH env var, falling
-  /// back to 1024. Output bytes are invariant to this value (and to the
-  /// worker count); it only tunes scheduling granularity.
+  /// the work-stealing pool; 0 means 1024. Output bytes are invariant to
+  /// this value (and to the worker count); it only tunes scheduling
+  /// granularity.
   std::size_t render_batch_frames = 0;
 
   /// Which traffic model plans each sample window: the per-window

@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <numeric>
 #include <sstream>
 
+#include "core/window_render.hpp"
 #include "flowsched/event_gen.hpp"
-#include "net/frame_store.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "pcap/pcap.hpp"
 #include "traffic/flowgen.hpp"
-#include "util/parallel.hpp"
 
 namespace patchwork::core {
 
@@ -372,26 +369,14 @@ bool SiteProfiler::take_sample(MirrorSlot& slot, std::uint32_t cycle,
 
   // Snapshot the data-plane inputs instead of rendering here. The mirrored
   // rate is read from the source port per the (post-mitigation) session
-  // directions — the same rule TrafficEngine::window_for_port applies — so
-  // rendering later needs no access to the live switch state.
-  const testbed::SwitchPort& source_port = site.tor().port(*slot.source);
+  // directions, so rendering later needs no access to the live switch state.
   PendingSample pending;
   pending.source = *slot.source;
   pending.cycle = cycle;
   pending.run = run;
   pending.sample = sample;
   pending.start = env_.clock().now();
-  switch (session->directions) {
-    case testbed::MirrorDirections::kBoth:
-      pending.target_bps = source_port.tx_rate_bps() + source_port.rx_rate_bps();
-      break;
-    case testbed::MirrorDirections::kTxOnly:
-      pending.target_bps = source_port.tx_rate_bps();
-      break;
-    case testbed::MirrorDirections::kRxOnly:
-      pending.target_bps = source_port.rx_rate_bps();
-      break;
-  }
+  pending.target_bps = site.tor().mirror_offered_bps(*session);
   pending.delivery = site.tor().mirror_delivery_fraction(*session);
   pending.drop_fraction = verdict.estimated_drop_fraction;
 
@@ -413,24 +398,6 @@ bool SiteProfiler::take_sample(MirrorSlot& slot, std::uint32_t cycle,
   pending_.push_back(pending);
   return true;
 }
-
-namespace {
-
-/// Effective synthesis burst size: config wins, then the
-/// PATCHWORK_RENDER_BATCH env knob, then 1024. Never 0.
-std::size_t resolve_render_batch(std::size_t configured) {
-  if (configured > 0) return configured;
-  if (const char* env = std::getenv("PATCHWORK_RENDER_BATCH")) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return static_cast<std::size_t>(parsed);
-    }
-  }
-  return 1024;
-}
-
-}  // namespace
 
 analysis::RawCapture SiteProfiler::render_sample(std::size_t k,
                                                  util::Rng& rng) const {
@@ -464,105 +431,10 @@ analysis::RawCapture SiteProfiler::render_sample(std::size_t k,
                                               config_.flow_model)
                : traffic::plan_window(plan_rng, profile, params);
   }
-  double offered_pps = plan.offered_pps;
-
-  // Synthesis: decompose units into fixed-size bursts, each rendering a
-  // counter range of its unit into a private arena. Bursts are the indices
-  // of a parallel_for; the decomposition itself depends only on the plan
-  // and the batch knob.
-  struct Burst {
-    std::size_t unit = 0;
-    std::uint64_t begin = 0;
-    std::uint64_t end = 0;
-    net::FrameStore store;
-  };
-  const std::size_t batch = resolve_render_batch(config_.render_batch_frames);
-  std::vector<Burst> bursts;
-  for (std::size_t u = 0; u < plan.units.size(); ++u) {
-    for (std::uint64_t b = 0; b < plan.units[u].frames;
-         b += static_cast<std::uint64_t>(batch)) {
-      Burst burst;
-      burst.unit = u;
-      burst.begin = b;
-      burst.end = std::min(plan.units[u].frames,
-                           b + static_cast<std::uint64_t>(batch));
-      bursts.push_back(std::move(burst));
-    }
-  }
-  std::vector<util::RngBlock> unit_draws;
-  unit_draws.reserve(plan.units.size());
-  for (std::size_t u = 0; u < plan.units.size(); ++u) {
-    unit_draws.emplace_back(
-        rng.split(traffic::kWindowUnitStreamBase + static_cast<uint64_t>(u)));
-  }
-  {
-    OBS_SPAN_ARGS("render/synthesis",
-                  .site = static_cast<std::int64_t>(site_.value),
-                  .sample = static_cast<std::int64_t>(k));
-    // Burst index for the trace timeline: position in the decomposition,
-    // itself deterministic (plan + batch knob only). The event is
-    // trace-only (obs::trace::ScopedEvent) so per-burst instrumentation
-    // registers no metric families — the deterministic exposition is
-    // byte-identical with tracing on or off.
-    util::parallel_for(bursts.size(), [&](std::size_t b) {
-      const obs::trace::ScopedEvent trace_burst(
-          "render_unit", {.site = static_cast<std::int64_t>(site_.value),
-                          .sample = static_cast<std::int64_t>(k),
-                          .burst = static_cast<std::int64_t>(b)});
-      Burst& burst = bursts[b];
-      net::FrameBuilder builder;
-      traffic::render_unit(plan.units[burst.unit], unit_draws[burst.unit],
-                           params.duration, burst.begin, burst.end, builder,
-                           burst.store);
-    });
-  }
-
-  // Merge to the window's total order (timestamp, unit, counter) — fully
-  // determined by the plan, so identical for every decomposition.
-  struct Ref {
-    const Burst* burst;
-    std::size_t local;
-    util::Nanos ts;
-    std::size_t unit;
-    std::uint64_t j;
-  };
-  std::vector<Ref> refs;
-  refs.reserve(plan.planned_frames);
-  for (const Burst& burst : bursts) {
-    for (std::size_t i = 0; i < burst.store.size(); ++i) {
-      refs.push_back(Ref{&burst, i, burst.store.view(i).timestamp, burst.unit,
-                         burst.begin + i});
-    }
-  }
-  std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
-    if (a.ts != b.ts) return a.ts < b.ts;
-    if (a.unit != b.unit) return a.unit < b.unit;
-    return a.j < b.j;
-  });
-
-  // Switch egress-capacity rule: oversubscribed mirrors silently lose
-  // frames. Decided per frame by its position in the merged order, on the
-  // delivery substream.
-  std::vector<net::FrameView> views;
-  views.reserve(refs.size());
-  if (p.delivery < 1.0) {
-    const util::RngBlock delivery(
-        rng.split(traffic::kWindowDeliveryStream));
-    // Bulk Bernoulli keep/drop decisions (draw j == merged position j,
-    // matching the scalar chance_at contract), then a branch-light scan.
-    std::vector<std::uint8_t> keep(refs.size());
-    delivery.chance_fill(0, p.delivery, keep);
-    for (std::size_t j = 0; j < refs.size(); ++j) {
-      if (keep[j] != 0) {
-        views.push_back(refs[j].burst->store.view(refs[j].local));
-      }
-    }
-    offered_pps *= p.delivery;
-  } else {
-    for (const Ref& ref : refs) {
-      views.push_back(ref.burst->store.view(ref.local));
-    }
-  }
+  const RenderedWindow window = render_window(
+      plan, rng, params.duration, p.delivery, config_.render_batch_frames,
+      {.site = static_cast<std::int64_t>(site_.value),
+       .sample = static_cast<std::int64_t>(k)});
 
   // Capture through the configured method, on its own substream.
   util::Rng capture_rng = rng.split(traffic::kWindowCaptureStream);
@@ -571,7 +443,7 @@ analysis::RawCapture SiteProfiler::render_sample(std::size_t k,
     OBS_SPAN_ARGS("render/capture",
                   .site = static_cast<std::int64_t>(site_.value),
                   .sample = static_cast<std::int64_t>(k));
-    return capturer.run(std::span<const net::FrameView>(views), offered_pps);
+    return capturer.run(window.frames, window.offered_pps);
   }();
 
   analysis::RawCapture raw;
@@ -580,7 +452,7 @@ analysis::RawCapture SiteProfiler::render_sample(std::size_t k,
   raw.start = p.start;
   raw.duration = config_.plan.sample_duration;
   raw.switch_drops_suspected = static_cast<std::uint64_t>(
-      p.drop_fraction * offered_pps * util::to_seconds(raw.duration));
+      p.drop_fraction * window.offered_pps * util::to_seconds(raw.duration));
   raw.pcap = std::move(captured.pcap);
 
   std::ostringstream msg;
@@ -605,17 +477,6 @@ void SiteProfiler::commit_rendered(
     captures_.push_back(std::move(raw));
   }
   pending_.clear();
-}
-
-void SiteProfiler::render_pending(util::Rng& rng) {
-  if (pending_.empty()) return;
-  std::vector<analysis::RawCapture> rendered;
-  rendered.reserve(pending_.size());
-  for (std::size_t k = 0; k < pending_.size(); ++k) {
-    util::Rng sample_rng = rng.split(k);
-    rendered.push_back(render_sample(k, sample_rng));
-  }
-  commit_rendered(std::move(rendered));
 }
 
 RunOutcome SiteProfiler::run() {
@@ -657,14 +518,7 @@ RunOutcome SiteProfiler::run() {
 }
 
 std::vector<analysis::RawCapture> SiteProfiler::gather() {
-  // Standalone callers (tests, benches) may gather without an explicit
-  // render pass; fall back to a stream forked off the environment RNG. The
-  // coordinator always renders first — with a per-site child of the run
-  // seed — so this draw never happens on its path.
-  if (!pending_.empty()) {
-    util::Rng fallback = env_.rng().fork();
-    render_pending(fallback);
-  }
+  assert(pending_.empty() && "commit_rendered() before gather()");
   // Instance logs travel with the captures (Section 6.2.2); attach the
   // profiler's own log to the first capture of the bundle.
   if (!captures_.empty()) captures_.front().logs.merge(log_);

@@ -2,6 +2,8 @@
 
 #include <map>
 
+#include "capture/session.hpp"
+#include "core/window_render.hpp"
 #include "sim/clock.hpp"
 #include "testbed/activity_model.hpp"
 #include "testbed/federation.hpp"
@@ -79,26 +81,41 @@ class SimBackend final : public TestbedBackend {
     return mflib_.site_rates_sorted(kSite, window);
   }
 
-  traffic::WindowTraffic sample(testbed::PortId source, util::Nanos duration,
-                                std::size_t max_frames) override {
-    traffic::WindowTraffic window = traffic_.window_for_port(
-        {kSite, source}, clock_.now(), duration, max_frames);
-    // Honour the switch's mirror-capacity rule if a session exists.
-    const auto session = fed_.site(kSite).tor().mirror_for_source(source);
-    if (session.has_value()) {
-      const double delivery =
-          fed_.site(kSite).tor().mirror_delivery_fraction(*session);
-      if (delivery < 1.0) {
-        std::vector<net::Frame> kept;
-        for (net::Frame& f : window.frames) {
-          if (rng_.chance(delivery)) kept.push_back(std::move(f));
-        }
-        window.frames = std::move(kept);
-        window.offered_pps *= delivery;
-      }
-    }
+  analysis::RawCapture sample(testbed::PortId source, util::Nanos duration,
+                              std::size_t max_frames) override {
+    // The profiler's sampling path on a window forked off the backend's
+    // stream: plan, render_window, then a default capture session. An
+    // unmirrored port is sampled as a both-direction mirror at full
+    // delivery.
+    const testbed::ToRSwitch& tor = fed_.site(kSite).tor();
+    const auto session = tor.mirror_for_source(source);
+    traffic::WindowParams params;
+    params.duration = duration;
+    params.max_frames = max_frames;
+    params.target_bps = tor.mirror_offered_bps(session.value_or(
+        testbed::MirrorSession{source, testbed::MirrorDirections::kBoth,
+                               source}));
+    const double delivery =
+        session ? tor.mirror_delivery_fraction(*session) : 1.0;
+
+    const util::Rng window = rng_.fork();
+    util::Rng plan_rng = window.split(traffic::kWindowPlanStream);
+    const traffic::WindowPlan plan =
+        traffic::plan_window(plan_rng, traffic_.profile(kSite), params);
+    const RenderedWindow rendered =
+        render_window(plan, window, duration, delivery, 0, {});
+    util::Rng capture_rng = window.split(traffic::kWindowCaptureStream);
+    capture::CaptureSession capturer(capture::CaptureConfig{},
+                                     host::HostSpec{}, capture_rng);
+
+    analysis::RawCapture raw;
+    raw.site = options_.name;
+    raw.port = source.value;
+    raw.start = clock_.now();
+    raw.duration = duration;
+    raw.pcap = capturer.run(rendered.frames, rendered.offered_pps).pcap;
     env_.advance(duration);
-    return window;
+    return raw;
   }
 
   void advance(util::Nanos dt) override { env_.advance(dt); }
@@ -164,7 +181,9 @@ std::unique_ptr<TestbedBackend> make_emulab_like_backend(std::uint64_t seed) {
   options.federation.min_dedicated_nics = 1;
   options.federation.max_dedicated_nics = 2;
   options.federation.fpga_site_fraction = 0.0;
-  options.federation.min_downlinks = 8;
+  // Up to 8 workers each take a downlink for their shared NIC first, so 10
+  // leaves room for at least one dual-port capture NIC.
+  options.federation.min_downlinks = 10;
   options.federation.max_downlinks = 16;
   return make_sim_backend(std::move(options));
 }

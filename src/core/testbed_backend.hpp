@@ -6,7 +6,9 @@
 // Patchwork." TestbedBackend is that layer: the minimal set of operations
 // Patchwork's workflow needs — capture-node leasing, port mirroring,
 // windowed port-rate telemetry, and data-plane sampling — with the
-// testbed's identity hidden behind the interface.
+// testbed's identity hidden behind the interface. Sampling returns what
+// the paper's sampling phase produces on FABRIC (Section 6.2.2): a
+// captured pcap of one mirrored window.
 //
 // Two concrete backends ship here, both running on the simulation
 // substrate but exposing different testbeds: a FABRIC-like federation site
@@ -21,11 +23,11 @@
 #include <variant>
 #include <vector>
 
+#include "analysis/digest.hpp"
 #include "core/environment.hpp"
 #include "telemetry/mflib.hpp"
 #include "testbed/allocator.hpp"
 #include "testbed/ids.hpp"
-#include "traffic/flowgen.hpp"
 #include "util/units.hpp"
 
 namespace patchwork::core {
@@ -65,10 +67,13 @@ class TestbedBackend {
       util::Nanos window) const = 0;
 
   // --- Data plane & time -----------------------------------------------------
-  /// The frames a mirror of `source` delivers during a window starting now.
-  virtual traffic::WindowTraffic sample(testbed::PortId source,
-                                        util::Nanos duration,
-                                        std::size_t max_frames) = 0;
+  /// Capture one window of `duration` starting now from the mirror of
+  /// `source`, rendering at most about `max_frames` frames: the pcap the
+  /// capture node stores, the same type SiteProfiler::render_sample
+  /// returns. Advances time by `duration`.
+  virtual analysis::RawCapture sample(testbed::PortId source,
+                                      util::Nanos duration,
+                                      std::size_t max_frames) = 0;
   virtual void advance(util::Nanos dt) = 0;
   virtual util::Nanos now() const = 0;
 };

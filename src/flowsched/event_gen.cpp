@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <queue>
 #include <vector>
 
@@ -318,46 +317,6 @@ traffic::WindowPlan plan_event_window(util::Rng& rng,
   m.queue_max.observe_max(static_cast<double>(stats.max_queue_depth));
   if (stats_out) *stats_out = stats;
   return plan;
-}
-
-traffic::WindowTraffic generate_event_window(
-    util::Rng& rng, const traffic::SiteWorkloadProfile& profile,
-    const traffic::WindowParams& params, const FlowModelConfig& config,
-    EventPlanStats* stats_out) {
-  traffic::WindowTraffic out;
-  if (params.target_bps <= 0.0) return out;
-  util::Rng child = rng.fork();
-  util::Rng plan_rng = child.split(traffic::kWindowPlanStream);
-  const traffic::WindowPlan plan =
-      plan_event_window(plan_rng, profile, params, config, stats_out);
-  out.offered_pps = plan.offered_pps;
-  out.offered_bps = plan.offered_bps;
-  out.flow_count = plan.flow_count;
-
-  net::FrameStore store;
-  net::FrameBuilder builder;
-  store.reserve(plan.planned_frames, plan.planned_frames * 96);
-  for (std::size_t u = 0; u < plan.units.size(); ++u) {
-    const util::RngBlock draws(
-        child.split(traffic::kWindowUnitStreamBase + u));
-    traffic::render_unit(plan.units[u], draws, params.duration, 0,
-                         plan.units[u].frames, builder, store);
-  }
-  std::vector<std::size_t> order(store.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const util::Nanos ta = store.view(a).timestamp;
-    const util::Nanos tb = store.view(b).timestamp;
-    return ta != tb ? ta < tb : a < b;
-  });
-  out.frames.reserve(order.size());
-  for (std::size_t idx : order) {
-    const net::FrameView v = store.view(idx);
-    out.frames.emplace_back(
-        std::vector<std::uint8_t>(v.bytes.begin(), v.bytes.end()),
-        v.wire_length, v.timestamp);
-  }
-  return out;
 }
 
 }  // namespace patchwork::flowsched

@@ -46,12 +46,4 @@ traffic::WindowPlan plan_event_window(util::Rng& rng,
                                       const FlowModelConfig& config,
                                       EventPlanStats* stats_out = nullptr);
 
-/// plan_event_window + serial unit rendering + deterministic merge: the
-/// event-model analogue of traffic::generate_window (forks one child off
-/// `rng`, so a caller reusing its Rng gets distinct windows).
-traffic::WindowTraffic generate_event_window(
-    util::Rng& rng, const traffic::SiteWorkloadProfile& profile,
-    const traffic::WindowParams& params, const FlowModelConfig& config,
-    EventPlanStats* stats_out = nullptr);
-
 }  // namespace patchwork::flowsched

@@ -3,8 +3,8 @@
 // The render hot loop used to materialize every frame as an owning
 // net::Frame (one heap vector per packet). A FrameStore instead packs a
 // burst's frames back-to-back into one byte arena plus a small metadata
-// row per frame, and hands out FrameView slices — the same zero-copy shape
-// pcap::FrameView gives the read path. One allocation amortizes across
+// row per frame, and hands out FrameView slices — the same zero-copy view
+// pcap::PcapReader gives the read path. One allocation amortizes across
 // the whole burst, and clear() keeps the capacity for the next one.
 //
 // Lifetime rule: views alias the arena, which may reallocate while frames
@@ -21,9 +21,9 @@
 
 namespace patchwork::net {
 
-/// Non-owning view of one synthesized frame: captured bytes, original wire
-/// length, and timestamp. Mirrors pcap::FrameView so capture code can
-/// consume either source.
+/// Non-owning view of one frame: its captured (possibly truncated) bytes,
+/// original wire length, and timestamp. Synthesis arenas and pcap readers
+/// both hand these out, so capture and Digest share one view type.
 struct FrameView {
   std::span<const std::uint8_t> bytes;
   std::size_t wire_length = 0;

@@ -23,10 +23,6 @@ PcapWriter::PcapWriter(std::uint32_t snaplen, TimestampResolution res)
   put_le32(buffer_, kLinkTypeEthernet);
 }
 
-void PcapWriter::write(const net::Frame& frame) {
-  write_record(frame.bytes(), frame.wire_length(), frame.timestamp());
-}
-
 std::span<std::uint8_t> PcapWriter::write_record(
     std::span<const std::uint8_t> bytes, std::size_t wire_length,
     util::Nanos timestamp) {
@@ -81,7 +77,7 @@ std::optional<PcapReader> PcapReader::open(std::vector<std::uint8_t> bytes) {
   return PcapReader(std::move(bytes), info);
 }
 
-std::optional<FrameView> PcapReader::next_view() {
+std::optional<net::FrameView> PcapReader::next_view() {
   // Loop so a record with inconsistent lengths is skipped in place and the
   // scan resyncs at the record that follows it.
   for (;;) {
@@ -109,7 +105,7 @@ std::optional<FrameView> PcapReader::next_view() {
       offset_ += incl;
       continue;
     }
-    FrameView view;
+    net::FrameView view;
     view.bytes = std::span<const std::uint8_t>(bytes_).subspan(offset_, incl);
     view.wire_length = orig;
     view.timestamp =
@@ -121,13 +117,6 @@ std::optional<FrameView> PcapReader::next_view() {
     ++frames_;
     return view;
   }
-}
-
-std::optional<net::Frame> PcapReader::next() {
-  const std::optional<FrameView> view = next_view();
-  if (!view) return std::nullopt;
-  std::vector<std::uint8_t> data(view->bytes.begin(), view->bytes.end());
-  return net::Frame(std::move(data), view->wire_length, view->timestamp);
 }
 
 }  // namespace patchwork::pcap

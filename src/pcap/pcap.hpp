@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "net/packet.hpp"
+#include "net/frame_store.hpp"
 #include "util/units.hpp"
 
 namespace patchwork::pcap {
@@ -35,14 +35,11 @@ class PcapWriter {
   explicit PcapWriter(std::uint32_t snaplen = 65535,
                       TimestampResolution res = TimestampResolution::kMicro);
 
-  /// Appends one record. The frame is truncated to the writer's snaplen;
-  /// the record's orig_len preserves the wire length.
-  void write(const net::Frame& frame);
-
-  /// Zero-copy variant: appends one record from raw bytes + wire length.
-  /// Returns a mutable span over the record's payload inside the stream so
-  /// callers can edit in place (e.g. anonymization) after the copy. The
-  /// span is valid until the next write or take_buffer().
+  /// Appends one record from raw bytes + wire length. The bytes are
+  /// truncated to the writer's snaplen; the record's orig_len preserves the
+  /// wire length. Returns a mutable span over the record's payload inside
+  /// the stream so callers can edit in place (e.g. anonymization) after the
+  /// copy. The span is valid until the next write or take_buffer().
   std::span<std::uint8_t> write_record(std::span<const std::uint8_t> bytes,
                                        std::size_t wire_length,
                                        util::Nanos timestamp);
@@ -66,18 +63,6 @@ struct PcapFileInfo {
   std::uint32_t link_type = 0;
 };
 
-/// Non-owning view of one pcap record: a zero-copy slice of the reader's
-/// buffer plus the record metadata. Valid only until the reader that
-/// produced it is destroyed or moved — the digest hot path consumes each
-/// view before pulling the next, so nothing escapes the reader's lifetime.
-struct FrameView {
-  std::span<const std::uint8_t> bytes;  ///< Captured (possibly truncated).
-  std::size_t wire_length = 0;          ///< Original on-the-wire size.
-  util::Nanos timestamp = 0;
-
-  bool truncated() const { return bytes.size() < wire_length; }
-};
-
 /// Streaming reader over an in-memory pcap byte stream.
 class PcapReader {
  public:
@@ -87,14 +72,14 @@ class PcapReader {
   const PcapFileInfo& info() const { return info_; }
 
   /// Next record as a zero-copy view into the reader's buffer, or nullopt
-  /// at end of stream. A record whose header or body extends past the
-  /// buffer ends the stream; a record whose lengths are merely inconsistent
-  /// (incl > orig) is skipped and the scan resyncs at the following record.
-  /// Both cases count in `bad_records`.
-  std::optional<FrameView> next_view();
-
-  /// Like next_view(), but copies the bytes into an owning net::Frame.
-  std::optional<net::Frame> next();
+  /// at end of stream: the captured (possibly truncated) bytes, the
+  /// original wire length and the timestamp. The view is valid only until
+  /// the reader is destroyed or moved — the digest hot path consumes each
+  /// view before pulling the next. A record whose header or body extends
+  /// past the buffer ends the stream; a record whose lengths are merely
+  /// inconsistent (incl > orig) is skipped and the scan resyncs at the
+  /// following record. Both cases count in `bad_records`.
+  std::optional<net::FrameView> next_view();
 
   std::uint64_t frames_read() const { return frames_; }
   std::uint64_t bad_records() const { return bad_records_; }

@@ -28,7 +28,6 @@ TrafficEngine::TrafficEngine(testbed::Federation& fed,
     : fed_(fed),
       activity_(activity),
       profiles_(std::move(profiles)),
-      rng_(rng),
       params_(params) {
   base_util_.resize(fed_.site_count());
   phase_.resize(fed_.site_count());
@@ -43,10 +42,10 @@ TrafficEngine::TrafficEngine(testbed::Federation& fed,
     phases.resize(site.tor().port_count());
     periods.resize(site.tor().port_count());
     for (std::size_t p = 0; p < utils.size(); ++p) {
-      utils[p] = draw_port_utilization(rng_, scale);
-      phases[p] = rng_.uniform(0.0, 2.0 * M_PI);
-      periods[p] = rng_.uniform(params_.min_burst_period_hours,
-                                params_.max_burst_period_hours);
+      utils[p] = draw_port_utilization(rng, scale);
+      phases[p] = rng.uniform(0.0, 2.0 * M_PI);
+      periods[p] = rng.uniform(params_.min_burst_period_hours,
+                               params_.max_burst_period_hours);
     }
   }
 }
@@ -105,29 +104,6 @@ void TrafficEngine::update_loads(util::Nanos now) {
       port.set_mean_frame_size(mean_frame);
     }
   }
-}
-
-WindowTraffic TrafficEngine::window_for_port(
-    testbed::GlobalPortId port, util::Nanos now, util::Nanos duration,
-    std::size_t max_frames, testbed::MirrorDirections directions) {
-  const testbed::Site& site = fed_.site(port.site);
-  const testbed::SwitchPort& p = site.tor().port(port.port);
-  WindowParams params;
-  params.duration = duration;
-  switch (directions) {
-    case testbed::MirrorDirections::kBoth:
-      params.target_bps = p.tx_rate_bps() + p.rx_rate_bps();
-      break;
-    case testbed::MirrorDirections::kTxOnly:
-      params.target_bps = p.tx_rate_bps();
-      break;
-    case testbed::MirrorDirections::kRxOnly:
-      params.target_bps = p.rx_rate_bps();
-      break;
-  }
-  params.max_frames = max_frames;
-  (void)now;
-  return generate_window(rng_, profiles_.at(port.site.value), params);
 }
 
 }  // namespace patchwork::traffic

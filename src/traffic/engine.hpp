@@ -4,16 +4,15 @@
 // Rate plane: every switch port gets a persistent base utilization (drawn
 // from a distribution calibrated to Section 5's finding that 50% of ports
 // sit at <= 38% utilization while some run at line rate), modulated by the
-// testbed-wide ActivityModel. Packet plane: for any port and window the
-// engine renders the frames its mirror would deliver, consistent with the
-// port's current rate and the site's workload profile.
+// testbed-wide ActivityModel. The packet plane (traffic/flowgen.hpp)
+// plans each sample window from a port's mirrored rate and its site's
+// profile().
 #pragma once
 
 #include <vector>
 
 #include "testbed/activity_model.hpp"
 #include "testbed/federation.hpp"
-#include "traffic/flowgen.hpp"
 #include "traffic/workload.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -36,6 +35,8 @@ class TrafficEngine {
     double max_burst_period_hours = 3.0;
   };
 
+  /// Draws every port's base utilization, phase and burst period from
+  /// `rng`.
   TrafficEngine(testbed::Federation& fed, const testbed::ActivityModel& activity,
                 std::vector<SiteWorkloadProfile> profiles, util::Rng rng,
                 Params params);
@@ -57,14 +58,6 @@ class TrafficEngine {
   /// and benches to stage hot ports.
   void set_base_utilization(testbed::GlobalPortId port, double value);
 
-  /// Render one sample window of mirrored traffic from `port` at `now`.
-  /// `directions` selects which channels the mirror clones.
-  WindowTraffic window_for_port(
-      testbed::GlobalPortId port, util::Nanos now, util::Nanos duration,
-      std::size_t max_frames = 20000,
-      testbed::MirrorDirections directions =
-          testbed::MirrorDirections::kBoth);
-
   const SiteWorkloadProfile& profile(testbed::SiteId site) const {
     return profiles_.at(site.value);
   }
@@ -81,7 +74,6 @@ class TrafficEngine {
   testbed::Federation& fed_;
   const testbed::ActivityModel& activity_;
   std::vector<SiteWorkloadProfile> profiles_;
-  util::Rng rng_;
   Params params_;
   util::Nanos year_offset_ = 0;
   /// base_util_[site][port]: the port's peak (in-burst) utilization.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 #include <span>
 
 #include "net/protocol.hpp"
@@ -422,49 +421,6 @@ void render_unit(const RenderUnit& unit, const util::RngBlock& draws,
     }
     j += n;
   }
-}
-
-WindowTraffic generate_window(util::Rng& rng,
-                              const SiteWorkloadProfile& profile,
-                              const WindowParams& params) {
-  WindowTraffic out;
-  if (params.target_bps <= 0.0) return out;
-  // One fork advances the caller's stream exactly once per window (so a
-  // traffic engine reusing its Rng still gets distinct windows), then the
-  // window's phases hang off the child by substream id.
-  util::Rng child = rng.fork();
-  util::Rng plan_rng = child.split(kWindowPlanStream);
-  const WindowPlan plan = plan_window(plan_rng, profile, params);
-  out.offered_pps = plan.offered_pps;
-  out.offered_bps = plan.offered_bps;
-  out.flow_count = plan.flow_count;
-
-  net::FrameStore store;
-  net::FrameBuilder builder;
-  store.reserve(plan.planned_frames, plan.planned_frames * 96);
-  for (std::size_t u = 0; u < plan.units.size(); ++u) {
-    const util::RngBlock draws(child.split(kWindowUnitStreamBase + u));
-    render_unit(plan.units[u], draws, params.duration, 0,
-                plan.units[u].frames, builder, store);
-  }
-
-  // Total order (timestamp, synthesis index): the index tiebreak makes the
-  // merge independent of sort stability and of how units were batched.
-  std::vector<std::size_t> order(store.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const util::Nanos ta = store.view(a).timestamp;
-    const util::Nanos tb = store.view(b).timestamp;
-    return ta != tb ? ta < tb : a < b;
-  });
-  out.frames.reserve(order.size());
-  for (std::size_t idx : order) {
-    const net::FrameView v = store.view(idx);
-    out.frames.emplace_back(
-        std::vector<std::uint8_t>(v.bytes.begin(), v.bytes.end()),
-        v.wire_length, v.timestamp);
-  }
-  return out;
 }
 
 }  // namespace patchwork::traffic

@@ -2,9 +2,10 @@
 //
 // A FlowSpec pins down everything needed to render a flow's frames on the
 // wire: the underlay encapsulation (VLAN / MPLS stack / pseudowire + inner
-// Ethernet), addressing, the application archetype, and sizing. The
-// generator then renders a sample window's worth of interleaved frames —
-// both directions, since a mirrored port clones Tx and Rx (Section 3).
+// Ethernet), addressing, the application archetype, and sizing.
+// plan_window() then draws a sample window's flows and render_unit()
+// renders their frames — both directions, since a mirrored port clones Tx
+// and Rx (Section 3).
 #pragma once
 
 #include <cstdint>
@@ -59,14 +60,6 @@ net::Frame make_ack_frame(const FlowSpec& flow, util::Nanos t,
 
 /// True when the app rides TCP (and therefore produces an ACK stream).
 bool app_is_tcp(FlowApp app);
-
-/// One rendered sample window from a mirrored port.
-struct WindowTraffic {
-  std::vector<net::Frame> frames;  ///< Time-ordered.
-  double offered_pps = 0.0;        ///< True rate these frames represent.
-  double offered_bps = 0.0;
-  std::size_t flow_count = 0;      ///< Distinct flows contributing.
-};
 
 struct WindowParams {
   util::Nanos duration = 20 * util::kSecond;  ///< Paper's sample length.
@@ -125,15 +118,5 @@ WindowPlan plan_window(util::Rng& rng, const SiteWorkloadProfile& profile,
 void render_unit(const RenderUnit& unit, const util::RngBlock& draws,
                  util::Nanos duration, std::uint64_t begin, std::uint64_t end,
                  net::FrameBuilder& builder, net::FrameStore& store);
-
-/// Synthesize the traffic a mirrored port would deliver during one sample
-/// window at a site with `profile`. Frames are a representative rendering:
-/// when the true frame count exceeds `max_frames`, a uniform thinning is
-/// applied but `offered_pps` reports the true rate. Composes plan_window()
-/// + render_unit() serially; forks one child off `rng` so the caller's
-/// stream advances exactly once per window.
-WindowTraffic generate_window(util::Rng& rng,
-                              const SiteWorkloadProfile& profile,
-                              const WindowParams& params);
 
 }  // namespace patchwork::traffic

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "net/frame_builder.hpp"
+#include "testing/fixtures.hpp"
 
 namespace patchwork::capture {
 namespace {
 
+using patchwork::testing::view_of;
 using net::FrameBuilder;
 using net::Ipv4Address;
 using net::MacAddress;
@@ -22,22 +24,15 @@ net::Frame tcp_frame(std::uint16_t dport, std::size_t size = 1514) {
       .build();
 }
 
-TEST(FpgaPipeline, TruncatesToSnaplen) {
-  CaptureConfig config;
-  config.snaplen = 200;
-  FpgaPipeline pipeline(config);
-  const auto out = pipeline.process(tcp_frame(443));
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->captured_length(), 200u);
-  EXPECT_EQ(out->wire_length(), 1514u);
-}
-
 TEST(FpgaPipeline, FilterDropsNonMatching) {
   CaptureConfig config;
   config.filter = std::get<Filter>(Filter::compile("port 443"));
   FpgaPipeline pipeline(config);
-  EXPECT_TRUE(pipeline.process(tcp_frame(443)).has_value());
-  EXPECT_FALSE(pipeline.process(tcp_frame(22)).has_value());
+  const net::Frame kept = tcp_frame(443);
+  EXPECT_TRUE(pipeline.admit(view_of(kept)));
+  EXPECT_FALSE(pipeline.admit(view_of(tcp_frame(22))));
+  std::vector<std::uint8_t> record(kept.bytes().begin(), kept.bytes().end());
+  pipeline.edit_in_place(record, kept.wire_length(), kept.timestamp());
   EXPECT_EQ(pipeline.stats().seen, 2u);
   EXPECT_EQ(pipeline.stats().filtered_out, 1u);
   EXPECT_EQ(pipeline.stats().emitted, 1u);
@@ -49,7 +44,7 @@ TEST(FpgaPipeline, OneInNSampling) {
   FpgaPipeline pipeline(config);
   int kept = 0;
   for (int i = 0; i < 100; ++i) {
-    if (pipeline.process(tcp_frame(443)).has_value()) ++kept;
+    if (pipeline.admit(view_of(tcp_frame(443)))) ++kept;
   }
   EXPECT_EQ(kept, 25);
   EXPECT_EQ(pipeline.stats().sampled_out, 75u);
@@ -63,7 +58,7 @@ TEST(FpgaPipeline, SamplingCountsOnlyFilteredInFrames) {
   int kept = 0;
   for (int i = 0; i < 40; ++i) {
     // Alternate matching and non-matching frames.
-    if (pipeline.process(tcp_frame(i % 2 ? 443 : 22)).has_value()) ++kept;
+    if (pipeline.admit(view_of(tcp_frame(i % 2 ? 443 : 22)))) ++kept;
   }
   // 20 matched the filter; every 2nd kept.
   EXPECT_EQ(kept, 10);
@@ -75,10 +70,13 @@ TEST(FpgaPipeline, AnonymizationAppliedOnCard) {
   config.snaplen = 200;
   FpgaPipeline pipeline(config);
   const net::Frame in = tcp_frame(443);
-  const auto out = pipeline.process(in);
-  ASSERT_TRUE(out.has_value());
+  ASSERT_TRUE(pipeline.admit(view_of(in)));
+  // The card scrubs the snaplen-truncated record bytes in place.
+  std::vector<std::uint8_t> record(in.bytes().begin(),
+                                   in.bytes().begin() + config.snaplen);
+  pipeline.edit_in_place(record, in.wire_length(), in.timestamp());
   const auto before = net::parse_frame(in);
-  const auto after = net::parse_frame(*out);
+  const auto after = net::parse_bytes(record, in.wire_length(), in.timestamp());
   ASSERT_TRUE(before.ipv4 && after.ipv4);
   EXPECT_NE(after.ipv4->src, before.ipv4->src);
 }
@@ -86,7 +84,7 @@ TEST(FpgaPipeline, AnonymizationAppliedOnCard) {
 TEST(FpgaPipeline, StatsResettable) {
   CaptureConfig config;
   FpgaPipeline pipeline(config);
-  pipeline.process(tcp_frame(443));
+  pipeline.admit(view_of(tcp_frame(443)));
   pipeline.reset_stats();
   EXPECT_EQ(pipeline.stats().seen, 0u);
 }

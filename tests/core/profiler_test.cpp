@@ -82,6 +82,15 @@ TEST(SiteProfiler, RunProducesCapturesWithLogs) {
   ASSERT_TRUE(profiler.setup().ok);
   const RunOutcome outcome = profiler.run();
   EXPECT_EQ(outcome, RunOutcome::kSuccess);
+  // Render every pending sample on its own substream, as the coordinator
+  // does, then hand the captures back.
+  const util::Rng root(12345);
+  std::vector<analysis::RawCapture> rendered;
+  for (std::size_t k = 0; k < profiler.pending_sample_count(); ++k) {
+    util::Rng sample_rng = root.split(k);
+    rendered.push_back(profiler.render_sample(k, sample_rng));
+  }
+  profiler.commit_rendered(std::move(rendered));
   auto captures = profiler.gather();
   ASSERT_FALSE(captures.empty());
   for (const auto& c : captures) {
@@ -142,62 +151,6 @@ TEST(SiteProfiler, SamplesRecordOfferedAndCaptured) {
   ASSERT_TRUE(profiler.setup().ok);
   profiler.run();
   EXPECT_GT(profiler.log().count_containing("sample c"), 0u);
-}
-
-TEST(SiteProfiler, RenderSampleCommitEquivalentToRenderPending) {
-  // The per-sample split's contract at the profiler level: rendering each
-  // pending sample individually through render_sample (as the coordinator's
-  // per-(site, sample) tasks do) and committing in order must produce the
-  // same captures AND the same instance log as the all-at-once
-  // render_pending path.
-  ProfilerConfig config = quick_config();
-  config.plan.samples_per_run = 3;  // Several pending samples per slot.
-
-  World whole_world(11);
-  whole_world.warm_up_telemetry();
-  SiteProfiler whole(whole_world.env, testbed::SiteId{2}, config);
-  ASSERT_TRUE(whole.setup().ok);
-  whole.run();
-
-  World split_world(11);
-  split_world.warm_up_telemetry();
-  SiteProfiler split(split_world.env, testbed::SiteId{2}, config);
-  ASSERT_TRUE(split.setup().ok);
-  split.run();
-
-  ASSERT_GT(whole.pending_sample_count(), 1u);
-  ASSERT_EQ(whole.pending_sample_count(), split.pending_sample_count());
-
-  util::Rng whole_rng(12345);
-  whole.render_pending(whole_rng);
-
-  const util::Rng base(12345);
-  std::vector<analysis::RawCapture> rendered;
-  for (std::size_t k = 0; k < split.pending_sample_count(); ++k) {
-    util::Rng sample_rng = base.split(k);
-    rendered.push_back(split.render_sample(k, sample_rng));
-  }
-  split.commit_rendered(std::move(rendered));
-
-  // Instance logs match record-for-record (commit replays the per-sample
-  // summaries in sample order).
-  const auto& la = whole.log().records();
-  const auto& lb = split.log().records();
-  ASSERT_EQ(la.size(), lb.size());
-  for (std::size_t i = 0; i < la.size(); ++i) {
-    EXPECT_EQ(la[i].time, lb[i].time) << "log " << i;
-    EXPECT_EQ(la[i].message, lb[i].message) << "log " << i;
-  }
-
-  const std::vector<analysis::RawCapture> ca = whole.gather();
-  const std::vector<analysis::RawCapture> cb = split.gather();
-  ASSERT_EQ(ca.size(), cb.size());
-  for (std::size_t i = 0; i < ca.size(); ++i) {
-    EXPECT_EQ(ca[i].port, cb[i].port) << "capture " << i;
-    EXPECT_EQ(ca[i].start, cb[i].start) << "capture " << i;
-    EXPECT_TRUE(ca[i].pcap == cb[i].pcap)
-        << "capture " << i << " pcap bytes differ";
-  }
 }
 
 }  // namespace

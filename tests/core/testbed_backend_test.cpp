@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "net/parser.hpp"
+#include "pcap/pcap.hpp"
 
 namespace patchwork::core {
 namespace {
@@ -88,13 +89,24 @@ TEST_P(BackendContract, SampleProducesParsableTraffic) {
   auto backend = make();
   const auto rates = backend->port_rates(15 * util::kMinute);
   ASSERT_FALSE(rates.empty());
-  const auto window =
+  const util::Nanos start = backend->now();
+  const analysis::RawCapture capture =
       backend->sample(rates.front().port.port, 20 * util::kSecond, 500);
-  ASSERT_FALSE(window.frames.empty());
-  for (const net::Frame& f : window.frames) {
-    const net::ParsedFrame parsed = net::parse_frame(f);
+  EXPECT_EQ(capture.port, rates.front().port.port.value);
+  EXPECT_EQ(capture.start, start);
+  EXPECT_EQ(capture.duration, 20 * util::kSecond);
+  EXPECT_EQ(backend->now(), start + 20 * util::kSecond);
+  auto reader = pcap::PcapReader::open(capture.pcap);
+  ASSERT_TRUE(reader.has_value());
+  std::size_t frames = 0;
+  while (const auto view = reader->next_view()) {
+    ++frames;
+    const net::ParsedFrame parsed =
+        net::parse_bytes(view->bytes, view->wire_length, view->timestamp);
     EXPECT_FALSE(parsed.has(net::Protocol::kMalformed));
   }
+  EXPECT_GT(frames, 0u);
+  EXPECT_EQ(reader->bad_records(), 0u);
 }
 
 TEST_P(BackendContract, TimeAdvances) {
@@ -124,13 +136,19 @@ TEST(BackendFlavors, UnderlayTaggingDiffers) {
     std::size_t mpls = 0, frames = 0;
     const auto rates = backend.port_rates(15 * util::kMinute);
     for (std::size_t i = 0; i < std::min<std::size_t>(3, rates.size()); ++i) {
-      const auto window =
+      const analysis::RawCapture capture =
           backend.sample(rates[i].port.port, 20 * util::kSecond, 400);
-      for (const net::Frame& f : window.frames) {
+      auto reader = pcap::PcapReader::open(capture.pcap);
+      while (const auto view = reader->next_view()) {
         ++frames;
-        if (net::parse_frame(f).has(net::Protocol::kMpls)) ++mpls;
+        if (net::parse_bytes(view->bytes, view->wire_length, view->timestamp)
+                .has(net::Protocol::kMpls)) {
+          ++mpls;
+        }
       }
     }
+    // A real share, not an empty capture's zero.
+    EXPECT_GT(frames, 100u) << backend.name();
     return frames ? static_cast<double>(mpls) / static_cast<double>(frames)
                   : 0.0;
   };
@@ -145,6 +163,15 @@ TEST(BackendFlavors, EmulabHasFewerCaptureNics) {
   auto emulab = make_emulab_like_backend(5);
   EXPECT_LT(emulab->available_capture_nics(),
             fabric->available_capture_nics());
+}
+
+TEST(BackendFlavors, EmulabHasCaptureNicAtEverySeed) {
+  // Every worker's shared NIC takes a downlink first; the spec must leave
+  // room for at least one dual-port capture NIC after them.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    EXPECT_GE(make_emulab_like_backend(seed)->available_capture_nics(), 1u)
+        << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <set>
 #include <tuple>
 
+#include "core/window_render.hpp"
 #include "net/frame_store.hpp"
 #include "traffic/workload.hpp"
 #include "util/rng.hpp"
@@ -138,15 +139,21 @@ TEST(FlowSched, EventWindowRespectsTargetRate) {
   const traffic::SiteWorkloadProfile profile = test_profile();
   traffic::WindowParams params = test_params();
   params.max_frames = 100000;  // No thinning: measure the true stream.
+  // Planned on a fork of the stream and rendered at full delivery, as the
+  // data plane renders a sample.
   util::Rng rng(7);
-  const traffic::WindowTraffic window =
-      generate_event_window(rng, profile, params, event_config());
-  EXPECT_DOUBLE_EQ(window.offered_bps, params.target_bps);
+  const util::Rng root = rng.fork();
+  util::Rng plan_rng = root.split(traffic::kWindowPlanStream);
+  const traffic::WindowPlan plan =
+      plan_event_window(plan_rng, profile, params, event_config());
+  const core::RenderedWindow window = core::render_window(
+      plan, root, params.duration, /*delivery=*/1.0, 0, {});
+  EXPECT_DOUBLE_EQ(plan.offered_bps, params.target_bps);
   EXPECT_GT(window.offered_pps, 0.0);
   ASSERT_FALSE(window.frames.empty());
   double rendered_bytes = 0.0;
-  for (const net::Frame& f : window.frames) {
-    rendered_bytes += static_cast<double>(f.wire_length());
+  for (const net::FrameView& f : window.frames) {
+    rendered_bytes += static_cast<double>(f.wire_length);
   }
   const double mean_frame =
       rendered_bytes / static_cast<double>(window.frames.size());

@@ -18,6 +18,7 @@
 #include "analysis/digest.hpp"
 #include "net/parser.hpp"
 #include "pcap/pcap.hpp"
+#include "testing/fixtures.hpp"
 #include "traffic/flowgen.hpp"
 #include "traffic/workload.hpp"
 #include "util/byte_io.hpp"
@@ -52,9 +53,11 @@ Bytes golden_pcap(std::uint64_t seed, std::uint32_t snaplen) {
     const traffic::FlowSpec flow =
         traffic::draw_flow(rng, profiles[i % profiles.size()]);
     const util::Nanos t = static_cast<util::Nanos>(i) * 1000;
-    writer.write(traffic::make_data_frame(flow, t));
+    patchwork::testing::write_frame(writer,
+                                    traffic::make_data_frame(flow, t));
     if (traffic::app_is_tcp(flow.app)) {
-      writer.write(traffic::make_ack_frame(flow, t + 1));
+      patchwork::testing::write_frame(writer,
+                                      traffic::make_ack_frame(flow, t + 1));
     }
   }
   return writer.take_buffer();

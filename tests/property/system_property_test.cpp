@@ -10,6 +10,7 @@
 #include "pcap/pcap.hpp"
 #include "testbed/allocator.hpp"
 #include "testbed/federation.hpp"
+#include "testing/fixtures.hpp"
 #include "traffic/flowgen.hpp"
 #include "util/rng.hpp"
 
@@ -36,19 +37,19 @@ TEST_P(SystemProperty, PcapRoundTripIsLossless) {
   util::Rng rng(GetParam());
   const auto frames = random_frames(rng, 100);
   pcap::PcapWriter writer(65535, pcap::TimestampResolution::kNano);
-  for (const net::Frame& f : frames) writer.write(f);
+  for (const net::Frame& f : frames) testing::write_frame(writer, f);
   auto reader = pcap::PcapReader::open(writer.take_buffer());
   ASSERT_TRUE(reader.has_value());
   for (const net::Frame& expected : frames) {
-    const auto got = reader->next();
+    const auto got = reader->next_view();
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->wire_length(), expected.wire_length());
-    EXPECT_EQ(got->timestamp(), expected.timestamp());
-    ASSERT_EQ(got->captured_length(), expected.captured_length());
-    EXPECT_TRUE(std::equal(got->bytes().begin(), got->bytes().end(),
+    EXPECT_EQ(got->wire_length, expected.wire_length());
+    EXPECT_EQ(got->timestamp, expected.timestamp());
+    ASSERT_EQ(got->bytes.size(), expected.captured_length());
+    EXPECT_TRUE(std::equal(got->bytes.begin(), got->bytes.end(),
                            expected.bytes().begin()));
   }
-  EXPECT_FALSE(reader->next().has_value());
+  EXPECT_FALSE(reader->next_view().has_value());
   EXPECT_EQ(reader->bad_records(), 0u);
 }
 
@@ -100,8 +101,8 @@ TEST_P(SystemProperty, AnonymizerIsDeterministicAndStructurePreserving) {
   util::Rng rng(GetParam());
   const capture::Anonymizer anon(0x5eed);
   for (const net::Frame& f : random_frames(rng, 80)) {
-    const net::Frame a = anon.scrub_frame(f);
-    const net::Frame b = anon.scrub_frame(f);
+    const net::Frame a = testing::scrub_copy(anon, f);
+    const net::Frame b = testing::scrub_copy(anon, f);
     EXPECT_TRUE(std::equal(a.bytes().begin(), a.bytes().end(),
                            b.bytes().begin()));
     // Structure (the abstract header stack) is invariant under scrubbing.
@@ -157,7 +158,7 @@ TEST_P(SystemProperty, DigestCountsMatchCaptureCounts) {
   util::Rng rng(GetParam());
   const auto frames = random_frames(rng, 150);
   pcap::PcapWriter writer(200);
-  for (const net::Frame& f : frames) writer.write(f);
+  for (const net::Frame& f : frames) testing::write_frame(writer, f);
   analysis::RawCapture raw;
   raw.site = "S0";
   raw.pcap = writer.take_buffer();

@@ -2,9 +2,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "analysis/digest.hpp"
+#include "capture/anonymize.hpp"
 #include "net/frame_builder.hpp"
 #include "pcap/pcap.hpp"
 
@@ -28,13 +30,52 @@ inline net::Frame tcp_frame(std::uint8_t host_a, std::uint8_t host_b,
   return b.build(ts);
 }
 
+/// A view of an owning frame, the shape the data plane hands frames over
+/// in. It aliases `frame`.
+inline net::FrameView view_of(const net::Frame& frame) {
+  return net::FrameView{frame.bytes(), frame.wire_length(), frame.timestamp()};
+}
+
+/// Views of owning frames; they alias `frames`.
+inline std::vector<net::FrameView> views_of(
+    const std::vector<net::Frame>& frames) {
+  std::vector<net::FrameView> out;
+  out.reserve(frames.size());
+  for (const net::Frame& f : frames) out.push_back(view_of(f));
+  return out;
+}
+
+/// Append an owning frame to a pcap stream.
+inline void write_frame(pcap::PcapWriter& writer, const net::Frame& frame) {
+  writer.write_record(frame.bytes(), frame.wire_length(), frame.timestamp());
+}
+
+/// The reader's next record copied into an owning frame, or nullopt at the
+/// end of the stream.
+inline std::optional<net::Frame> next_frame(pcap::PcapReader& reader) {
+  const std::optional<net::FrameView> view = reader.next_view();
+  if (!view) return std::nullopt;
+  return net::Frame(
+      std::vector<std::uint8_t>(view->bytes.begin(), view->bytes.end()),
+      view->wire_length, view->timestamp);
+}
+
+/// A copy of `frame` with its addresses scrubbed in place, the way the
+/// capture path scrubs each pcap record.
+inline net::Frame scrub_copy(const capture::Anonymizer& anon,
+                             const net::Frame& frame) {
+  std::vector<std::uint8_t> bytes(frame.bytes().begin(), frame.bytes().end());
+  anon.scrub(bytes, net::parse_frame(frame));
+  return net::Frame(std::move(bytes), frame.wire_length(), frame.timestamp());
+}
+
 /// Wrap frames into a RawCapture with a valid pcap stream.
 inline analysis::RawCapture make_capture(
     std::string site, std::uint32_t port,
     const std::vector<net::Frame>& frames, util::Nanos start = 0,
     std::uint32_t snaplen = 200) {
   pcap::PcapWriter writer(snaplen);
-  for (const net::Frame& f : frames) writer.write(f);
+  for (const net::Frame& f : frames) write_frame(writer, f);
   analysis::RawCapture raw;
   raw.site = std::move(site);
   raw.port = port;

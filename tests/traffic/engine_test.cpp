@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/window_render.hpp"
 #include "util/stats.hpp"
 
 namespace patchwork::traffic {
@@ -106,10 +107,20 @@ TEST_F(EngineTest, WindowForPortMatchesPortRate) {
   engine.update_loads(0);
   testbed::Site& site = fed.site(testbed::SiteId{0});
   site.tor().mutable_port(testbed::PortId{3}).set_rates(2e9, 1e9);
-  const WindowTraffic window = engine.window_for_port(
-      {testbed::SiteId{0}, testbed::PortId{3}}, 0, 20 * util::kSecond);
   // The mirror clones Tx+Rx: 3 Gbps offered.
-  EXPECT_DOUBLE_EQ(window.offered_bps, 3e9);
+  const testbed::MirrorSession mirror{
+      testbed::PortId{3}, testbed::MirrorDirections::kBoth,
+      testbed::PortId{4}};
+  WindowParams params;
+  params.duration = 20 * util::kSecond;
+  params.target_bps = site.tor().mirror_offered_bps(mirror);
+  util::Rng root(7);
+  util::Rng plan_rng = root.split(kWindowPlanStream);
+  const WindowPlan plan =
+      plan_window(plan_rng, engine.profile(testbed::SiteId{0}), params);
+  const core::RenderedWindow window = core::render_window(
+      plan, root, params.duration, /*delivery=*/1.0, 0, {});
+  EXPECT_DOUBLE_EQ(plan.offered_bps, 3e9);
   EXPECT_FALSE(window.frames.empty());
 }
 

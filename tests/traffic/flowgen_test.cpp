@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 
+#include "core/window_render.hpp"
 #include "net/parser.hpp"
 
 namespace patchwork::traffic {
@@ -13,6 +13,24 @@ namespace {
 SiteWorkloadProfile default_profile() {
   util::Rng rng(3);
   return make_site_profiles(rng, 1).front();
+}
+
+/// A window as the data plane renders a sample: planned on a fork of
+/// `rng`, then rendered through core::render_window at full delivery.
+struct Window {
+  WindowPlan plan;
+  core::RenderedWindow rendered;
+};
+
+Window plan_and_render(util::Rng& rng, const SiteWorkloadProfile& profile,
+                       const WindowParams& params) {
+  const util::Rng root = rng.fork();
+  util::Rng plan_rng = root.split(kWindowPlanStream);
+  Window out;
+  out.plan = plan_window(plan_rng, profile, params);
+  out.rendered = core::render_window(out.plan, root, params.duration,
+                                     /*delivery=*/1.0, 0, {});
+  return out;
 }
 
 TEST(FlowGen, DrawFlowRespectsProfileStructure) {
@@ -75,19 +93,20 @@ TEST(FlowGen, WindowRespectsTargetRate) {
   params.duration = 20 * util::kSecond;
   params.target_bps = 1e9;
   params.max_frames = 100000;
-  const WindowTraffic window = generate_window(rng, profile, params);
-  EXPECT_DOUBLE_EQ(window.offered_bps, 1e9);
-  EXPECT_GT(window.offered_pps, 0.0);
-  EXPECT_FALSE(window.frames.empty());
+  const Window window = plan_and_render(rng, profile, params);
+  const std::vector<net::FrameView>& frames = window.rendered.frames;
+  EXPECT_DOUBLE_EQ(window.plan.offered_bps, 1e9);
+  EXPECT_GT(window.rendered.offered_pps, 0.0);
+  EXPECT_FALSE(frames.empty());
   // The true stream (offered_pps at the rendered frames' mean size) must
   // carry approximately the target byte volume.
   double rendered_bytes = 0.0;
-  for (const net::Frame& f : window.frames) {
-    rendered_bytes += static_cast<double>(f.wire_length());
+  for (const net::FrameView& f : frames) {
+    rendered_bytes += static_cast<double>(f.wire_length);
   }
   const double mean_frame =
-      rendered_bytes / static_cast<double>(window.frames.size());
-  const double implied_bytes = window.offered_pps * 20.0 * mean_frame;
+      rendered_bytes / static_cast<double>(frames.size());
+  const double implied_bytes = window.rendered.offered_pps * 20.0 * mean_frame;
   const double target_bytes = 1e9 * 20.0 / 8.0;
   EXPECT_GT(implied_bytes, 0.5 * target_bytes);
   EXPECT_LT(implied_bytes, 2.0 * target_bytes);
@@ -100,11 +119,12 @@ TEST(FlowGen, WindowRenderingCapScalesDown) {
   params.duration = 20 * util::kSecond;
   params.target_bps = 50e9;  // Far too many frames to render fully.
   params.max_frames = 5000;
-  const WindowTraffic window = generate_window(rng, profile, params);
-  EXPECT_LE(window.frames.size(), 7000u);  // Cap plus stochastic slack.
+  const Window window = plan_and_render(rng, profile, params);
+  // Cap plus stochastic slack.
+  EXPECT_LE(window.rendered.frames.size(), 7000u);
   // True rate is still reported: 50 Gbps of ~1500-2000 B frames is
   // millions of frames over 20 s.
-  EXPECT_GT(window.offered_pps * 20.0, 1e6);
+  EXPECT_GT(window.rendered.offered_pps * 20.0, 1e6);
 }
 
 TEST(FlowGen, WindowFramesAreTimeOrderedWithinWindow) {
@@ -113,12 +133,13 @@ TEST(FlowGen, WindowFramesAreTimeOrderedWithinWindow) {
   WindowParams params;
   params.duration = 20 * util::kSecond;
   params.target_bps = 1e8;
-  const WindowTraffic window = generate_window(rng, profile, params);
-  for (std::size_t i = 1; i < window.frames.size(); ++i) {
-    EXPECT_LE(window.frames[i - 1].timestamp(), window.frames[i].timestamp());
+  const Window window = plan_and_render(rng, profile, params);
+  const std::vector<net::FrameView>& frames = window.rendered.frames;
+  for (std::size_t i = 1; i < frames.size(); ++i) {
+    EXPECT_LE(frames[i - 1].timestamp, frames[i].timestamp);
   }
-  for (const net::Frame& f : window.frames) {
-    EXPECT_LT(f.timestamp(), params.duration);
+  for (const net::FrameView& f : frames) {
+    EXPECT_LT(f.timestamp, params.duration);
   }
 }
 
@@ -127,9 +148,9 @@ TEST(FlowGen, ZeroRateWindowIsEmpty) {
   SiteWorkloadProfile profile = default_profile();
   WindowParams params;
   params.target_bps = 0.0;
-  const WindowTraffic window = generate_window(rng, profile, params);
-  EXPECT_TRUE(window.frames.empty());
-  EXPECT_DOUBLE_EQ(window.offered_pps, 0.0);
+  const Window window = plan_and_render(rng, profile, params);
+  EXPECT_TRUE(window.rendered.frames.empty());
+  EXPECT_DOUBLE_EQ(window.rendered.offered_pps, 0.0);
 }
 
 TEST(FlowGen, TcpAppsProduceAcks) {
@@ -141,13 +162,14 @@ TEST(FlowGen, TcpAppsProduceAcks) {
   WindowParams params;
   params.duration = 20 * util::kSecond;
   params.target_bps = 1e9;
-  const WindowTraffic window = generate_window(rng, profile, params);
+  const Window window = plan_and_render(rng, profile, params);
+  const std::vector<net::FrameView>& frames = window.rendered.frames;
   std::size_t minis = 0;
-  for (const net::Frame& f : window.frames) {
-    if (f.wire_length() <= 127) ++minis;
+  for (const net::FrameView& f : frames) {
+    if (f.wire_length <= 127) ++minis;
   }
   // Roughly one delayed ACK per four data frames.
-  EXPECT_GT(minis, window.frames.size() / 8);
+  EXPECT_GT(minis, frames.size() / 8);
 }
 
 TEST(FlowGen, RenderUnitIsBatchInvariant) {
@@ -229,56 +251,6 @@ TEST(FlowGen, RenderUnitMatchesPerFrameReferenceBuilds) {
           << "unit " << u << " frame " << j << " bytes differ";
     }
   }
-}
-
-TEST(FlowGen, GenerateWindowMatchesManualPlanAndRender) {
-  // generate_window is exactly fork → plan(kWindowPlanStream) →
-  // render each unit off its substream → (timestamp, index) sort. A
-  // by-hand composition from a same-seed parent must reproduce it.
-  const SiteWorkloadProfile profile = default_profile();
-  WindowParams params;
-  params.duration = 20 * util::kSecond;
-  params.target_bps = 2e8;
-
-  util::Rng direct_rng(11);
-  const WindowTraffic window = generate_window(direct_rng, profile, params);
-
-  util::Rng manual_rng(11);
-  util::Rng child = manual_rng.fork();
-  util::Rng plan_rng = child.split(kWindowPlanStream);
-  const WindowPlan plan = plan_window(plan_rng, profile, params);
-  EXPECT_DOUBLE_EQ(window.offered_pps, plan.offered_pps);
-  EXPECT_DOUBLE_EQ(window.offered_bps, plan.offered_bps);
-  EXPECT_EQ(window.flow_count, plan.flow_count);
-
-  net::FrameStore store;
-  net::FrameBuilder builder;
-  for (std::size_t u = 0; u < plan.units.size(); ++u) {
-    const util::RngBlock draws(child.split(kWindowUnitStreamBase + u));
-    render_unit(plan.units[u], draws, params.duration, 0,
-                plan.units[u].frames, builder, store);
-  }
-  std::vector<std::size_t> order(store.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const util::Nanos ta = store.view(a).timestamp;
-    const util::Nanos tb = store.view(b).timestamp;
-    return ta != tb ? ta < tb : a < b;
-  });
-
-  ASSERT_EQ(window.frames.size(), order.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const net::FrameView v = store.view(order[i]);
-    const net::Frame& f = window.frames[i];
-    EXPECT_EQ(f.timestamp(), v.timestamp) << "frame " << i;
-    EXPECT_EQ(f.wire_length(), v.wire_length) << "frame " << i;
-    ASSERT_EQ(f.bytes().size(), v.bytes.size()) << "frame " << i;
-    EXPECT_TRUE(
-        std::equal(f.bytes().begin(), f.bytes().end(), v.bytes.begin()))
-        << "frame " << i << " bytes differ";
-  }
-  // Both parents advanced identically: their next draws agree.
-  EXPECT_EQ(direct_rng.bits(), manual_rng.bits());
 }
 
 }  // namespace

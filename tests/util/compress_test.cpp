@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "pcap/pcap.hpp"
+#include "testing/fixtures.hpp"
 #include "traffic/flowgen.hpp"
 #include "traffic/workload.hpp"
 #include "util/rng.hpp"
@@ -72,9 +73,10 @@ TEST(Compress, TruncatedHeaderPcapCompressesWell) {
   traffic::FlowSpec flow = traffic::draw_flow(rng, profiles[0]);
   pcap::PcapWriter writer(200);
   for (int i = 0; i < 2000; ++i) {
-    writer.write(traffic::make_data_frame(
-        flow, static_cast<Nanos>(i) * kMicrosecond,
-        static_cast<std::uint32_t>(i)));
+    patchwork::testing::write_frame(
+        writer, traffic::make_data_frame(
+                    flow, static_cast<Nanos>(i) * kMicrosecond,
+                    static_cast<std::uint32_t>(i)));
   }
   const std::vector<std::uint8_t> original = writer.take_buffer();
   const auto compressed = compress(original);
