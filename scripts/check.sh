@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full correctness gate: release build + complete test suite + the
-# full-size output bytes of every perfbench workload, then the whole suite
-# again under ThreadSanitizer, then once more under AddressSanitizer + UBSan
-# (where any UB report is fatal).
+# full-size output bytes of every perfbench workload + a smoke run of the
+# portability demo and four benches, then the whole suite again under
+# ThreadSanitizer, then once more under AddressSanitizer + UBSan (where any
+# UB report is fatal).
 #
 # Usage: scripts/check.sh [--tsan-only | --asan-only | --release-only]
 set -euo pipefail
@@ -19,7 +20,7 @@ case "${1:-}" in
 esac
 
 if [[ "$mode" == "all" || "$mode" == "release" ]]; then
-  echo "== release: configure + build + full ctest + perfbench outputs =="
+  echo "== release: configure + build + full ctest + perfbench outputs + smoke =="
   cmake --preset release
   cmake --build --preset release -j "$(nproc)"
   # Every case is its own process writing its own temp directory, so the
@@ -38,6 +39,28 @@ if [[ "$mode" == "all" || "$mode" == "release" ]]; then
       exit 1
     fi
     echo "perfbench $workload: correct"
+  done
+  # The demo and benches that render through core::render_window outside
+  # the coordinator. Each must exit zero (incast and cache_storm exit 1
+  # when their own determinism checks fail), and the demo must profile
+  # both testbeds.
+  for bin in examples/portability_demo bench/bench_ablation_truncation \
+             bench/bench_scenario_incast bench/bench_scenario_cache_storm \
+             bench/bench_sec4_operator_asymmetry; do
+    if ! out="$("./build/$bin" 2>&1)"; then
+      echo "$out" >&2
+      echo "$bin: exited non-zero" >&2
+      exit 1
+    fi
+    if [[ "$bin" == examples/portability_demo ]]; then
+      profiled="$(grep -c '^Top stacks:' <<<"$out" || true)"
+      if [[ "$profiled" != 2 ]]; then
+        echo "$out" >&2
+        echo "$bin: profiled $profiled of 2 testbeds" >&2
+        exit 1
+      fi
+    fi
+    echo "$bin: ok"
   done
 fi
 

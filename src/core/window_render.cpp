@@ -32,7 +32,7 @@ RenderedWindow render_window(const traffic::WindowPlan& plan,
   unit_draws.reserve(plan.units.size());
   for (std::size_t u = 0; u < plan.units.size(); ++u) {
     unit_draws.emplace_back(
-        rng.split(traffic::kWindowUnitStreamBase + static_cast<uint64_t>(u)));
+        rng.split(traffic::kWindowUnitStreamBase + std::uint64_t{u}));
   }
   RenderedWindow out;
   out.stores.resize(bursts.size());

@@ -17,18 +17,12 @@
 
 namespace patchwork::core {
 
-/// A rendered window. `frames` alias the arenas in `stores`, so the struct
-/// moves but never copies.
+/// A rendered window. `frames` alias the arenas in `stores`, which keep
+/// their addresses when the struct moves: move it, never copy it.
 struct RenderedWindow {
   std::vector<net::FrameStore> stores;  ///< One arena per burst.
   std::vector<net::FrameView> frames;   ///< Merged, delivery-thinned.
   double offered_pps = 0.0;             ///< The plan's rate x delivery.
-
-  RenderedWindow() = default;
-  RenderedWindow(RenderedWindow&&) = default;
-  RenderedWindow& operator=(RenderedWindow&&) = default;
-  RenderedWindow(const RenderedWindow&) = delete;
-  RenderedWindow& operator=(const RenderedWindow&) = delete;
 };
 
 /// Render `plan` under the window root `rng`:

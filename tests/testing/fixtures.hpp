@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "analysis/digest.hpp"
@@ -48,16 +47,6 @@ inline std::vector<net::FrameView> views_of(
 /// Append an owning frame to a pcap stream.
 inline void write_frame(pcap::PcapWriter& writer, const net::Frame& frame) {
   writer.write_record(frame.bytes(), frame.wire_length(), frame.timestamp());
-}
-
-/// The reader's next record copied into an owning frame, or nullopt at the
-/// end of the stream.
-inline std::optional<net::Frame> next_frame(pcap::PcapReader& reader) {
-  const std::optional<net::FrameView> view = reader.next_view();
-  if (!view) return std::nullopt;
-  return net::Frame(
-      std::vector<std::uint8_t>(view->bytes.begin(), view->bytes.end()),
-      view->wire_length, view->timestamp);
 }
 
 /// A copy of `frame` with its addresses scrubbed in place, the way the
