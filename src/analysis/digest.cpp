@@ -28,8 +28,8 @@ AcapFile digest(const RawCapture& capture, DigestStats* stats) {
     if (stats) ++stats->bad_records;
     return out;
   }
-  // Zero-copy hot loop: dissect each record in place in the reader's buffer
-  // instead of copying it into an owning net::Frame first.
+  // Zero-copy hot loop: dissect each record in place in the reader's
+  // buffer.
   while (auto view = reader->next_view()) {
     const net::ParsedFrame parsed =
         net::parse_bytes(view->bytes, view->wire_length, view->timestamp);

@@ -149,8 +149,8 @@ TEST_F(SessionTest, AnonymizedCaptureHidesRealAddresses) {
 
 TEST_F(SessionTest, InPlaceScrubMatchesScrubFrameSemantics) {
   // The zero-copy path writes the truncated record first and scrubs it in
-  // the pcap stream; that must be byte-for-byte what the owning path would
-  // produce by truncating and then scrubbing a Frame.
+  // the pcap stream; that must be byte-for-byte what truncating and then
+  // scrubbing a copy of the frame produces.
   CaptureConfig config;
   config.anonymize = true;
   config.snaplen = 200;
