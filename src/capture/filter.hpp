@@ -18,6 +18,9 @@
 //              | "less" N | "greater" N   (wire length <= / >=)
 //              | "jumbo"                  (wire length > 1518)
 //
+// N is decimal and must fit its field, as in tcpdump: a port at most
+// 65535, a VLAN id 4095, an MPLS label 2^20-1, a length 2^32-1.
+//
 // Example: "ip and tcp and not port 22 and greater 1000"
 #pragma once
 

@@ -96,13 +96,11 @@ class FilterCompileFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FilterCompileFuzz, GrammarTokenSoup) {
   static constexpr std::array<std::string_view, 34> kVocabulary = {
-      "(",     ")",        "and",     "or",         "not",
-      "src",   "dst",      "port",    "host",       "vlan",
-      "mpls",  "less",     "greater", "jumbo",      "ip",
-      "ip6",   "tcp",      "udp",     "arp",        "icmp",
-      "0",     "1",        "22",      "4095",       "4096",
-      "65535", "65536",    "1048575", "1048576",    "4294967295",
-      "4294967296", "10.0.0.1", "256.1.1.1", "99999999999999999999"};
+      "(", ")", "and", "or", "not", "src", "dst", "port", "host", "vlan",
+      "mpls", "less", "greater", "jumbo", "ip", "ip6", "tcp", "udp", "arp",
+      "icmp", "0", "1", "22", "4095", "4096", "65535", "65536", "1048575",
+      "1048576", "4294967295", "4294967296", "10.0.0.1", "256.1.1.1",
+      "99999999999999999999"};
   util::Rng rng(GetParam());
   std::size_t compiled = 0;
   for (int trial = 0; trial < 4000; ++trial) {
