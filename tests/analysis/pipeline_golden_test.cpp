@@ -3,7 +3,8 @@
 // SYN/RST/pure-ACK frames, VLAN+MPLS-tagged and untagged frames, a frame
 // the snaplen cuts inside a header, and a capture whose pcap does not
 // open) must render every CSV byte-for-byte as pinned here. The pins are
-// CRC32s of the ten files; a change that moves any of them changes what
+// CRC32s of the ten files, plus the Digest counters and each site's pcap
+// bytes, which no CSV shows; a change that moves any of them changes what
 // the pipeline writes, not just how it computes it.
 #include <gtest/gtest.h>
 
@@ -127,6 +128,14 @@ TEST(PipelineGolden, CsvBytesArePinned) {
     EXPECT_EQ(report.digest_stats.frames, 12u);
     EXPECT_EQ(report.digest_stats.bad_records, 1u);
     EXPECT_EQ(report.digest_stats.truncated_frames, 2u);
+    EXPECT_EQ(report.digest_stats.malformed_frames, 0u);
+    std::map<std::string, std::uint64_t> pcap_bytes;
+    for (const SiteLoad& load : report.site_loads) {
+      pcap_bytes[load.site] = load.pcap_bytes;
+    }
+    EXPECT_EQ(pcap_bytes, (std::map<std::string, std::uint64_t>{
+                              {"S1", 924u}, {"S2", 644u}}))
+        << "threads=" << threads;
     ASSERT_EQ(report.csv_files.size(), golden.size());
     for (const auto& [name, crc] : golden) {
       ASSERT_TRUE(report.csv_files.count(name)) << name;
