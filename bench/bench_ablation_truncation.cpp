@@ -53,7 +53,7 @@ int main() {
     raw.site = "S0";
     raw.pcap = std::move(result.pcap);
     analysis::DigestStats stats;
-    analysis::digest(raw, &stats);
+    analysis::digest(raw, &stats, [](const analysis::AcapRecord&) {});
 
     const double capacity_pps = host.dpdk_capacity_pps(5, snaplen);
     const double gbps = capacity_pps * 1514.0 * 8.0 / 1e9;

@@ -1,12 +1,12 @@
 // Shared profile-gathering step for the data-plane figure benches
 // (Figs. 11, 12, 13, 15): run Patchwork in all-experiment mode across the
-// simulated federation, digest the captures and analyze them, exactly the
-// paper's pipeline.
+// simulated federation, then digest and analyze the captures in one pass,
+// exactly the paper's pipeline.
 #pragma once
 
 #include <iostream>
 
-#include "analysis/pipeline.hpp"
+#include "analysis/analyses.hpp"
 #include "bench_util.hpp"
 #include "core/coordinator.hpp"
 
@@ -14,7 +14,6 @@ namespace patchwork::bench {
 
 struct GatheredProfile {
   core::ProfileRun run;
-  analysis::DigestedProfile digested;
   analysis::ProfileAnalysis analysis;
 };
 
@@ -35,11 +34,10 @@ inline GatheredProfile gather_testbed_profile(BenchWorld& world,
   core::Coordinator coordinator(world.env, config);
   GatheredProfile out;
   out.run = coordinator.run_all_experiment();
-  out.digested = analysis::digest_profile(out.run.captures);
-  out.analysis = analysis::analyze(out.digested.files);
+  out.analysis = analysis::analyze(out.run.captures);
   std::cout << "[profile] " << out.run.captures.size() << " samples from "
             << out.run.reports.size() << " sites, "
-            << out.digested.stats.frames << " frames digested\n\n";
+            << out.analysis.digest_stats.frames << " frames digested\n\n";
   return out;
 }
 

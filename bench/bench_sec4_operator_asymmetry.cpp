@@ -28,7 +28,7 @@ int main() {
       world, /*cycles=*/3, /*samples=*/2, /*max_frames=*/2000);
 
   const analysis::AsymmetryReport report =
-      analysis::measure_asymmetry(profile.digested.files);
+      analysis::measure_asymmetry(profile.run.captures);
 
   util::TextTable table({"Metric", "Value"});
   table.add_row({"Patchwork flows (tags + 5-tuple)",

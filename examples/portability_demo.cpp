@@ -59,8 +59,7 @@ void profile_with(core::TestbedBackend& backend) {
   backend.unmirror(source);
   backend.release(lease);
 
-  const auto files = analysis::digest_all(captures);
-  const auto analyzed = analysis::analyze(files);
+  const auto analyzed = analysis::analyze(captures);
   const auto& occurrence = analyzed.header_occurrence;
   const std::size_t top = std::min<std::size_t>(3, analyzed.stacks.size());
 

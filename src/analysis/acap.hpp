@@ -4,14 +4,13 @@
 // and produces, for each frame prefix, "an abstract stack of headers
 // ('acap')", discarding unneeded bytes but retaining timing and frame-size
 // metadata. Downstream analyses never touch raw bytes again — they consume
-// these records.
+// these records, one at a time, as Digest produces them.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "net/parser.hpp"
 #include "net/protocol.hpp"
@@ -66,17 +65,6 @@ struct AcapRecord {
 
   std::size_t header_depth() const;
   bool has(net::Protocol p) const;
-};
-
-/// The digest of one pcap: the sample's metadata plus its records.
-struct AcapFile {
-  std::string site;        ///< Pseudonymized site name ("S7").
-  std::uint32_t port = 0;  ///< Mirrored switch port index.
-  util::Nanos start = 0;
-  util::Nanos duration = 0;
-  std::uint64_t switch_drops_suspected = 0;  ///< From congestion detection.
-  std::uint64_t pcap_bytes = 0;  ///< Size of the digested pcap.
-  std::vector<AcapRecord> records;
 };
 
 /// Derive a FlowKey (canonical direction) from a dissected frame.

@@ -72,11 +72,12 @@ void merge_aggregate(FlowAggregate& dst, const FlowAggregate& src) {
   dst.last_sample = std::max(dst.last_sample, src.last_sample);
 }
 
-/// What one chunk of contiguous files folds into. Every field merges by a
-/// sum, min, max or union, so the merged result cannot depend on where
+/// What one chunk of contiguous captures folds into. Every field merges by
+/// a sum, min, max or union, so the merged result cannot depend on where
 /// the chunks were cut; flows_per_sample concatenates in chunk order,
-/// which is file order.
+/// which is capture order.
 struct ChunkFold {
+  DigestStats digest_stats;
   HeaderOccurrenceResult header_occurrence;
   TcpControlResult tcp_control;
   TaggingResult tagging;
@@ -86,19 +87,20 @@ struct ChunkFold {
   FlowMap flows;
   std::array<FlowMap, kFlowShards> shards;  ///< `flows`, once split.
 
-  /// Fold the file at input position `position`, touching each record once.
-  void add_file(const AcapFile& file, std::size_t position) {
-    // The site's row exists from its first file on, so a site whose only
-    // capture did not open still reports its sample.
-    auto [it, fresh] = sites.try_emplace(file.site);
+  /// Digest the capture at input position `position` and fold each record
+  /// as it is dissected.
+  void add_capture(const RawCapture& capture, std::size_t position) {
+    // The site's row exists from its first capture on, so a site whose
+    // only capture did not open still reports its sample.
+    auto [it, fresh] = sites.try_emplace(capture.site);
     SiteFold& site = it->second;
-    if (fresh) site.row.site = file.site;
+    if (fresh) site.row.site = capture.site;
     ++site.row.samples;
-    site.row.pcap_bytes += file.pcap_bytes;
-    site.row.switch_drops_suspected += file.switch_drops_suspected;
+    site.row.pcap_bytes += capture.pcap.size();
+    site.row.switch_drops_suspected += capture.switch_drops_suspected;
 
     std::size_t sample_flows = 0;
-    for (const AcapRecord& r : file.records) {
+    digest(capture, &digest_stats, [&](const AcapRecord& r) {
       ProtocolSet seen;
       for (net::Protocol p : r.stack) {
         ++header_occurrence.occurrences[bit(p)];
@@ -137,7 +139,7 @@ struct ChunkFold {
       }
 
       FlowAggregate& agg = flows[r.flow];
-      const util::Nanos t = file.start + r.timestamp;
+      const util::Nanos t = capture.start + r.timestamp;
       if (agg.frames == 0 || agg.last_sample != position) {
         agg.last_sample = position;
         ++agg.samples;
@@ -148,9 +150,9 @@ struct ChunkFold {
       ++agg.frames;
       agg.wire_bytes += r.wire_length;
       if (r.tcp_flags & net::tcp_flags::kRst) ++agg.rst_frames;
-    }
+    });
     flows_per_sample.push_back(
-        SampleFlowCount{file.site, file.start, sample_flows});
+        SampleFlowCount{capture.site, capture.start, sample_flows});
   }
 
   /// Move every flow node into its shard map.
@@ -163,6 +165,7 @@ struct ChunkFold {
 
   /// Fold a later chunk's everything-but-flows into this one.
   void merge(ChunkFold&& later) {
+    digest_stats += later.digest_stats;
     header_occurrence.frames += later.header_occurrence.frames;
     for (std::size_t i = 0; i < net::kProtocolCount; ++i) {
       header_occurrence.occurrences[i] +=
@@ -273,16 +276,37 @@ std::vector<StackCount> rank_stacks(const StackCounts& counts,
   return out;
 }
 
+/// Cut the captures into `chunks` contiguous ranges of about equal pcap
+/// bytes: a capture joins the chunk whose share of the bytes holds its
+/// first byte, so a chunk can be empty. Chunk c is [first[c], first[c+1]).
+std::vector<std::size_t> cut_by_bytes(const std::vector<RawCapture>& captures,
+                                      std::size_t chunks) {
+  std::uint64_t total = 0;
+  for (const RawCapture& capture : captures) total += capture.pcap.size();
+  std::vector<std::size_t> first(chunks + 1, captures.size());
+  first[0] = 0;
+  std::uint64_t before = 0;
+  std::size_t chunk = 0;
+  for (std::size_t i = 0; i < captures.size(); ++i) {
+    const std::size_t owner =
+        total ? std::min<std::size_t>(chunks - 1, before * chunks / total) : 0;
+    while (chunk < owner) first[++chunk] = i;
+    before += captures[i].pcap.size();
+  }
+  return first;
+}
+
 }  // namespace
 
-ProfileAnalysis analyze(const std::vector<AcapFile>& files) {
-  const std::size_t chunks =
-      std::max<std::size_t>(1, std::min(util::thread_count(), files.size()));
+ProfileAnalysis analyze(const std::vector<RawCapture>& captures) {
+  const std::size_t chunks = std::max<std::size_t>(
+      1, std::min(util::thread_count(), captures.size()));
+  const std::vector<std::size_t> first = cut_by_bytes(captures, chunks);
   std::vector<ChunkFold> folds(chunks);
   util::parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t lo = files.size() * c / chunks;
-    const std::size_t hi = files.size() * (c + 1) / chunks;
-    for (std::size_t f = lo; f < hi; ++f) folds[c].add_file(files[f], f);
+    for (std::size_t i = first[c]; i < first[c + 1]; ++i) {
+      folds[c].add_capture(captures[i], i);
+    }
     if (chunks > 1) folds[c].split_flows();
   });
 
@@ -291,6 +315,7 @@ ProfileAnalysis analyze(const std::vector<AcapFile>& files) {
   ChunkFold& all = folds.front();
   for (std::size_t c = 1; c < chunks; ++c) all.merge(std::move(folds[c]));
 
+  out.digest_stats = all.digest_stats;
   out.header_occurrence = all.header_occurrence;
   out.tcp_control = all.tcp_control;
   out.tagging = all.tagging;

@@ -2,8 +2,10 @@
 // example, to characterize frame sizes, the types of headers observed in
 // the captures, and classify flows".
 //
-// analyze() runs every analysis in one fold over the AcapFiles and returns
-// one plain result struct; the Process step (report.hpp) turns it into CSV.
+// analyze() runs every analysis in one fold over the gathered captures,
+// digesting each record and folding it before the next is read, and
+// returns one plain result struct; the Process step (report.hpp) turns it
+// into CSV.
 #pragma once
 
 #include <array>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "analysis/acap.hpp"
+#include "analysis/digest.hpp"
 #include "util/histogram.hpp"
 
 namespace patchwork::analysis {
@@ -139,7 +142,7 @@ struct ProfileAnalysis {
   /// name) — the data behind the paper's "examples of typical
   /// encapsulations include ..." passage.
   std::vector<StackCount> stacks;
-  /// Distinct flows in each sample (each AcapFile is one sample window),
+  /// Distinct flows in each sample (each capture is one sample window),
   /// in input order.
   std::vector<SampleFlowCount> flows_per_sample;
   /// One row per site, sorted by site name.
@@ -150,11 +153,13 @@ struct ProfileAnalysis {
   FlowDistributionResult flow_distribution;
   std::uint64_t distinct_flows = 0;
   std::uint64_t largest_flow_bytes = 0;
+  DigestStats digest_stats;
 };
 
-/// Run every analysis over a digested profile, touching each record once.
-/// The files are split into min(thread_count(), files) contiguous chunks,
-/// each folded by one task; the result is identical at any thread count.
-ProfileAnalysis analyze(const std::vector<AcapFile>& files);
+/// Digest and analyze a gathered profile in one pass, touching each record
+/// once. The captures are cut into min(thread_count(), captures) contiguous
+/// chunks of about equal pcap bytes, each digested and folded by one task;
+/// the result is identical at any thread count.
+ProfileAnalysis analyze(const std::vector<RawCapture>& captures);
 
 }  // namespace patchwork::analysis

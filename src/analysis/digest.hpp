@@ -3,7 +3,8 @@
 // "The Digest step takes raw pcap files and applies the protocol
 // dissectors ... to extract information about each header, discarding
 // unneeded information." Here the dissector is net::parse_bytes, the
-// repository's Wireshark-dissector counterpart.
+// repository's Wireshark-dissector counterpart. Digest hands each record
+// to its caller as it is dissected; nothing holds a capture's records.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "analysis/acap.hpp"
+#include "net/parser.hpp"
+#include "pcap/pcap.hpp"
 #include "util/logging.hpp"
 #include "util/units.hpp"
 
@@ -34,20 +37,35 @@ struct DigestStats {
   std::uint64_t truncated_frames = 0;   ///< Snaplen cut into a header.
   std::uint64_t malformed_frames = 0;
 
-  /// Fold another capture's counters in. All fields are sums, so merging is
-  /// order-independent — digest_all still merges in input order so the
-  /// parallel path is trivially byte-identical to the serial one.
+  /// Fold another chunk's counters in. All fields are sums, so merging is
+  /// order-independent; the Analyze fold still merges in chunk order.
   DigestStats& operator+=(const DigestStats& other);
 };
 
-/// Digest one capture. Invalid pcap data produces an empty AcapFile with
-/// `bad_records` counted in `stats`.
-AcapFile digest(const RawCapture& capture, DigestStats* stats = nullptr);
-
-/// Digest a whole gathered profile: one task per capture on the analysis
-/// thread pool (`PATCHWORK_THREADS` workers; 0 = serial), results and stats
-/// assembled in input order so output is identical for any thread count.
-std::vector<AcapFile> digest_all(const std::vector<RawCapture>& captures,
-                                 DigestStats* stats = nullptr);
+/// Digest one capture: dissect each pcap record in place in the reader's
+/// buffer and pass its abstract record to `on_record(const AcapRecord&)`,
+/// in capture order, before reading the next. Counters go to `stats` when
+/// it is non-null; a pcap that does not open counts one bad record and
+/// yields no records.
+template <typename OnRecord>
+void digest(const RawCapture& capture, DigestStats* stats,
+            OnRecord&& on_record) {
+  auto reader = pcap::PcapReader::open(capture.pcap);
+  if (!reader) {
+    if (stats) ++stats->bad_records;
+    return;
+  }
+  while (auto view = reader->next_view()) {
+    const AcapRecord rec = abstract_frame(
+        net::parse_bytes(view->bytes, view->wire_length, view->timestamp));
+    if (stats) {
+      ++stats->frames;
+      if (rec.has(net::Protocol::kTruncated)) ++stats->truncated_frames;
+      if (rec.has(net::Protocol::kMalformed)) ++stats->malformed_frames;
+    }
+    on_record(rec);
+  }
+  if (stats) stats->bad_records += reader->bad_records();
+}
 
 }  // namespace patchwork::analysis

@@ -1,5 +1,6 @@
 #include "analysis/operator_view.hpp"
 
+#include <map>
 #include <set>
 
 namespace patchwork::analysis {
@@ -15,37 +16,14 @@ FiveTupleKey FiveTupleKey::from_flow_key(const FlowKey& key) {
   return out;
 }
 
-std::map<FiveTupleKey, OperatorFlowRecord> operator_flow_view(
-    const std::vector<AcapFile>& files) {
-  std::map<FiveTupleKey, OperatorFlowRecord> out;
-  for (const AcapFile& f : files) {
-    for (const AcapRecord& r : f.records) {
-      const FiveTupleKey key = FiveTupleKey::from_flow_key(r.flow);
-      OperatorFlowRecord& rec = out[key];
-      const util::Nanos t = f.start + r.timestamp;
-      if (rec.frames == 0) {
-        rec.key = key;
-        rec.first_seen = t;
-        rec.last_seen = t;
-      } else {
-        rec.first_seen = std::min(rec.first_seen, t);
-        rec.last_seen = std::max(rec.last_seen, t);
-      }
-      ++rec.frames;
-      rec.wire_bytes += r.wire_length;
-    }
-  }
-  return out;
-}
-
-AsymmetryReport measure_asymmetry(const std::vector<AcapFile>& files) {
+AsymmetryReport measure_asymmetry(const std::vector<RawCapture>& captures) {
   AsymmetryReport report;
   // Tag-aware flows per 5-tuple key.
   std::map<FiveTupleKey, std::set<FlowKey>> grouping;
-  for (const AcapFile& f : files) {
-    for (const AcapRecord& r : f.records) {
+  for (const RawCapture& capture : captures) {
+    digest(capture, nullptr, [&grouping](const AcapRecord& r) {
       grouping[FiveTupleKey::from_flow_key(r.flow)].insert(r.flow);
-    }
+    });
   }
   report.operator_flows = grouping.size();
   for (const auto& [key, tag_flows] : grouping) {

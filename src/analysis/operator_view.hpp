@@ -4,17 +4,17 @@
 // switch summaries "do not distinguish between testbed users and provide
 // coarse statistics" — a classic exporter keys flows on the bare 5-tuple,
 // so two slices reusing the same 10/8 addresses collapse into one flow,
-// and per-experiment attribution is impossible. This module implements
-// that operator view over the same acap data so the asymmetry can be
-// measured (see bench/ablation and the examples).
+// and per-experiment attribution is impossible. This module keys the same
+// digested captures both ways so the asymmetry can be measured (see
+// bench/bench_sec4_operator_asymmetry).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "analysis/acap.hpp"
+#include "analysis/digest.hpp"
 
 namespace patchwork::analysis {
 
@@ -32,19 +32,6 @@ struct FiveTupleKey {
 
   static FiveTupleKey from_flow_key(const FlowKey& key);
 };
-
-/// NetFlow-v5-style record the operator view can produce.
-struct OperatorFlowRecord {
-  FiveTupleKey key;
-  std::uint64_t frames = 0;
-  std::uint64_t wire_bytes = 0;
-  util::Nanos first_seen = 0;
-  util::Nanos last_seen = 0;
-};
-
-/// Aggregate a digested profile the way a tag-blind exporter would.
-std::map<FiveTupleKey, OperatorFlowRecord> operator_flow_view(
-    const std::vector<AcapFile>& files);
 
 /// How much the operator view loses relative to Patchwork's tag-aware
 /// classification.
@@ -65,6 +52,7 @@ struct AsymmetryReport {
   }
 };
 
-AsymmetryReport measure_asymmetry(const std::vector<AcapFile>& files);
+/// Digest the captures and count the flows each view sees.
+AsymmetryReport measure_asymmetry(const std::vector<RawCapture>& captures);
 
 }  // namespace patchwork::analysis

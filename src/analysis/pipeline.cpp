@@ -11,22 +11,11 @@
 
 namespace patchwork::analysis {
 
-DigestedProfile digest_profile(const std::vector<RawCapture>& captures) {
-  DigestedProfile out;
-  out.files = digest_all(captures, &out.stats);
-  return out;
-}
-
 ProfileReport run_pipeline(const std::vector<RawCapture>& captures) {
   ProfileReport report;
-  std::vector<AcapFile> files;
-  {
-    OBS_SPAN("pipeline/digest_all");
-    files = digest_all(captures, &report.digest_stats);
-  }
   {
     OBS_SPAN("pipeline/analyze");
-    static_cast<ProfileAnalysis&>(report) = analyze(files);
+    static_cast<ProfileAnalysis&>(report) = analyze(captures);
   }
 
   // Process step: render every CSV, one parallel task per file, each into

@@ -56,7 +56,7 @@ class StageSpan {
 #define OBS_SPAN_CONCAT_INNER(a, b) a##b
 #define OBS_SPAN_CONCAT(a, b) OBS_SPAN_CONCAT_INNER(a, b)
 
-/// OBS_SPAN("digest_all"); — times the enclosing scope as one stage run.
+/// OBS_SPAN("pipeline/analyze"); — times the enclosing scope as one stage run.
 #define OBS_SPAN(stage) \
   ::patchwork::obs::StageSpan OBS_SPAN_CONCAT(obs_span_, __LINE__)(stage)
 

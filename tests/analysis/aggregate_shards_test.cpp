@@ -1,16 +1,16 @@
 // Chunked fold contract: analyze() must produce exactly the same result —
 // every histogram, counter, ranked row and flow-map field — however its
-// input is cut into chunks. Chunks are contiguous file ranges merged in
-// chunk order, flow maps merge per fixed FlowKeyHash % 16 shard, and every
-// field merges by a sum, min, max or union, so nothing may depend on the
-// thread count or on scheduling.
+// input is cut into chunks. Chunks are contiguous capture ranges of about
+// equal pcap bytes, merged in chunk order (so some come out empty when one
+// capture outweighs the rest), flow maps merge per fixed FlowKeyHash % 16
+// shard, and every field merges by a sum, min, max or union, so nothing
+// may depend on the thread count or on scheduling.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "analysis/analyses.hpp"
-#include "analysis/digest.hpp"
 #include "net/frame_builder.hpp"
 #include "testing/fixtures.hpp"
 #include "testing/thread_count.hpp"
@@ -22,48 +22,61 @@ using patchwork::testing::make_capture;
 using patchwork::testing::ScopedThreadCount;
 using patchwork::testing::tcp_frame;
 
-/// Many files, many sites, flows recurring across samples so cross-sample
-/// stitching (samples counting, first/last_seen spans) has real work. Every
+/// `count` frames of one site's traffic over a few host pairs. Every
 /// seventh frame is an untagged UDP frame, so stacks and tagging have more
-/// than one row, and the last site's only capture does not open.
-std::vector<AcapFile> stitched_profile() {
+/// than one row.
+std::vector<net::Frame> site_frames(int site, int count) {
+  std::vector<net::Frame> frames;
+  for (int f = 0; f < count; ++f) {
+    const auto a = static_cast<std::uint8_t>(1 + (f + site) % 7);
+    const auto b = static_cast<std::uint8_t>(8 + f % 5);
+    const util::Nanos ts = static_cast<util::Nanos>(f) * util::kMillisecond;
+    if (f % 7 == 6) {
+      net::FrameBuilder udp;
+      udp.ethernet(net::MacAddress::from_id(a), net::MacAddress::from_id(b))
+          .ipv4(net::Ipv4Address::from_octets(10, 0, 0, a),
+                net::Ipv4Address::from_octets(10, 0, 0, b))
+          .udp(static_cast<std::uint16_t>(4000 + f % 3), 53)
+          .payload(20);
+      frames.push_back(udp.build(ts));
+      continue;
+    }
+    frames.push_back(tcp_frame(
+        a, b, static_cast<std::uint16_t>(1000 + f % 17),
+        static_cast<std::uint16_t>(f % 3 ? 443 : 8080),
+        64 + static_cast<std::size_t>((f * 131) % 1400), ts,
+        static_cast<std::uint16_t>(200 + site),
+        static_cast<std::uint8_t>(f % 11 ? net::tcp_flags::kAck
+                                         : net::tcp_flags::kRst)));
+  }
+  return frames;
+}
+
+/// Many captures, many sites, flows recurring across samples so
+/// cross-sample stitching (samples counting, first/last_seen spans) has
+/// real work. The second capture holds more pcap bytes than all the others
+/// together, one capture is a pcap header with no records, and the last
+/// site's only capture does not open.
+std::vector<RawCapture> stitched_profile() {
   std::vector<RawCapture> captures;
   for (int site = 0; site < 5; ++site) {
     for (int sample = 0; sample < 4; ++sample) {
-      std::vector<net::Frame> frames;
-      for (int f = 0; f < 60 + site * 11 + sample * 5; ++f) {
-        const auto a = static_cast<std::uint8_t>(1 + (f + site) % 7);
-        const auto b = static_cast<std::uint8_t>(8 + f % 5);
-        const util::Nanos ts = static_cast<util::Nanos>(f) * util::kMillisecond;
-        if (f % 7 == 6) {
-          net::FrameBuilder udp;
-          udp.ethernet(net::MacAddress::from_id(a), net::MacAddress::from_id(b))
-              .ipv4(net::Ipv4Address::from_octets(10, 0, 0, a),
-                    net::Ipv4Address::from_octets(10, 0, 0, b))
-              .udp(static_cast<std::uint16_t>(4000 + f % 3), 53)
-              .payload(20);
-          frames.push_back(udp.build(ts));
-          continue;
-        }
-        frames.push_back(tcp_frame(
-            a, b, static_cast<std::uint16_t>(1000 + f % 17),
-            static_cast<std::uint16_t>(f % 3 ? 443 : 8080),
-            64 + static_cast<std::size_t>((f * 131) % 1400), ts,
-            static_cast<std::uint16_t>(200 + site),
-            static_cast<std::uint8_t>(f % 11 ? net::tcp_flags::kAck
-                                             : net::tcp_flags::kRst)));
-      }
-      captures.push_back(make_capture("S" + std::to_string(site),
-                                      static_cast<std::uint32_t>(sample),
-                                      frames,
-                                      sample * 7 * util::kMinute));
+      captures.push_back(make_capture(
+          "S" + std::to_string(site), static_cast<std::uint32_t>(sample),
+          site_frames(site, 60 + site * 11 + sample * 5),
+          sample * 7 * util::kMinute));
     }
   }
+  captures.insert(captures.begin() + 1,
+                  make_capture("S2", 9, site_frames(2, 3000),
+                               30 * util::kMinute));
+  captures.insert(captures.begin() + 13,
+                  make_capture("S3", 8, {}, 40 * util::kMinute));
   RawCapture corrupt;
   corrupt.site = "S5";
   corrupt.pcap = {0xde, 0xad, 0xbe, 0xef};
   captures.push_back(corrupt);
-  return digest_all(captures, nullptr);
+  return captures;
 }
 
 void expect_histograms_equal(const util::Histogram& a,
@@ -101,6 +114,13 @@ void expect_flow_maps_equal(const FlowMap& a, const FlowMap& b,
 
 void expect_analyses_equal(const ProfileAnalysis& a, const ProfileAnalysis& b,
                            const std::string& label) {
+  EXPECT_EQ(a.digest_stats.frames, b.digest_stats.frames) << label;
+  EXPECT_EQ(a.digest_stats.bad_records, b.digest_stats.bad_records) << label;
+  EXPECT_EQ(a.digest_stats.truncated_frames, b.digest_stats.truncated_frames)
+      << label;
+  EXPECT_EQ(a.digest_stats.malformed_frames, b.digest_stats.malformed_frames)
+      << label;
+
   expect_histograms_equal(a.frame_sizes.histogram, b.frame_sizes.histogram,
                           label + "frame_sizes");
   EXPECT_EQ(a.frame_sizes.frames, b.frame_sizes.frames) << label;
@@ -129,7 +149,7 @@ void expect_analyses_equal(const ProfileAnalysis& a, const ProfileAnalysis& b,
     EXPECT_EQ(a.stacks[i].fraction, b.stacks[i].fraction) << label << i;
   }
 
-  // Per-sample flow counts in file order.
+  // Per-sample flow counts in capture order.
   ASSERT_EQ(a.flows_per_sample.size(), b.flows_per_sample.size()) << label;
   for (std::size_t i = 0; i < a.flows_per_sample.size(); ++i) {
     EXPECT_EQ(a.flows_per_sample[i].site, b.flows_per_sample[i].site)
@@ -176,40 +196,45 @@ void expect_analyses_equal(const ProfileAnalysis& a, const ProfileAnalysis& b,
 }
 
 ProfileAnalysis analyze_at(std::size_t threads,
-                           const std::vector<AcapFile>& files) {
+                           const std::vector<RawCapture>& captures) {
   ScopedThreadCount scoped(threads);
-  return analyze(files);
+  return analyze(captures);
 }
 
 TEST(AggregateShards, ShardedMatchesSingleMapAtEveryThreadCount) {
-  const std::vector<AcapFile> files = stitched_profile();
-  ASSERT_GT(files.size(), 1u);
+  const std::vector<RawCapture> captures = stitched_profile();
+  ASSERT_GT(captures.size(), 1u);
+  std::size_t rest = 0;
+  for (const RawCapture& capture : captures) rest += capture.pcap.size();
+  rest -= captures[1].pcap.size();
+  EXPECT_GT(captures[1].pcap.size(), rest);  // Some chunks come out empty.
 
-  const ProfileAnalysis reference = analyze_at(0, files);  // One chunk.
+  const ProfileAnalysis reference = analyze_at(0, captures);  // One chunk.
   EXPECT_GT(reference.flow_aggregates.size(), 1u);
   EXPECT_GT(reference.stacks.size(), 1u);
   EXPECT_EQ(reference.site_loads.size(), 6u);
-  EXPECT_EQ(reference.flows_per_sample.size(), files.size());
+  EXPECT_EQ(reference.flows_per_sample.size(), captures.size());
+  EXPECT_EQ(reference.digest_stats.bad_records, 1u);
 
   for (std::size_t threads :
        {std::size_t{2}, std::size_t{3}, std::size_t{8}, std::size_t{32}}) {
-    expect_analyses_equal(reference, analyze_at(threads, files),
+    expect_analyses_equal(reference, analyze_at(threads, captures),
                           "threads=" + std::to_string(threads) + " ");
   }
 }
 
 TEST(AggregateShards, SingleFileFallsBackToSerial) {
-  std::vector<AcapFile> files = stitched_profile();
-  files.resize(1);
-  expect_analyses_equal(analyze_at(0, files), analyze_at(8, files),
+  std::vector<RawCapture> captures = stitched_profile();
+  captures.resize(1);
+  expect_analyses_equal(analyze_at(0, captures), analyze_at(8, captures),
                         "single-file ");
 }
 
 TEST(AggregateShards, MoreThreadsThanFiles) {
-  std::vector<AcapFile> files = stitched_profile();
-  files.resize(3);
-  // Chunks clamp to files.size().
-  expect_analyses_equal(analyze_at(0, files), analyze_at(16, files),
+  std::vector<RawCapture> captures = stitched_profile();
+  captures.resize(3);
+  // Chunks clamp to captures.size().
+  expect_analyses_equal(analyze_at(0, captures), analyze_at(16, captures),
                         "clamped-chunks ");
 }
 

@@ -31,8 +31,7 @@ TEST(FrameSizes, CountsByWireLength) {
       "S1", 0,
       {tcp_frame(1, 2, 1, 2, 1900), tcp_frame(1, 2, 1, 2, 1900),
        tcp_frame(1, 2, 1, 2, 70), tcp_frame(1, 2, 1, 2, 300)}));
-  const auto files = digest_all(captures);
-  const FrameSizeResult result = analyze(files).frame_sizes;
+  const FrameSizeResult result = analyze(captures).frame_sizes;
   EXPECT_EQ(result.frames, 4u);
   EXPECT_DOUBLE_EQ(result.fraction_in(1519), 0.5);
   EXPECT_DOUBLE_EQ(result.fraction_in(65), 0.25);
@@ -44,8 +43,7 @@ TEST(FrameSizes, PerSiteFiltering) {
   std::vector<RawCapture> captures;
   captures.push_back(make_capture("S1", 0, {tcp_frame(1, 2, 1, 2, 2000)}));
   captures.push_back(make_capture("S2", 0, {tcp_frame(1, 2, 1, 2, 80)}));
-  const auto files = digest_all(captures);
-  const std::vector<SiteLoad> sites = analyze(files).site_loads;
+  const std::vector<SiteLoad> sites = analyze(captures).site_loads;
   ASSERT_EQ(sites.size(), 2u);
   EXPECT_EQ(sites[0].site, "S1");
   EXPECT_EQ(sites[1].site, "S2");
@@ -67,8 +65,7 @@ TEST(HeaderOccurrence, EthernetCanExceedHundredPercent) {
       .payload(10);
   std::vector<RawCapture> captures;
   captures.push_back(make_capture("S1", 0, {b.build()}));
-  const auto files = digest_all(captures);
-  const HeaderOccurrenceResult result = analyze(files).header_occurrence;
+  const HeaderOccurrenceResult result = analyze(captures).header_occurrence;
   EXPECT_DOUBLE_EQ(result.percent(net::Protocol::kEthernet), 200.0);
   EXPECT_DOUBLE_EQ(result.percent(net::Protocol::kIpv4), 100.0);
   EXPECT_DOUBLE_EQ(result.percent(net::Protocol::kIcmp), 0.0);
@@ -78,8 +75,7 @@ TEST(SiteVariety, CountsDistinctHeadersAndDepth) {
   std::vector<RawCapture> captures;
   captures.push_back(make_capture(
       "S1", 0, {tcp_frame(1, 2, 1, 443), tcp_frame(1, 2, 1, 5201)}));
-  const auto files = digest_all(captures);
-  const auto variety = analyze(files).site_loads;
+  const auto variety = analyze(captures).site_loads;
   ASSERT_EQ(variety.size(), 1u);
   // eth, vlan, mpls, ipv4, tcp (+payload protocols excluded from depth but
   // counted as distinct headers when recognized).
@@ -95,8 +91,7 @@ TEST(FlowsPerSample, DistinctFlowCount) {
       {tcp_frame(1, 2, 1000, 443), tcp_frame(1, 2, 1000, 443),
        tcp_frame(2, 1, 443, 1000),  // Reverse direction: same flow.
        tcp_frame(3, 4, 5, 6)}));
-  const auto files = digest_all(captures);
-  const auto counts = analyze(files).flows_per_sample;
+  const auto counts = analyze(captures).flows_per_sample;
   ASSERT_EQ(counts.size(), 1u);
   EXPECT_EQ(counts[0].flows, 2u);
 }
@@ -109,8 +104,7 @@ TEST(FlowAggregate, StitchesAcrossSamples) {
   captures.push_back(make_capture(
       "S1", 0, {tcp_frame(1, 2, 1000, 443, 700, util::kSecond)},
       10 * util::kMinute));
-  const auto files = digest_all(captures);
-  const auto flows = analyze(files).flow_aggregates;
+  const auto flows = analyze(captures).flow_aggregates;
   ASSERT_EQ(flows.size(), 1u);
   const FlowAggregate& agg = flows.begin()->second;
   EXPECT_EQ(agg.frames, 2u);
@@ -125,8 +119,7 @@ TEST(FlowAggregate, RstCounting) {
       "S1", 0,
       {tcp_frame(1, 2, 1, 2, 256, 0, 100, net::tcp_flags::kRst),
        tcp_frame(1, 2, 1, 2, 256, 1, 100)}));
-  const auto files = digest_all(captures);
-  const auto flows = analyze(files).flow_aggregates;
+  const auto flows = analyze(captures).flow_aggregates;
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows.begin()->second.rst_frames, 1u);
 }
@@ -145,8 +138,7 @@ TEST(TcpControl, ClassifiesFlags) {
                  net::tcp_flags::kFin | net::tcp_flags::kAck),
        tcp_frame(1, 2, 1, 2, 256, 0, 100, net::tcp_flags::kRst),
        ack.build()}));
-  const auto files = digest_all(captures);
-  const TcpControlResult result = analyze(files).tcp_control;
+  const TcpControlResult result = analyze(captures).tcp_control;
   EXPECT_EQ(result.tcp_frames, 4u);
   EXPECT_EQ(result.syn, 1u);
   EXPECT_EQ(result.fin, 1u);
@@ -164,8 +156,7 @@ TEST(FlowDistribution, BucketsSizesAndDurations) {
       "S1", 0, {tcp_frame(1, 2, 1000, 443, 600, 0),
                 tcp_frame(3, 4, 5, 6, 70, 0)},
       10 * util::kMinute));
-  const auto files = digest_all(captures);
-  const auto result = analyze(files).flow_distribution;
+  const auto result = analyze(captures).flow_distribution;
   EXPECT_EQ(result.flows, 2u);
   EXPECT_EQ(result.largest_flow_bytes, 1200u);
   // 1200 B lands in [1000, 1e4); 70 B in [10, 100).
@@ -199,8 +190,7 @@ TEST(TopStacks, OrdersByFrequencyAndReportsFractions) {
       {tcp_frame(1, 2, 1, 5201), tcp_frame(3, 4, 5, 5201),
        tcp_frame(5, 6, 7, 5201),  // Three identical stacks.
        tcp_frame(1, 2, 1, 443)}));
-  const auto files = digest_all(captures);
-  const auto stacks = analyze(files).stacks;
+  const auto stacks = analyze(captures).stacks;
   ASSERT_GE(stacks.size(), 2u);
   EXPECT_EQ(stacks[0].frames, 3u);
   EXPECT_DOUBLE_EQ(stacks[0].fraction, 0.75);
@@ -224,8 +214,7 @@ TEST(TopStacks, KLimitsOutput) {
   }
   std::vector<RawCapture> captures;
   captures.push_back(make_capture("S1", 0, frames));
-  const auto files = digest_all(captures);
-  const auto stacks = analyze(files).stacks;
+  const auto stacks = analyze(captures).stacks;
   EXPECT_EQ(stacks.size(), 12u);
   std::ostringstream os;
   write_top_stacks_csv(os, stacks);
@@ -243,8 +232,7 @@ TEST(Tagging, ClassifiesVlanMplsCombinations) {
   std::vector<RawCapture> captures;
   captures.push_back(make_capture(
       "S1", 0, {tcp_frame(1, 2, 1, 2), untagged.build()}));
-  const auto files = digest_all(captures);
-  const TaggingResult result = analyze(files).tagging;
+  const TaggingResult result = analyze(captures).tagging;
   EXPECT_EQ(result.frames, 2u);
   EXPECT_EQ(result.vlan_tagged, 1u);
   EXPECT_EQ(result.mpls_tagged, 1u);

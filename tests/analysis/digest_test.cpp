@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/analyses.hpp"
 #include "testing/fixtures.hpp"
 
 namespace patchwork::analysis {
 namespace {
 
+using testing::digest_records;
 using testing::make_capture;
 using testing::tcp_frame;
 
@@ -14,30 +16,30 @@ TEST(Digest, ProducesOneRecordPerFrame) {
   const auto capture = make_capture(
       "S1", 4, {tcp_frame(1, 2, 100, 200), tcp_frame(3, 4, 300, 400)});
   DigestStats stats;
-  const AcapFile file = digest(capture, &stats);
-  EXPECT_EQ(file.records.size(), 2u);
+  const auto records = digest_records(capture, &stats);
+  EXPECT_EQ(records.size(), 2u);
   EXPECT_EQ(stats.frames, 2u);
-  EXPECT_EQ(file.site, "S1");
-  EXPECT_EQ(file.port, 4u);
 }
 
 TEST(Digest, PreservesSampleMetadata) {
   auto capture = make_capture("S2", 7, {tcp_frame(1, 2, 1, 2)},
                               5 * util::kMinute);
   capture.switch_drops_suspected = 42;
-  const AcapFile file = digest(capture);
-  EXPECT_EQ(file.start, 5 * util::kMinute);
-  EXPECT_EQ(file.duration, 20 * util::kSecond);
-  EXPECT_EQ(file.switch_drops_suspected, 42u);
+  const ProfileAnalysis analysis = analyze({capture});
+  ASSERT_EQ(analysis.site_loads.size(), 1u);
+  EXPECT_EQ(analysis.site_loads[0].site, "S2");
+  EXPECT_EQ(analysis.site_loads[0].switch_drops_suspected, 42u);
+  ASSERT_EQ(analysis.flows_per_sample.size(), 1u);
+  EXPECT_EQ(analysis.flows_per_sample[0].start, 5 * util::kMinute);
 }
 
 TEST(Digest, RecordsKeepWireLengthDespiteTruncation) {
   const auto capture =
       make_capture("S1", 0, {tcp_frame(1, 2, 1, 2, 1514)}, 0, /*snaplen=*/64);
-  const AcapFile file = digest(capture);
-  ASSERT_EQ(file.records.size(), 1u);
-  EXPECT_EQ(file.records[0].wire_length, 1514u);
-  EXPECT_EQ(file.records[0].captured_length, 64u);
+  const auto records = digest_records(capture);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].wire_length, 1514u);
+  EXPECT_EQ(records[0].captured_length, 64u);
 }
 
 TEST(Digest, CountsTruncatedFrames) {
@@ -46,7 +48,7 @@ TEST(Digest, CountsTruncatedFrames) {
   const auto capture =
       make_capture("S1", 0, {tcp_frame(1, 2, 1, 2, 1514)}, 0, /*snaplen=*/50);
   DigestStats stats;
-  digest(capture, &stats);
+  digest(capture, &stats, [](const AcapRecord&) {});
   EXPECT_EQ(stats.truncated_frames, 1u);
 }
 
@@ -55,8 +57,7 @@ TEST(Digest, InvalidPcapCountsBadRecords) {
   bogus.site = "S1";
   bogus.pcap = {1, 2, 3, 4};
   DigestStats stats;
-  const AcapFile file = digest(bogus, &stats);
-  EXPECT_TRUE(file.records.empty());
+  EXPECT_TRUE(digest_records(bogus, &stats).empty());
   EXPECT_EQ(stats.bad_records, 1u);
 }
 
@@ -65,15 +66,14 @@ TEST(Digest, DigestAllAggregates) {
   captures.push_back(make_capture("S1", 0, {tcp_frame(1, 2, 1, 2)}));
   captures.push_back(make_capture("S2", 1, {tcp_frame(3, 4, 5, 6),
                                             tcp_frame(5, 6, 7, 8)}));
-  DigestStats stats;
-  const auto files = digest_all(captures, &stats);
-  ASSERT_EQ(files.size(), 2u);
-  EXPECT_EQ(stats.frames, 3u);
+  const ProfileAnalysis analysis = analyze(captures);
+  EXPECT_EQ(analysis.flows_per_sample.size(), 2u);
+  EXPECT_EQ(analysis.digest_stats.frames, 3u);
 }
 
 TEST(Digest, StatsPointerIsOptional) {
   const auto capture = make_capture("S1", 0, {tcp_frame(1, 2, 1, 2)});
-  EXPECT_EQ(digest(capture).records.size(), 1u);  // No crash without stats.
+  EXPECT_EQ(digest_records(capture).size(), 1u);  // No crash without stats.
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/digest.hpp"
 #include "testing/fixtures.hpp"
 
 namespace patchwork::analysis {
@@ -10,24 +9,6 @@ namespace {
 
 using patchwork::testing::make_capture;
 using patchwork::testing::tcp_frame;
-
-TEST(OperatorView, AggregatesByFiveTuple) {
-  std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0,
-      {tcp_frame(1, 2, 1000, 443, 500, 0), tcp_frame(1, 2, 1000, 443, 700, 5),
-       tcp_frame(3, 4, 2000, 22, 300, 9)}));
-  const auto files = digest_all(captures);
-  const auto view = operator_flow_view(files);
-  ASSERT_EQ(view.size(), 2u);
-  std::uint64_t total_frames = 0, total_bytes = 0;
-  for (const auto& [key, rec] : view) {
-    total_frames += rec.frames;
-    total_bytes += rec.wire_bytes;
-  }
-  EXPECT_EQ(total_frames, 3u);
-  EXPECT_EQ(total_bytes, 1500u);
-}
 
 TEST(OperatorView, TagsAreInvisible) {
   // The same 5-tuple in two different slices (VLAN 100 vs 200): Patchwork
@@ -37,12 +18,9 @@ TEST(OperatorView, TagsAreInvisible) {
       "S1", 0,
       {tcp_frame(1, 2, 1000, 443, 256, 0, /*vlan=*/100),
        tcp_frame(1, 2, 1000, 443, 256, 1, /*vlan=*/200)}));
-  const auto files = digest_all(captures);
-  const auto view = operator_flow_view(files);
-  EXPECT_EQ(view.size(), 1u);  // Collapsed.
-  const AsymmetryReport report = measure_asymmetry(files);
+  const AsymmetryReport report = measure_asymmetry(captures);
   EXPECT_EQ(report.patchwork_flows, 2u);
-  EXPECT_EQ(report.operator_flows, 1u);
+  EXPECT_EQ(report.operator_flows, 1u);  // Collapsed.
   EXPECT_EQ(report.collapsed_keys, 1u);
   EXPECT_EQ(report.hidden_flows, 1u);
   EXPECT_DOUBLE_EQ(report.undercount_fraction(), 0.5);
@@ -52,26 +30,10 @@ TEST(OperatorView, NoCollisionNoLoss) {
   std::vector<RawCapture> captures;
   captures.push_back(make_capture(
       "S1", 0, {tcp_frame(1, 2, 1000, 443), tcp_frame(3, 4, 1001, 443)}));
-  const auto files = digest_all(captures);
-  const AsymmetryReport report = measure_asymmetry(files);
+  const AsymmetryReport report = measure_asymmetry(captures);
   EXPECT_EQ(report.patchwork_flows, report.operator_flows);
   EXPECT_EQ(report.hidden_flows, 0u);
   EXPECT_DOUBLE_EQ(report.undercount_fraction(), 0.0);
-}
-
-TEST(OperatorView, TimestampsSpanSamples) {
-  std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0, {tcp_frame(1, 2, 1000, 443, 256, util::kSecond)}, 0));
-  captures.push_back(make_capture(
-      "S1", 0, {tcp_frame(1, 2, 1000, 443, 256, 2 * util::kSecond)},
-      10 * util::kMinute));
-  const auto files = digest_all(captures);
-  const auto view = operator_flow_view(files);
-  ASSERT_EQ(view.size(), 1u);
-  const OperatorFlowRecord& rec = view.begin()->second;
-  EXPECT_EQ(rec.first_seen, util::kSecond);
-  EXPECT_EQ(rec.last_seen, 10 * util::kMinute + 2 * util::kSecond);
 }
 
 TEST(OperatorView, EmptyProfile) {

@@ -82,34 +82,6 @@ TEST(PipelineDeterminism, IdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(PipelineDeterminism, DigestAllMatchesSerialOrderAndStats) {
-  ThreadCountGuard guard;
-  const std::vector<RawCapture> profile = multi_site_profile();
-
-  util::set_thread_count(0);
-  DigestStats serial_stats;
-  const std::vector<AcapFile> serial = digest_all(profile, &serial_stats);
-
-  util::set_thread_count(8);
-  DigestStats parallel_stats;
-  const std::vector<AcapFile> parallel = digest_all(profile, &parallel_stats);
-
-  EXPECT_EQ(serial_stats.frames, parallel_stats.frames);
-  EXPECT_EQ(serial_stats.bad_records, parallel_stats.bad_records);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].site, parallel[i].site) << i;
-    EXPECT_EQ(serial[i].port, parallel[i].port) << i;
-    ASSERT_EQ(serial[i].records.size(), parallel[i].records.size()) << i;
-    for (std::size_t r = 0; r < serial[i].records.size(); ++r) {
-      EXPECT_EQ(serial[i].records[r].stack, parallel[i].records[r].stack);
-      EXPECT_EQ(serial[i].records[r].wire_length,
-                parallel[i].records[r].wire_length);
-      EXPECT_EQ(serial[i].records[r].flow, parallel[i].records[r].flow);
-    }
-  }
-}
-
 TEST(PipelineDeterminism, RepeatedParallelRunsAgree) {
   ThreadCountGuard guard;
   const std::vector<RawCapture> profile = multi_site_profile();

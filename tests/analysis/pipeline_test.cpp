@@ -52,11 +52,5 @@ TEST(Pipeline, EmptyProfileIsHarmless) {
   EXPECT_EQ(report.csv_files.size(), 10u);
 }
 
-TEST(Pipeline, DigestProfileExposesFiles) {
-  const DigestedProfile digested = digest_profile(sample_profile());
-  EXPECT_EQ(digested.files.size(), 2u);
-  EXPECT_EQ(digested.stats.frames, 3u);
-}
-
 }  // namespace
 }  // namespace patchwork::analysis

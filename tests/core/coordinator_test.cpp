@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "analysis/analyses.hpp"
 #include "testing/env_fixture.hpp"
 
 namespace patchwork::core {
@@ -132,8 +133,8 @@ TEST(Coordinator, CompressedTransfersShrinkAndRoundTrip) {
   // Truncated-header pcaps compress well; the download moved fewer bytes.
   EXPECT_LT(report.transferred_bytes, report.pcap_bytes);
   // And the decompressed captures still digest cleanly.
-  analysis::DigestStats stats;
-  analysis::digest_all(run.captures, &stats);
+  const analysis::DigestStats stats =
+      analysis::analyze(run.captures).digest_stats;
   EXPECT_GT(stats.frames, 0u);
   EXPECT_EQ(stats.bad_records, 0u);
 }

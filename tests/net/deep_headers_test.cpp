@@ -10,6 +10,7 @@
 #include "analysis/digest.hpp"
 #include "net/headers.hpp"
 #include "net/parser.hpp"
+#include "testing/fixtures.hpp"
 #include "pcap/pcap.hpp"
 
 namespace patchwork::net {
@@ -140,13 +141,14 @@ TEST(DeepHeaders, DigestKeepsEveryTagOfADeepRecord) {
   capture.pcap = writer.take_buffer();
 
   analysis::DigestStats stats;
-  const analysis::AcapFile file = analysis::digest(capture, &stats);
+  const std::vector<analysis::AcapRecord> records =
+      patchwork::testing::digest_records(capture, &stats);
   EXPECT_EQ(stats.frames, 1u);
   EXPECT_EQ(stats.bad_records, 0u);
   EXPECT_EQ(stats.truncated_frames, 0u);
   EXPECT_EQ(stats.malformed_frames, 0u);
-  ASSERT_EQ(file.records.size(), 1u);
-  const analysis::AcapRecord& rec = file.records[0];
+  ASSERT_EQ(records.size(), 1u);
+  const analysis::AcapRecord& rec = records[0];
 
   std::vector<Protocol> stack{Protocol::kEthernet};
   stack.insert(stack.end(), 8000, Protocol::kVlan);

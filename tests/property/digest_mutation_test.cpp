@@ -161,17 +161,18 @@ std::size_t check_digest(const Bytes& pcap) {
   capture.site = "S1";
   capture.pcap = pcap;
   DigestStats stats;
-  const AcapFile file = digest(capture, &stats);
-  EXPECT_EQ(stats.frames, file.records.size());
+  const std::vector<AcapRecord> records =
+      patchwork::testing::digest_records(capture, &stats);
+  EXPECT_EQ(stats.frames, records.size());
 
   auto reader = pcap::PcapReader::open(pcap);
   if (!reader) {
-    EXPECT_TRUE(file.records.empty());
+    EXPECT_TRUE(records.empty());
     EXPECT_EQ(stats.bad_records, 1u);
     return 0;
   }
   std::size_t deepest = 0;
-  for (const AcapRecord& rec : file.records) {
+  for (const AcapRecord& rec : records) {
     const auto view = reader->next_view();
     if (!view) {
       ADD_FAILURE() << "digest produced a record the reader does not have";

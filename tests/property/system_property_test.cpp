@@ -163,11 +163,11 @@ TEST_P(SystemProperty, DigestCountsMatchCaptureCounts) {
   raw.site = "S0";
   raw.pcap = writer.take_buffer();
   analysis::DigestStats stats;
-  const analysis::AcapFile file = analysis::digest(raw, &stats);
-  EXPECT_EQ(file.records.size(), frames.size());
+  const auto records = testing::digest_records(raw, &stats);
+  EXPECT_EQ(records.size(), frames.size());
   EXPECT_EQ(stats.frames, frames.size());
   std::uint64_t wire = 0, wire_expected = 0;
-  for (const auto& r : file.records) wire += r.wire_length;
+  for (const auto& r : records) wire += r.wire_length;
   for (const auto& f : frames) wire_expected += f.wire_length();
   EXPECT_EQ(wire, wire_expected);
 }

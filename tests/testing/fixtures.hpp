@@ -58,6 +58,17 @@ inline net::Frame scrub_copy(const capture::Anonymizer& anon,
   return net::Frame(std::move(bytes), frame.wire_length(), frame.timestamp());
 }
 
+/// Every record digest() hands out for `capture`, in capture order.
+inline std::vector<analysis::AcapRecord> digest_records(
+    const analysis::RawCapture& capture,
+    analysis::DigestStats* stats = nullptr) {
+  std::vector<analysis::AcapRecord> records;
+  analysis::digest(capture, stats, [&records](const analysis::AcapRecord& r) {
+    records.push_back(r);
+  });
+  return records;
+}
+
 /// Wrap frames into a RawCapture with a valid pcap stream.
 inline analysis::RawCapture make_capture(
     std::string site, std::uint32_t port,
