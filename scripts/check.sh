@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full correctness gate: release build + complete test suite + the
 # full-size output bytes of every perfbench workload + a smoke run of the
-# portability demo and four benches, then the whole suite again under
+# portability demo and eight benches, then the whole suite again under
 # ThreadSanitizer, then once more under AddressSanitizer + UBSan (where any
 # UB report is fatal).
 #
@@ -41,12 +41,15 @@ if [[ "$mode" == "all" || "$mode" == "release" ]]; then
     echo "perfbench $workload: correct"
   done
   # The demo and benches that render through core::render_window outside
-  # the coordinator. Each must exit zero (incast and cache_storm exit 1
-  # when their own determinism checks fail), and the demo must profile
-  # both testbeds.
+  # the coordinator, and every bench built on bench_profile.hpp's gather
+  # step. Each must exit zero (incast and cache_storm exit 1 when their own
+  # determinism checks fail), the demo must profile both testbeds, and each
+  # gather-step bench must report the frames it digested.
   for bin in examples/portability_demo bench/bench_ablation_truncation \
              bench/bench_scenario_incast bench/bench_scenario_cache_storm \
-             bench/bench_sec4_operator_asymmetry; do
+             bench/bench_sec4_operator_asymmetry \
+             bench/bench_fig11_site_headers bench/bench_fig12_header_occurrence \
+             bench/bench_fig13_flows_per_sample bench/bench_fig15_frame_sizes; do
     if ! out="$("./build/$bin" 2>&1)"; then
       echo "$out" >&2
       echo "$bin: exited non-zero" >&2
@@ -59,6 +62,12 @@ if [[ "$mode" == "all" || "$mode" == "release" ]]; then
         echo "$bin: profiled $profiled of 2 testbeds" >&2
         exit 1
       fi
+    fi
+    if [[ "$bin" == bench/bench_sec4_* || "$bin" == bench/bench_fig1* ]] &&
+       ! grep -q '^\[profile\] .* frames digested$' <<<"$out"; then
+      echo "$out" >&2
+      echo "$bin: no '[profile] ... frames digested' line" >&2
+      exit 1
     fi
     echo "$bin: ok"
   done
