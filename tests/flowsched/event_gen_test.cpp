@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "core/window_render.hpp"
 #include "net/frame_store.hpp"
 #include "traffic/workload.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace patchwork::flowsched {
@@ -201,6 +205,136 @@ TEST(FlowSched, PoolBoundSuppressesArrivals) {
   EXPECT_GT(stats.arrivals_suppressed, 0u);
   EXPECT_LE(stats.max_active_flows, 4u);
   EXPECT_GT(stats.flows_generated, 0u);
+}
+
+/// Little-endian field bytes for the plan digest.
+class DigestBytes {
+ public:
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  template <std::size_t N>
+  void raw(const std::array<std::uint8_t, N>& a) {
+    bytes_.insert(bytes_.end(), a.begin(), a.end());
+  }
+  std::uint32_t crc() const { return util::crc32(bytes_); }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+};
+
+/// CRC32 over every unit of `plan` and the window's accounting.
+std::uint32_t plan_digest(const traffic::WindowPlan& plan,
+                          const EventPlanStats& stats) {
+  DigestBytes d;
+  d.u64(plan.units.size());
+  for (const traffic::RenderUnit& u : plan.units) {
+    const traffic::FlowSpec& f = u.flow;
+    d.u64(static_cast<std::uint64_t>(f.app));
+    d.raw(f.src_mac.bytes);
+    d.raw(f.dst_mac.bytes);
+    d.u64(f.src_ip.value);
+    d.u64(f.dst_ip.value);
+    d.raw(f.src_ip6.bytes);
+    d.raw(f.dst_ip6.bytes);
+    d.u64(f.src_port);
+    d.u64(f.dst_port);
+    d.u64(f.vlan_id.has_value() ? 0x10000u + *f.vlan_id : 0u);
+    d.u64(f.mpls_labels.size());
+    for (std::uint32_t label : f.mpls_labels) d.u64(label);
+    d.u64(f.pseudowire);
+    d.u64(f.ipv6);
+    d.u64(f.data_frame_size);
+    d.u64(f.total_bytes);
+    d.u64(f.message_stream);
+    d.u64(u.acks);
+    d.u64(u.frames);
+    d.u64(u.ts_lo);
+    d.u64(u.ts_hi);
+  }
+  d.u64(plan.planned_frames);
+  d.u64(plan.flow_count);
+  d.f64(plan.offered_pps);
+  d.f64(plan.offered_bps);
+  d.u64(stats.flows_generated);
+  d.u64(stats.flows_expired);
+  d.u64(stats.churn_replacements);
+  d.u64(stats.arrivals_suppressed);
+  d.u64(stats.max_active_flows);
+  d.u64(stats.max_queue_depth);
+  return d.crc();
+}
+
+using Endpoints =
+    std::tuple<std::uint32_t, std::uint32_t, std::uint16_t, std::uint16_t>;
+
+Endpoints endpoints(const traffic::FlowSpec& f) {
+  return {f.src_ip.value, f.dst_ip.value, f.src_port, f.dst_port};
+}
+
+TEST(FlowSched, EventPlanIsPinned) {
+  // Every field of every planned unit, and the window's accounting, at two
+  // seeds under heavy key churn and under a 4-slot flow pool. A planner
+  // refactor must leave these digests unedited.
+  const traffic::SiteWorkloadProfile profile = test_profile();
+  const traffic::WindowParams params = test_params();
+  FlowModelConfig churn = event_config();
+  churn.flow_keys = 16;
+  churn.churn_fpm = 600.0;
+  FlowModelConfig tight = event_config();
+  tight.flows_per_second = 100.0;
+  tight.mean_flow_duration_s = 5.0;
+  tight.max_active_flows = 4;
+  struct Case {
+    const char* name;
+    const FlowModelConfig* config;
+    std::uint64_t seed;
+    std::uint32_t digest;
+  };
+  const Case cases[] = {
+      {"churn", &churn, 13, 0x09e61382u},
+      {"churn", &churn, 41, 0x3a0bbc7fu},
+      {"pool4", &tight, 29, 0x4096f9acu},
+      {"pool4", &tight, 43, 0x1106b6a5u},
+  };
+  for (const Case& c : cases) {
+    util::Rng rng(c.seed);
+    EventPlanStats stats;
+    const traffic::WindowPlan plan =
+        plan_event_window(rng, profile, params, *c.config, &stats);
+    ASSERT_FALSE(plan.units.empty()) << c.name << " seed " << c.seed;
+    EXPECT_EQ(plan_digest(plan, stats), c.digest)
+        << c.name << " seed " << c.seed;
+    if (c.config->churn_fpm <= 0.0) continue;
+
+    // The planner draws its key pool first on the plan stream, then admits
+    // the ramp-up flows at t=0, before the first churn event. Churn
+    // rebinds ranks later in the window; a flow admitted at t=0 must still
+    // carry the spec its rank held when it arrived.
+    util::Rng pool_rng(c.seed);
+    std::set<Endpoints> initial;
+    for (std::size_t k = 0; k < c.config->flow_keys; ++k) {
+      initial.insert(endpoints(traffic::draw_flow(pool_rng, profile)));
+    }
+    ASSERT_GT(stats.churn_replacements, 100u) << "seed " << c.seed;
+    std::size_t ramp_units = 0, churned_units = 0;
+    for (const traffic::RenderUnit& u : plan.units) {
+      const bool from_initial = initial.count(endpoints(u.flow)) != 0;
+      if (u.ts_lo == 0) {
+        ++ramp_units;
+        EXPECT_TRUE(from_initial)
+            << "seed " << c.seed << ": a flow admitted at t=0 carries a "
+            << "spec that churn drew later";
+      } else if (!from_initial) {
+        ++churned_units;
+      }
+    }
+    EXPECT_GT(ramp_units, 0u) << "seed " << c.seed;
+    EXPECT_GT(churned_units, 0u) << "seed " << c.seed;
+  }
 }
 
 TEST(FlowSched, PlannedFramesRespectMaxFramesCap) {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace patchwork::flowsched {
@@ -54,6 +57,33 @@ TEST(FlowSched, ParetoDrawsAreHeavyTailedButTruncated) {
   // it, a few huge ones balance the books.
   EXPECT_LT(above_mean, kDraws / 4);
   EXPECT_GT(max_draw, 5.0 * 10.0);
+}
+
+TEST(FlowSched, ParetoCalibrationIsPinned) {
+  // The measured raw mean is a pure function of the (clamped) shape,
+  // whatever was calibrated before it on the same thread and on whichever
+  // thread it runs. Pinned exactly: a calibration that is computed once
+  // and reused must return these same doubles.
+  struct Case {
+    double shape;
+    double raw_mean;
+  };
+  const std::vector<Case> order = {
+      {1.3, 0x1.0deb3f4283b6ep+2},  {2.0, 0x1.04a8edcf42424p+1},
+      {1.3, 0x1.0deb3f4283b6ep+2},  {1.26, 0x1.229d72b05b8b2p+2},
+      {1.0, 0x1.d3ccda2d79695p+2},  {1.26, 0x1.229d72b05b8b2p+2},
+  };
+  auto check_all = [&order](const char* where) {
+    for (const Case& c : order) {
+      const ParetoDurations d(c.shape, 5.0);
+      EXPECT_EQ(d.measured_raw_mean(), c.raw_mean)
+          << where << ": shape " << c.shape;
+      EXPECT_EQ(d.shape(), c.shape < 1.05 ? 1.05 : c.shape) << where;
+    }
+  };
+  check_all("main thread");
+  std::thread other([&check_all] { check_all("second thread"); });
+  other.join();
 }
 
 TEST(FlowSched, ParetoCalibrationIsDeterministic) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 
 #include "net/parser.hpp"
+#include "util/crc32.hpp"
 
 namespace patchwork::net {
 namespace {
@@ -315,6 +317,253 @@ TEST(FrameBuilder, BuildManyIntoNoneFieldEmitsIdenticalFrames) {
   ASSERT_EQ(again.bytes().size(), expected.bytes().size());
   EXPECT_TRUE(std::equal(again.bytes().begin(), again.bytes().end(),
                          expected.bytes().begin()));
+}
+
+// Reference payload fill, one byte at a time: the '0'..'9' pattern, which
+// restarts at every payload layer.
+void append_reference_pattern(std::vector<std::uint8_t>& out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(static_cast<std::uint8_t>('0' + (i % 10)));
+  }
+}
+
+bool same_bytes(std::span<const std::uint8_t> a,
+                std::span<const std::uint8_t> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+TEST(FrameBuilder, PayloadBytesArePinned) {
+  // Pattern payloads on both sides of every fill-block boundary the
+  // builder could use (10-byte period, 4,000-byte block), a jumbo frame,
+  // and the SSH/HTTP marker payloads whose pattern restarts after the
+  // text. Each frame is checked against the byte-at-a-time reference and
+  // its CRC32 is pinned, through every build entry point.
+  struct Case {
+    const char* name;
+    std::function<void(FrameBuilder&)> describe;
+    std::size_t header_bytes;  ///< Bytes before the payload.
+    std::string marker;        ///< Text the payload opens with.
+    std::size_t pattern_bytes; ///< Pattern bytes after the marker.
+    std::uint32_t crc;         ///< CRC32 of the whole frame.
+  };
+  auto udp_payload = [](std::size_t n) {
+    return [n](FrameBuilder& b) {
+      b.ethernet(kSrc, kDst).ipv4(kA, kB).udp(1, 2).payload(n);
+    };
+  };
+  const Case cases[] = {
+      {"udp/0", udp_payload(0), 42, "", 0, 0xf365ed74u},
+      {"udp/1", udp_payload(1), 42, "", 1, 0x13b378fau},
+      {"udp/9", udp_payload(9), 42, "", 9, 0x5e56d342u},
+      {"udp/10", udp_payload(10), 42, "", 10, 0x90066efeu},
+      {"udp/11", udp_payload(11), 42, "", 11, 0xa784ceaau},
+      {"udp/3999", udp_payload(3999), 42, "", 3999, 0x5bb886aeu},
+      {"udp/4000", udp_payload(4000), 42, "", 4000, 0xf4d812a1u},
+      {"udp/4001", udp_payload(4001), 42, "", 4001, 0xc6c1bcd3u},
+      {"udp/grown-to-4001",
+       [](FrameBuilder& b) {
+         b.ethernet(kSrc, kDst).ipv4(kA, kB).udp(1, 2).payload(1).pad_to(
+             42 + 4001);
+       },
+       42, "", 4001, 0xc6c1bcd3u},
+      {"tcp/jumbo",
+       [](FrameBuilder& b) {
+         b.ethernet(kSrc, kDst).ipv4(kA, kB).tcp(1, 2).pad_to(9216);
+       },
+       54, "", 9216 - 54, 0x138d6decu},
+      {"ssh",
+       [](FrameBuilder& b) {
+         b.ethernet(kSrc, kDst).ipv4(kA, kB).tcp(50000, 22).ssh_banner()
+             .pad_to(4100);
+       },
+       54, "SSH-2.0-OpenSSH_9.6\r\n", 4100 - 54 - 21, 0x076a9df5u},
+      {"http",
+       [](FrameBuilder& b) {
+         b.ethernet(kSrc, kDst).ipv4(kA, kB).tcp(50000, 80).http_request()
+             .pad_to(8192);
+       },
+       54, "GET / HTTP/1.1\r\n", 8192 - 54 - 16, 0x53562760u},
+      {"http/bare",
+       [](FrameBuilder& b) {
+         b.ethernet(kSrc, kDst).ipv4(kA, kB).tcp(50000, 80).http_request();
+       },
+       54, "GET / HTTP/1.1\r\n", 0, 0xa689bf69u},
+  };
+  for (const Case& c : cases) {
+    FrameBuilder b;
+    c.describe(b);
+    const Frame built = b.build(7);
+    ASSERT_EQ(built.bytes().size(),
+              c.header_bytes + c.marker.size() + c.pattern_bytes)
+        << c.name;
+    std::vector<std::uint8_t> expected(
+        built.bytes().begin(),
+        built.bytes().begin() + static_cast<std::ptrdiff_t>(c.header_bytes));
+    expected.insert(expected.end(), c.marker.begin(), c.marker.end());
+    append_reference_pattern(expected, c.pattern_bytes);
+    EXPECT_TRUE(same_bytes(built.bytes(), expected)) << c.name << " build";
+    EXPECT_EQ(util::crc32(expected), c.crc) << c.name;
+
+    FrameStore one;
+    b.build_into(one, 7);
+    ASSERT_EQ(one.size(), 1u) << c.name;
+    EXPECT_TRUE(same_bytes(one.view(0).bytes, expected))
+        << c.name << " build_into";
+
+    FrameStore single;
+    const util::Nanos ts1[] = {7};
+    b.build_many_into(single, ts1, {}, PerFrameField::kNone);
+    ASSERT_EQ(single.size(), 1u) << c.name;
+    EXPECT_TRUE(same_bytes(single.view(0).bytes, expected))
+        << c.name << " build_many_into x1";
+
+    FrameStore triple;
+    const util::Nanos ts3[] = {7, 8, 9};
+    const std::uint32_t zeros[] = {0, 0, 0};
+    b.build_many_into(triple, ts3, zeros, PerFrameField::kTcpSeqAndDnsId);
+    ASSERT_EQ(triple.size(), 3u) << c.name;
+    for (std::size_t i = 0; i < triple.size(); ++i) {
+      EXPECT_TRUE(same_bytes(triple.view(i).bytes, expected))
+          << c.name << " build_many_into x3, frame " << i;
+    }
+  }
+}
+
+TEST(FrameBuilder, BuildManyIntoAppendsAfterFramesAlreadyInTheStore) {
+  // render_unit stamps a unit in 1,024-frame chunks into one store, so a
+  // batched build must append behind frames already there. Every field
+  // kind, at 1 and 3 frames, must match per-frame builds.
+  struct Case {
+    const char* name;
+    PerFrameField field;
+    std::function<void(FrameBuilder&, std::uint32_t)> describe;
+  };
+  const Case cases[] = {
+      {"none", PerFrameField::kNone,
+       [](FrameBuilder& b, std::uint32_t) {
+         b.ethernet(kSrc, kDst).ipv4(kA, kB).icmp(8, 0).payload(48)
+             .pad_to(98);
+       }},
+      {"seq+dns", PerFrameField::kTcpSeqAndDnsId,
+       [](FrameBuilder& b, std::uint32_t v) {
+         b.ethernet(kSrc, kDst).ipv4(kA, kB).udp(4789, 4789).vxlan(4096)
+             .ethernet(kDst, kSrc).ipv4(kA, kB)
+             .tcp(49152, 5201, tcp_flags::kAck | tcp_flags::kPsh, v)
+             .pad_to(1514);
+       }},
+      {"dns", PerFrameField::kTcpSeqAndDnsId,
+       [](FrameBuilder& b, std::uint32_t v) {
+         b.ethernet(kSrc, kDst).ipv4(kA, kB).udp(1234, 53)
+             .dns(static_cast<std::uint16_t>(v)).payload(24).pad_to(140);
+       }},
+      {"ack", PerFrameField::kTcpAck,
+       [](FrameBuilder& b, std::uint32_t v) {
+         b.ethernet(kDst, kSrc).vlan(7).mpls(16001).ipv4(kB, kA)
+             .tcp(443, 49152, tcp_flags::kAck, 0, v).pad_to(68);
+       }},
+  };
+  const std::uint32_t values[] = {3000, 0xfffffc18u, 42};
+  const util::Nanos stamps[] = {30, 10, 20};
+  for (const Case& c : cases) {
+    for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+      // Two frames of a different stack already sit in the store.
+      FrameStore store;
+      FrameBuilder other;
+      other.ethernet(kSrc, kDst).ipv4(kB, kA).udp(5, 6).payload(333);
+      other.build_into(store, 1);
+      other.build_into(store, 2);
+      const Frame first = other.build(1);
+      const std::size_t before = store.total_bytes();
+
+      FrameBuilder batched;
+      c.describe(batched, 0);
+      const std::span<const std::uint32_t> vals =
+          c.field == PerFrameField::kNone
+              ? std::span<const std::uint32_t>()
+              : std::span<const std::uint32_t>(values, n);
+      batched.build_many_into(store, std::span<const util::Nanos>(stamps, n),
+                              vals, c.field);
+      ASSERT_EQ(store.size(), 2 + n) << c.name << " x" << n;
+      for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_TRUE(same_bytes(store.view(i).bytes, first.bytes()))
+            << c.name << " x" << n << ": earlier frame " << i << " changed";
+      }
+      std::size_t appended = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        FrameBuilder reference;
+        c.describe(reference,
+                   c.field == PerFrameField::kNone ? 0 : values[i]);
+        const Frame expected = reference.build(stamps[i]);
+        const FrameView view = store.view(2 + i);
+        EXPECT_EQ(view.timestamp, stamps[i]) << c.name << " x" << n;
+        EXPECT_EQ(view.wire_length, expected.wire_length())
+            << c.name << " x" << n;
+        EXPECT_TRUE(same_bytes(view.bytes, expected.bytes()))
+            << c.name << " x" << n << ": frame " << i << " bytes differ";
+        appended += expected.bytes().size();
+      }
+      EXPECT_EQ(store.total_bytes(), before + appended)
+          << c.name << " x" << n;
+    }
+  }
+}
+
+TEST(FrameBuilder, BuildManyIntoEmptySpanAppendsNothing) {
+  FrameStore store;
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst).ipv4(kA, kB).tcp(1, 2).pad_to(1514);
+  b.build_into(store, 1);
+  const std::size_t bytes = store.total_bytes();
+  b.build_many_into(store, {}, {}, PerFrameField::kNone);
+  b.build_many_into(store, {}, {}, PerFrameField::kTcpSeqAndDnsId);
+  b.build_many_into(store, {}, {}, PerFrameField::kTcpAck);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.total_bytes(), bytes);
+  FrameStore empty;
+  b.build_many_into(empty, {}, {}, PerFrameField::kNone);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.total_bytes(), 0u);
+}
+
+TEST(FrameBuilder, ResetAfterDeepStackMatchesFreshBuilder) {
+  // A reused builder keeps its buffers' capacity across reset(); nothing
+  // of a deep jumbo stack may leak into the short stack described next.
+  auto describe_arp = [](FrameBuilder& b) {
+    b.ethernet(kSrc, kDst).arp(kSrc, kA, kB).pad_to(64);
+  };
+  FrameBuilder reused;
+  reused.ethernet(kSrc, kDst).vlan(100).mpls(16001).mpls(17001)
+      .pseudowire().ethernet(kDst, kSrc)
+      .ipv6(Ipv6Address::from_words({0xfd00, 1, 2, 3, 4, 5, 6, 7}),
+            Ipv6Address::from_words({0xfd00, 7, 6, 5, 4, 3, 2, 1}))
+      .tcp(49152, 443, tcp_flags::kAck | tcp_flags::kPsh).tls()
+      .pad_to(9216);
+  FrameStore deep;
+  const util::Nanos deep_ts[] = {1, 2};
+  const std::uint32_t deep_vals[] = {1000, 2000};
+  reused.build_many_into(deep, deep_ts, deep_vals,
+                         PerFrameField::kTcpSeqAndDnsId);
+  ASSERT_EQ(deep.size(), 2u);
+  EXPECT_EQ(deep.view(0).wire_length, 9216u);
+
+  reused.reset();
+  describe_arp(reused);
+  FrameBuilder fresh;
+  describe_arp(fresh);
+  const Frame expected = fresh.build(5);
+  ASSERT_EQ(expected.wire_length(), 64u);
+  const std::span<const std::uint8_t> want = expected.bytes();
+  EXPECT_TRUE(same_bytes(reused.build(5).bytes(), want));
+  FrameStore into;
+  reused.build_into(into, 5);
+  EXPECT_TRUE(same_bytes(into.view(0).bytes, want));
+  FrameStore many;
+  const util::Nanos ts[] = {5, 6, 7};
+  reused.build_many_into(many, ts, {}, PerFrameField::kNone);
+  ASSERT_EQ(many.size(), 3u);
+  for (std::size_t i = 0; i < many.size(); ++i) {
+    EXPECT_TRUE(same_bytes(many.view(i).bytes, want)) << "frame " << i;
+  }
 }
 
 TEST(FrameStore, ClearKeepsNothingButCapacity) {
