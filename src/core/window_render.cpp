@@ -48,7 +48,9 @@ RenderedWindow render_window(const traffic::WindowPlan& plan,
       burst_args.burst = static_cast<std::int64_t>(b);
       const obs::trace::ScopedEvent trace_burst("render_unit", burst_args);
       const Burst& burst = bursts[b];
-      net::FrameBuilder builder;
+      // One builder per worker, reused across bursts: render_unit resets it
+      // and starts no nested parallel work, so no burst re-enters it.
+      thread_local net::FrameBuilder builder;
       traffic::render_unit(plan.units[burst.unit], unit_draws[burst.unit],
                            duration, burst.begin, burst.end, builder,
                            out.stores[b]);

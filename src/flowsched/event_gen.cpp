@@ -99,11 +99,11 @@ struct EventAfter {
   }
 };
 
-/// One admitted flow lifetime inside the window. The spec is copied at
-/// arrival time so a later churn redraw of the same key never rewrites
-/// history.
+/// One admitted flow lifetime inside the window. It names the key version
+/// its rank held at arrival, so a later churn redraw of the same rank
+/// never rewrites history.
 struct Activation {
-  traffic::FlowSpec flow;
+  std::uint32_t version = 0;  ///< Index into the planner's key versions.
   util::Nanos start = 0;
   util::Nanos end = 0;  ///< Exclusive; clipped to the window.
 };
@@ -136,13 +136,18 @@ traffic::WindowPlan plan_event_window(util::Rng& rng,
   const double lambda = std::max(config.flows_per_second, 1e-3);
   const double mean_dur_s = std::max(config.mean_flow_duration_s, 1e-6);
 
-  // The bounded key pool: every arrival picks one of these 5-tuples by
-  // Zipf rank; churn events redraw a rank in place.
+  // The bounded key pool: every arrival picks one of n_keys 5-tuples by
+  // Zipf rank. Specs are append-only versions; rank r's current spec is
+  // versions[current[r]], and a churn event appends a fresh version and
+  // repoints its rank. No spec is overwritten, and none is copied until
+  // its units are planned.
   const std::size_t n_keys = std::max<std::size_t>(config.flow_keys, 1);
-  std::vector<traffic::FlowSpec> keys;
-  keys.reserve(n_keys);
+  std::vector<traffic::FlowSpec> versions;
+  versions.reserve(n_keys);
+  std::vector<std::uint32_t> current(n_keys);
   for (std::size_t i = 0; i < n_keys; ++i) {
-    keys.push_back(traffic::draw_flow(rng, profile));
+    versions.push_back(traffic::draw_flow(rng, profile));
+    current[i] = static_cast<std::uint32_t>(i);
   }
   const ZipfSampler zipf(n_keys, config.zipf_param);
 
@@ -153,8 +158,8 @@ traffic::WindowPlan plan_event_window(util::Rng& rng,
   const double concurrent = std::max(1.0, lambda * mean_dur_s);
   double mean_frame = 0.0;
   for (std::size_t r = 0; r < n_keys; ++r) {
-    mean_frame +=
-        zipf.probability(r) * static_cast<double>(keys[r].data_frame_size);
+    mean_frame += zipf.probability(r) *
+                  static_cast<double>(versions[r].data_frame_size);
   }
   mean_frame = std::max(mean_frame, 64.0);
   const double total_pps = params.target_bps / (8.0 * mean_frame);
@@ -201,11 +206,8 @@ traffic::WindowPlan plan_event_window(util::Rng& rng,
       ++stats.arrivals_suppressed;
       return;
     }
-    Activation a;
-    a.flow = keys[rank];
-    a.start = at;
-    a.end = std::min<util::Nanos>(at + dur, params.duration);
-    activations.push_back(std::move(a));
+    activations.push_back(Activation{
+        current[rank], at, std::min<util::Nanos>(at + dur, params.duration)});
     ++stats.flows_generated;
     push(activations.back().end, EventKind::kExpiry, *slot);
   };
@@ -249,9 +251,10 @@ traffic::WindowPlan plan_event_window(util::Rng& rng,
       case EventKind::kChurn: {
         if (ev.at >= params.duration) break;
         // Rebind a popularity-weighted rank to a fresh 5-tuple: active
-        // flows keep their copied spec, future arrivals see the new key.
+        // flows keep their version, future arrivals see the new one.
         const std::size_t rank = zipf.draw(rng);
-        keys[rank] = traffic::draw_flow(rng, profile);
+        versions.push_back(traffic::draw_flow(rng, profile));
+        current[rank] = static_cast<std::uint32_t>(versions.size() - 1);
         ++stats.churn_replacements;
         if (const util::Nanos next = ev.at + churn_gap;
             next < params.duration) {
@@ -272,25 +275,29 @@ traffic::WindowPlan plan_event_window(util::Rng& rng,
   };
   std::vector<Contribution> contribs(activations.size());
   double true_total = 0.0;
+  std::size_t max_units = 0;
   for (std::size_t i = 0; i < activations.size(); ++i) {
     const Activation& a = activations[i];
+    const traffic::FlowSpec& flow = versions[a.version];
     const double active_s = util::to_seconds(a.end - a.start);
     double frames = std::max(1.0, flow_pps * active_s);
-    if (!is_bulk(a.flow)) {
+    if (!is_bulk(flow)) {
       // Chatter protocols stay mice regardless of popularity.
       frames = std::min(frames, 50.0);
     }
     contribs[i].data_frames = frames;
-    if (traffic::app_is_tcp(a.flow.app)) {
+    if (traffic::app_is_tcp(flow.app)) {
       contribs[i].ack_frames = frames / 5.0;
     }
     true_total += contribs[i].data_frames + contribs[i].ack_frames;
+    max_units += contribs[i].ack_frames > 0.0 ? 2 : 1;
   }
   plan.flow_count = activations.size();
   plan.offered_pps = true_total / duration_s;
   const double keep = true_total <= static_cast<double>(params.max_frames)
                           ? 1.0
                           : static_cast<double>(params.max_frames) / true_total;
+  plan.units.reserve(max_units);
   for (std::size_t i = 0; i < activations.size(); ++i) {
     const Activation& a = activations[i];
     auto plan_unit = [&](double true_count, bool acks) {
@@ -298,10 +305,10 @@ traffic::WindowPlan plan_event_window(util::Rng& rng,
       std::uint64_t n = static_cast<std::uint64_t>(expected);
       if (rng.chance(expected - static_cast<double>(n))) ++n;
       if (n == 0) return;
-      traffic::RenderUnit unit{a.flow, acks, n};
+      traffic::RenderUnit& unit =
+          plan.units.emplace_back(versions[a.version], acks, n);
       unit.ts_lo = a.start;
       unit.ts_hi = a.end - 1;
-      plan.units.push_back(std::move(unit));
       plan.planned_frames += n;
     };
     plan_unit(contribs[i].data_frames, false);

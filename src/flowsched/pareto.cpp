@@ -15,7 +15,13 @@ double raw_variate(double u, double shape) {
 
 /// Numerically measure the truncated variate's mean, BESS-style: a fixed
 /// calibration stream makes the measurement a pure function of the shape.
+/// Like BESS, which measures once at Init, it runs once per shape: each
+/// thread keeps its last (shape, mean) pair, and a planner builds one
+/// sampler per window with the run's one shape.
 double measure_raw_mean(double shape) {
+  thread_local double last_shape = 0.0;  // Never a clamped shape.
+  thread_local double last_mean = 0.0;
+  if (shape == last_shape) return last_mean;
   constexpr std::uint64_t kCalibrationSeed = 0x70617265746f6d6eull;
   constexpr std::size_t kCalibrationDraws = 1 << 14;
   util::Rng rng(kCalibrationSeed);
@@ -23,7 +29,9 @@ double measure_raw_mean(double shape) {
   for (std::size_t i = 0; i < kCalibrationDraws; ++i) {
     sum += raw_variate(rng.uniform(), shape);
   }
-  return sum / static_cast<double>(kCalibrationDraws);
+  last_shape = shape;
+  last_mean = sum / static_cast<double>(kCalibrationDraws);
+  return last_mean;
 }
 
 }  // namespace

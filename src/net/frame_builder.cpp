@@ -1,7 +1,9 @@
 #include "net/frame_builder.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <cstring>
 
 namespace patchwork::net {
 
@@ -40,9 +42,24 @@ struct SizeVisitor {
   }
 };
 
+/// The payload pattern '0'..'9', repeated. The block holds whole periods,
+/// so appending it block after block continues the pattern seamlessly.
+constexpr std::size_t kPatternBlock = 4000;
+static_assert(kPatternBlock % 10 == 0);
+constexpr std::array<std::uint8_t, kPatternBlock> kPattern = [] {
+  std::array<std::uint8_t, kPatternBlock> block{};
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    block[i] = static_cast<std::uint8_t>('0' + (i % 10));
+  }
+  return block;
+}();
+
+/// Append `n` pattern bytes, starting at '0'.
 void fill_pattern(Bytes& out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(static_cast<std::uint8_t>('0' + (i % 10)));
+  while (n > 0) {
+    const std::size_t take = std::min(n, kPatternBlock);
+    out.insert(out.end(), kPattern.begin(), kPattern.begin() + take);
+    n -= take;
   }
 }
 
@@ -202,7 +219,7 @@ Frame FrameBuilder::build(util::Nanos timestamp) const {
   assert(!layers_.empty());
   scratch_ = layers_;  // Working copy: builder stays reusable + const.
   Bytes out;
-  resolve_and_serialize(scratch_, out);
+  resolve_and_serialize(scratch_, out, 1);
   return Frame(std::move(out), timestamp);
 }
 
@@ -210,7 +227,7 @@ void FrameBuilder::build_into(FrameStore& store, util::Nanos timestamp) const {
   assert(!layers_.empty());
   scratch_ = layers_;
   const std::size_t start = store.arena().size();
-  resolve_and_serialize(scratch_, store.arena());
+  resolve_and_serialize(scratch_, store.arena(), 1);
   store.commit(start, timestamp);
 }
 
@@ -220,12 +237,17 @@ void FrameBuilder::build_many_into(FrameStore& store,
                                    PerFrameField field) const {
   assert(!layers_.empty());
   assert(field == PerFrameField::kNone || values.size() == timestamps.size());
-  // Serialize the stack once. resolve_and_serialize() leaves scratch_
-  // holding the *resolved* layers (padding appended), so their sizes give
-  // the exact byte offset of every header in the template.
+  if (timestamps.empty()) return;
+  // Serialize the stack once, as frame 0, straight into the arena, with
+  // room reserved for the whole batch so frame 0 stays put while later
+  // frames copy it. resolve_and_serialize() leaves scratch_ holding the
+  // *resolved* layers (padding appended), so their sizes give the exact
+  // byte offset of every header in the frame.
   scratch_ = layers_;
-  template_.clear();
-  resolve_and_serialize(scratch_, template_);
+  Bytes& arena = store.arena();
+  const std::size_t first = arena.size();
+  resolve_and_serialize(scratch_, arena, timestamps.size());
+  const std::size_t length = arena.size() - first;
 
   // Locate the patch slots. Header layouts are fixed: TcpHeader encodes
   // seq as BE32 at +4 and ack as BE32 at +8; DnsHeader encodes id as BE16
@@ -256,15 +278,14 @@ void FrameBuilder::build_many_into(FrameStore& store,
     }
   }
 
-  Bytes& arena = store.arena();
-  const std::size_t needed =
-      arena.size() + timestamps.size() * template_.size();
-  if (arena.capacity() < needed) {
-    arena.reserve(std::max(needed, arena.capacity() + arena.capacity() / 2));
-  }
+  // Frame i > 0 copies frame 0, already stamped, and overwrites every slot.
   for (std::size_t i = 0; i < timestamps.size(); ++i) {
-    const std::size_t start = arena.size();
-    arena.insert(arena.end(), template_.begin(), template_.end());
+    std::size_t start = first;
+    if (i > 0) {
+      start = arena.size();
+      arena.resize(start + length);
+      std::memcpy(arena.data() + start, arena.data() + first, length);
+    }
     for (std::size_t s = 0; s < slot_count; ++s) {
       std::uint8_t* p = arena.data() + start + slots[s].offset;
       const std::uint32_t v = values[i];
@@ -289,31 +310,27 @@ void FrameBuilder::reset() {
 }
 
 void FrameBuilder::resolve_and_serialize(std::vector<Layer>& layers,
-                                         Bytes& out) const {
+                                         Bytes& out,
+                                         std::size_t frames) const {
   // Grow (or append) the trailing payload so the frame reaches pad_to_.
-  if (pad_to_ > 0) {
-    std::size_t total = 0;
-    for (const Layer& l : layers) total += std::visit(SizeVisitor{}, l);
-    if (total < pad_to_) {
-      const std::size_t extra = pad_to_ - total;
-      if (auto* p = std::get_if<Payload>(&layers.back());
-          p != nullptr && markers_.back() == Marker::kNone) {
-        p->size += extra;
-      } else {
-        layers.push_back(Payload{extra});
-      }
+  std::size_t total = 0;
+  for (const Layer& l : layers) total += std::visit(SizeVisitor{}, l);
+  if (total < pad_to_) {
+    const std::size_t extra = pad_to_ - total;
+    if (auto* p = std::get_if<Payload>(&layers.back());
+        p != nullptr && markers_.back() == Marker::kNone) {
+      p->size += extra;
+    } else {
+      layers.push_back(Payload{extra});
     }
+    total = pad_to_;
   }
 
-  // Suffix sizes: bytes_after[i] = sum of sizes of layers after i.
-  std::vector<std::size_t> bytes_after(layers.size(), 0);
-  for (std::size_t i = layers.size(); i-- > 1;) {
-    bytes_after[i - 1] =
-        bytes_after[i] + std::visit(SizeVisitor{}, layers[i]);
-  }
-
-  // Resolve chaining and length fields, looking one layer ahead.
+  // Resolve chaining and length fields, looking one layer ahead. `after`
+  // counts the bytes stacked above layer i.
+  std::size_t after = total;
   for (std::size_t i = 0; i < layers.size(); ++i) {
+    after -= std::visit(SizeVisitor{}, layers[i]);
     const Layer* next = i + 1 < layers.size() ? &layers[i + 1] : nullptr;
     auto ethertype_of_next = [&]() -> std::uint16_t {
       if (next == nullptr) return 0;
@@ -344,15 +361,14 @@ void FrameBuilder::resolve_and_serialize(std::vector<Layer>& layers,
     } else if (auto* ip4 = std::get_if<Ipv4Header>(&layers[i])) {
       ip4->protocol = ip_proto_of_next();
       ip4->total_length =
-          static_cast<std::uint16_t>(Ipv4Header::kSize + bytes_after[i]);
+          static_cast<std::uint16_t>(Ipv4Header::kSize + after);
     } else if (auto* ip6 = std::get_if<Ipv6Header>(&layers[i])) {
       ip6->next_header = ip_proto_of_next();
-      ip6->payload_length = static_cast<std::uint16_t>(bytes_after[i]);
+      ip6->payload_length = static_cast<std::uint16_t>(after);
     } else if (auto* udp = std::get_if<UdpHeader>(&layers[i])) {
-      udp->length =
-          static_cast<std::uint16_t>(UdpHeader::kSize + bytes_after[i]);
+      udp->length = static_cast<std::uint16_t>(UdpHeader::kSize + after);
     } else if (auto* tls = std::get_if<TlsRecordHeader>(&layers[i])) {
-      tls->length = static_cast<std::uint16_t>(bytes_after[i]);
+      tls->length = static_cast<std::uint16_t>(after);
     } else if (auto* gre = std::get_if<GreHeader>(&layers[i])) {
       gre->protocol_type =
           next != nullptr && std::holds_alternative<EthernetHeader>(*next)
@@ -364,8 +380,7 @@ void FrameBuilder::resolve_and_serialize(std::vector<Layer>& layers,
   // Grow geometrically when appending into a shared arena: an exact-fit
   // reserve would reallocate (and copy the whole arena) on every frame,
   // turning a burst render quadratic in its byte size.
-  const std::size_t needed =
-      out.size() + bytes_after[0] + std::visit(SizeVisitor{}, layers[0]);
+  const std::size_t needed = out.size() + frames * total;
   if (out.capacity() < needed) {
     out.reserve(std::max(needed, out.capacity() + out.capacity() / 2));
   }

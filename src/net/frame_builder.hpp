@@ -82,11 +82,14 @@ class FrameBuilder {
 
   /// Batched build_into(): emit one frame per timestamps[i], all from the
   /// current stack, patching values[i] into the field(s) selected by
-  /// `field`. The stack must describe the fields being patched with value
-  /// 0 (the template is serialized once, then stamped per frame), so the
-  /// output is byte-identical to calling build_into() per frame with
-  /// values[i] threaded through the stack. Requires
-  /// values.size() == timestamps.size() unless field == kNone.
+  /// `field`. The stack is serialized once, as frame 0, straight into the
+  /// store's arena; every later frame is a copy of frame 0 with its own
+  /// values stamped over the patched fields. The stack must describe
+  /// those fields with value 0, so the output is byte-identical to calling
+  /// build_into() per frame with values[i] threaded through the stack.
+  /// Appends behind any frames already in `store`; an empty `timestamps`
+  /// appends nothing. Requires values.size() == timestamps.size() unless
+  /// field == kNone.
   void build_many_into(FrameStore& store,
                        std::span<const util::Nanos> timestamps,
                        std::span<const std::uint32_t> values,
@@ -115,14 +118,12 @@ class FrameBuilder {
   /// Working copy resolved by build()/build_into(); a member so repeated
   /// builds reuse its capacity instead of allocating per frame.
   mutable std::vector<Layer> scratch_;
-  /// One resolved serialization of the stack, reused as the stamp source
-  /// by build_many_into(); a member for the same capacity-reuse reason.
-  mutable Bytes template_;
 
   void push(Layer layer, Marker marker = Marker::kNone);
   /// Pad, resolve chaining/length fields in `layers`, and append the
-  /// serialization to `out`.
-  void resolve_and_serialize(std::vector<Layer>& layers, Bytes& out) const;
+  /// serialization to `out`, reserving room for `frames` copies of it.
+  void resolve_and_serialize(std::vector<Layer>& layers, Bytes& out,
+                             std::size_t frames) const;
 };
 
 }  // namespace patchwork::net
