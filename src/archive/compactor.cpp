@@ -197,19 +197,9 @@ CompactionResult compact_archive(const std::string& path,
         .add(1);
   }
 
-  // The commit grew the file while shrinking the live image; rewrite only
-  // once garbage crosses the configured fraction (default: never).
-  const std::uint64_t file_bytes = result.bytes_before + result.bytes_appended;
-  std::uint64_t live = kFileHeaderSize;
-  for (const EpochRecord& r : plan.records) live += block_bytes(r);
-  const std::uint64_t garbage = file_bytes > live ? file_bytes - live : 0;
-  if (file_bytes > 0 && static_cast<double>(garbage) >
-                            options.gc_garbage_fraction *
-                                static_cast<double>(file_bytes)) {
-    rewrite_live(path, plan.records, result);
-    return result;
-  }
-  result.bytes_after = file_bytes;
+  // The commit grew the file while shrinking the live image; gc_archive
+  // sheds the garbage when asked.
+  result.bytes_after = result.bytes_before + result.bytes_appended;
   return result;
 }
 

@@ -20,8 +20,8 @@
 //     compaction converges to the same logical archive.
 //   - Whole-file rewrite (GC): sheds garbage, corrupt blocks, and damaged
 //     tails by atomically rewriting the live records. Runs when asked
-//     (gc_archive), when the file is damaged, when `incremental` is off,
-//     or automatically once garbage exceeds `gc_garbage_fraction`.
+//     (gc_archive), when the file is damaged, or when `incremental` is
+//     off; the garbage incremental commits leave waits for gc_archive.
 //
 // Compaction preserves every sum-derived query answer exactly (the merges
 // are commutative-sum folds) and keeps top-K flow answers within the
@@ -50,10 +50,6 @@ struct CompactionOptions {
   /// (bytes written bounded by the rollup size). When false, every commit
   /// is a whole-file rewrite (the pre-federation behavior).
   bool incremental = true;
-  /// Rewrite the whole file once garbage (superseded blocks, orphans,
-  /// markers) exceeds this fraction of it. 1.0 = never GC automatically;
-  /// call gc_archive() explicitly instead.
-  double gc_garbage_fraction = 1.0;
 };
 
 struct CompactionResult {

@@ -195,18 +195,5 @@ TEST_F(IncrementalCompactionTest, GcShedsGarbageWithoutChangingAnswers) {
   EXPECT_EQ(file_bytes(), clean);
 }
 
-TEST_F(IncrementalCompactionTest, AutoGcTriggersOnGarbageFraction) {
-  write_epochs(12);
-  CompactionOptions options;
-  options.storage_budget_bytes = util::file_size_bytes(path_).value_or(0) / 4;
-  options.gc_garbage_fraction = 0.25;  // The first commit crosses this.
-  const CompactionResult result = compact_archive(path_, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result.gc);
-  ArchiveReader reader;
-  ASSERT_EQ(reader.open(path_), OpenError::kNone);
-  EXPECT_EQ(reader.garbage_bytes(), 0u);
-}
-
 }  // namespace
 }  // namespace patchwork::archive
