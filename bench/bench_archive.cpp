@@ -51,12 +51,12 @@ archive::EpochRecord synthetic_epoch(std::uint64_t n, util::Rng& rng) {
   for (std::size_t b = 0; b < r.frame_sizes.counts.size(); ++b) {
     r.frame_sizes.counts[b] = rng.uniform_u64(100, 20000);
   }
-  r.protocol_occurrences.assign(net::kProtocolCount, 0);
-  for (auto& count : r.protocol_occurrences) {
+  r.header_occurrence.occurrences.assign(net::kProtocolCount, 0);
+  for (auto& count : r.header_occurrence.occurrences) {
     count = rng.uniform_u64(0, r.frames);
   }
-  r.occurrence_frames = r.frames;
-  r.tcp_frames = r.frames * 9 / 10;
+  r.header_occurrence.frames = r.frames;
+  r.tcp_control.tcp_frames = r.frames * 9 / 10;
   r.flow_snippets = kFlowsPerEpoch;
   for (int site = 0; site < 8; ++site) {
     archive::SiteEpochLoad load;

@@ -12,8 +12,8 @@
 #include <iostream>
 
 #include "bench_profile.hpp"
+#include "archive/record.hpp"
 #include "traffic/flowgen.hpp"
-#include "util/histogram.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -26,18 +26,18 @@ int main() {
       world, /*cycles=*/4, /*samples=*/3, /*max_frames=*/4000);
   const auto& counts = profile.analysis.flows_per_sample;
 
-  util::Histogram hist({0, 10, 30, 100, 300, 1000, 3000, 10000, 30000});
+  archive::HistCounts hist({0, 10, 30, 100, 300, 1000, 3000, 10000, 30000});
   for (const auto& row : counts) {
     hist.add(static_cast<double>(row.flows));
   }
   util::TextTable table({"Flows per sample", "Samples", "Bar"});
   std::uint64_t max_bucket = 1;
-  for (std::size_t i = 0; i < hist.bucket_count(); ++i) {
-    max_bucket = std::max(max_bucket, hist.bucket(i));
+  for (std::uint64_t samples : hist.counts) {
+    max_bucket = std::max(max_bucket, samples);
   }
-  for (std::size_t i = 0; i < hist.bucket_count(); ++i) {
-    table.add_row({hist.bucket_label(i), std::to_string(hist.bucket(i)),
-                   bench::bar(static_cast<double>(hist.bucket(i)),
+  for (std::size_t i = 0; i < hist.counts.size(); ++i) {
+    table.add_row({hist.bucket_label(i), std::to_string(hist.counts[i]),
+                   bench::bar(static_cast<double>(hist.counts[i]),
                               static_cast<double>(max_bucket), 40)});
   }
   table.print(std::cout);

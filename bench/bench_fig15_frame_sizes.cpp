@@ -43,12 +43,13 @@ int main() {
   double min_jumbo = 1.0, max_jumbo = 0.0;
   for (const auto& site : profile.analysis.site_loads) {
     const auto& r = site.frame_sizes;
-    if (r.frames == 0) continue;
-    min_jumbo = std::min(min_jumbo, r.jumbo_fraction());
-    max_jumbo = std::max(max_jumbo, r.jumbo_fraction());
-    site_table.add_row({site.site, std::to_string(r.frames),
-                        util::fmt_percent(r.jumbo_fraction(), 1),
-                        bench::bar(r.jumbo_fraction(), 1.0, 40)});
+    if (r.total() == 0) continue;
+    const double jumbo = r.fraction_at_or_above(archive::kJumboEdgeBytes);
+    min_jumbo = std::min(min_jumbo, jumbo);
+    max_jumbo = std::max(max_jumbo, jumbo);
+    site_table.add_row({site.site, std::to_string(r.total()),
+                        util::fmt_percent(jumbo, 1),
+                        bench::bar(jumbo, 1.0, 40)});
   }
   site_table.print(std::cout);
 

@@ -55,7 +55,10 @@ int main() {
   std::cout << "Frames digested:   " << report.digest_stats.frames << "\n"
             << "Distinct flows:    " << report.distinct_flows << "\n"
             << "Jumbo frames:      "
-            << report.frame_sizes.jumbo_fraction() * 100.0 << "%\n"
+            << report.frame_sizes.fraction_at_or_above(
+                   archive::kJumboEdgeBytes) *
+                   100.0
+            << "%\n"
             << "IPv4 occurrence:   "
             << report.header_occurrence.percent(net::Protocol::kIpv4)
             << "%\n"

@@ -79,8 +79,9 @@ int main() {
                  std::to_string(report.tcp_control.syn) + " / " +
                      std::to_string(report.tcp_control.fin) + " / " +
                      std::to_string(report.tcp_control.rst)});
-  table.add_row({"Jumbo share",
-                 util::fmt_percent(report.frame_sizes.jumbo_fraction(), 1)});
+  const double jumbo =
+      report.frame_sizes.fraction_at_or_above(archive::kJumboEdgeBytes);
+  table.add_row({"Jumbo share", util::fmt_percent(jumbo, 1)});
   std::cout << "\n";
   table.print(std::cout);
 

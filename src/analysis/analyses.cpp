@@ -1,6 +1,7 @@
 #include "analysis/analyses.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bitset>
 #include <iterator>
 #include <map>
@@ -13,30 +14,6 @@ namespace patchwork::analysis {
 
 std::vector<double> paper_frame_size_edges() {
   return {64, 65, 128, 256, 512, 1024, 1519, 2048, 4096, 9217};
-}
-
-double FrameSizeResult::fraction_in(double lo) const {
-  for (std::size_t i = 0; i < histogram.bucket_count(); ++i) {
-    if (histogram.bucket_lo(i) == lo) return histogram.fraction(i);
-  }
-  return 0.0;
-}
-
-double FrameSizeResult::jumbo_fraction() const {
-  if (frames == 0) return 0.0;
-  std::uint64_t jumbo = 0;
-  for (std::size_t i = 0; i < histogram.bucket_count(); ++i) {
-    if (histogram.bucket_lo(i) >= 1519) jumbo += histogram.bucket(i);
-  }
-  jumbo += histogram.overflow();
-  return static_cast<double>(jumbo) / static_cast<double>(frames);
-}
-
-double HeaderOccurrenceResult::percent(net::Protocol p) const {
-  if (frames == 0) return 0.0;
-  return 100.0 *
-         static_cast<double>(occurrences[static_cast<std::size_t>(p)]) /
-         static_cast<double>(frames);
 }
 
 namespace {
@@ -78,9 +55,10 @@ void merge_aggregate(FlowAggregate& dst, const FlowAggregate& src) {
 /// which is capture order.
 struct ChunkFold {
   DigestStats digest_stats;
-  HeaderOccurrenceResult header_occurrence;
-  TcpControlResult tcp_control;
-  TaggingResult tagging;
+  archive::HeaderOccurrenceCounts header_occurrence{
+      0, std::vector<std::uint64_t>(net::kProtocolCount)};
+  archive::TcpControlCounts tcp_control;
+  archive::TaggingCounts tagging;
   StackCounts stacks;
   std::vector<SampleFlowCount> flows_per_sample;
   std::map<std::string, SiteFold> sites;
@@ -94,7 +72,10 @@ struct ChunkFold {
     // only capture did not open still reports its sample.
     auto [it, fresh] = sites.try_emplace(capture.site);
     SiteFold& site = it->second;
-    if (fresh) site.row.site = capture.site;
+    if (fresh) {
+      site.row.site = capture.site;
+      site.row.frame_sizes = archive::HistCounts(paper_frame_size_edges());
+    }
     ++site.row.samples;
     site.row.pcap_bytes += capture.pcap.size();
     site.row.switch_drops_suspected += capture.switch_drops_suspected;
@@ -114,8 +95,7 @@ struct ChunkFold {
           std::max(site.row.deepest_stack, r.header_depth());
       ++site.row.frames;
       site.row.wire_bytes += r.wire_length;
-      site.row.frame_sizes.histogram.add(static_cast<double>(r.wire_length));
-      ++site.row.frame_sizes.frames;
+      site.row.frame_sizes.add(static_cast<double>(r.wire_length));
 
       const bool vlan = seen.test(bit(net::Protocol::kVlan));
       const bool mpls = seen.test(bit(net::Protocol::kMpls));
@@ -166,21 +146,9 @@ struct ChunkFold {
   /// Fold a later chunk's everything-but-flows into this one.
   void merge(ChunkFold&& later) {
     digest_stats += later.digest_stats;
-    header_occurrence.frames += later.header_occurrence.frames;
-    for (std::size_t i = 0; i < net::kProtocolCount; ++i) {
-      header_occurrence.occurrences[i] +=
-          later.header_occurrence.occurrences[i];
-    }
-    tcp_control.tcp_frames += later.tcp_control.tcp_frames;
-    tcp_control.syn += later.tcp_control.syn;
-    tcp_control.fin += later.tcp_control.fin;
-    tcp_control.rst += later.tcp_control.rst;
-    tcp_control.pure_ack += later.tcp_control.pure_ack;
-    tagging.frames += later.tagging.frames;
-    tagging.vlan_tagged += later.tagging.vlan_tagged;
-    tagging.mpls_tagged += later.tagging.mpls_tagged;
-    tagging.both_tagged += later.tagging.both_tagged;
-    tagging.untagged += later.tagging.untagged;
+    header_occurrence.merge(later.header_occurrence);
+    tcp_control.merge(later.tcp_control);
+    tagging.merge(later.tagging);
     for (const auto& [stack, frames] : later.stacks) stacks[stack] += frames;
     flows_per_sample.insert(
         flows_per_sample.end(),
@@ -190,13 +158,7 @@ struct ChunkFold {
       auto [it, fresh] = sites.try_emplace(name, std::move(src));
       if (fresh) continue;
       SiteLoad& dst = it->second.row;
-      dst.samples += src.row.samples;
-      dst.frames += src.row.frames;
-      dst.wire_bytes += src.row.wire_bytes;
-      dst.pcap_bytes += src.row.pcap_bytes;
-      dst.switch_drops_suspected += src.row.switch_drops_suspected;
-      dst.frame_sizes.histogram += src.row.frame_sizes.histogram;
-      dst.frame_sizes.frames += src.row.frame_sizes.frames;
+      dst.merge(src.row);
       dst.deepest_stack = std::max(dst.deepest_stack, src.row.deepest_stack);
       it->second.protocols |= src.protocols;
     }
@@ -328,8 +290,7 @@ ProfileAnalysis analyze(const std::vector<RawCapture>& captures) {
   for (auto& [name, site] : all.sites) {
     site.row.distinct_headers = (site.protocols & headers).count();
     // The site histograms partition the profile's.
-    out.frame_sizes.histogram += site.row.frame_sizes.histogram;
-    out.frame_sizes.frames += site.row.frame_sizes.frames;
+    out.frame_sizes.merge(site.row.frame_sizes);
     out.site_loads.push_back(std::move(site.row));
   }
   out.distinct_flows = out.flow_aggregates.size();

@@ -8,7 +8,6 @@
 // into CSV.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -16,7 +15,7 @@
 
 #include "analysis/acap.hpp"
 #include "analysis/digest.hpp"
-#include "util/histogram.hpp"
+#include "archive/record.hpp"
 
 namespace patchwork::analysis {
 
@@ -26,38 +25,12 @@ namespace patchwork::analysis {
 /// maximum; 1519-2047 is the bucket that dominates FABRIC traffic.
 std::vector<double> paper_frame_size_edges();
 
-struct FrameSizeResult {
-  util::Histogram histogram = util::Histogram(paper_frame_size_edges());
-  std::uint64_t frames = 0;
-
-  double fraction_in(double lo) const;  ///< Fraction of bucket starting at lo.
-  double jumbo_fraction() const;        ///< Frames > 1518 B.
-};
-
-// --- Header occurrence (Fig. 12) -----------------------------------------
-
-struct HeaderOccurrenceResult {
-  std::uint64_t frames = 0;
-  /// Total occurrences per protocol (Ethernet can exceed `frames` because
-  /// pseudowire/VXLAN frames carry Ethernet twice).
-  std::array<std::uint64_t, net::kProtocolCount> occurrences{};
-
-  double percent(net::Protocol p) const;
-};
-
 // --- Per-site rows (Fig. 11, Fig. 15 per site, capture volume) -----------
 
-/// One site's row: how many sample windows it contributed, what hit the
-/// wire and what survived to pcap, its frame sizes and its header variety.
-/// Every file of the site counts, including one whose pcap did not open.
-struct SiteLoad {
-  std::string site;
-  std::uint64_t samples = 0;
-  std::uint64_t frames = 0;
-  std::uint64_t wire_bytes = 0;
-  std::uint64_t pcap_bytes = 0;
-  std::uint64_t switch_drops_suspected = 0;
-  FrameSizeResult frame_sizes;
+/// One site's row: its load (archive::SiteEpochLoad, every file of the site
+/// counted, including one whose pcap did not open) plus its header
+/// variety.
+struct SiteLoad : archive::SiteEpochLoad {
   std::size_t distinct_headers = 0;  ///< y1-axis of Fig. 11.
   std::size_t deepest_stack = 0;     ///< y2-axis of Fig. 11.
 };
@@ -90,27 +63,17 @@ using FlowMap = std::unordered_map<FlowKey, FlowAggregate, FlowKeyHash>;
 struct FlowDistributionResult {
   std::uint64_t flows = 0;
   /// Log-decade byte buckets: [1,10), [10,100), ... aggregated flow bytes.
-  util::Histogram size_histogram = util::Histogram(
+  archive::HistCounts size_histogram = archive::HistCounts(
       {1, 10, 100, 1000, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11});
   /// Observed flow spans in seconds (snippet first-seen to last-seen).
-  util::Histogram duration_histogram =
-      util::Histogram({0, 1, 5, 20, 60, 300, 1800, 7200, 86400});
+  archive::HistCounts duration_histogram =
+      archive::HistCounts({0, 1, 5, 20, 60, 300, 1800, 7200, 86400});
   std::uint64_t largest_flow_bytes = 0;
   // Size quantiles, computed with one sort via util::percentiles (the
   // flow-size tail is what Section 4 calls heavy; p95/p99 locate it).
   double median_flow_bytes = 0.0;
   double p95_flow_bytes = 0.0;
   double p99_flow_bytes = 0.0;
-};
-
-// --- TCP control information (Section 4: e.g. RST-flagged packets) --------
-
-struct TcpControlResult {
-  std::uint64_t tcp_frames = 0;
-  std::uint64_t syn = 0;
-  std::uint64_t fin = 0;
-  std::uint64_t rst = 0;
-  std::uint64_t pure_ack = 0;  ///< ACK set, no payload on the wire.
 };
 
 // --- Typical encapsulation stacks (Section 8.2's examples) -----------------
@@ -121,23 +84,17 @@ struct StackCount {
   double fraction = 0.0;  ///< Of all frames.
 };
 
-// --- Encapsulation / tagging (Fig. 12's VLAN/MPLS finding) ----------------
-
-struct TaggingResult {
-  std::uint64_t frames = 0;
-  std::uint64_t vlan_tagged = 0;
-  std::uint64_t mpls_tagged = 0;
-  std::uint64_t both_tagged = 0;
-  std::uint64_t untagged = 0;
-};
-
 // --- The whole Analyze step -------------------------------------------------
 
+/// Frame sizes, header occurrence, TCP control, tagging and per-site load
+/// are the archive's mergeable sums (archive/record.hpp); an epoch record
+/// holds the same structs.
 struct ProfileAnalysis {
-  FrameSizeResult frame_sizes;
-  HeaderOccurrenceResult header_occurrence;
-  TcpControlResult tcp_control;
-  TaggingResult tagging;
+  archive::HistCounts frame_sizes =
+      archive::HistCounts(paper_frame_size_edges());
+  archive::HeaderOccurrenceCounts header_occurrence;
+  archive::TcpControlCounts tcp_control;
+  archive::TaggingCounts tagging;
   /// Every distinct abstract header stack, most frequent first (ties by
   /// name) — the data behind the paper's "examples of typical
   /// encapsulations include ..." passage.

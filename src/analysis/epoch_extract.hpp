@@ -1,13 +1,13 @@
 // Bridge from one profiling run's report to the archive's epoch record.
 //
-// This is the only place that knows both shapes: it boils a ProfileReport
-// down to the sums, histograms, and the top-flow summary the longitudinal
-// archive stores, leaving the full-fidelity CSVs and pcaps behind.
+// The report already holds the archive's sums (frame sizes, header
+// occurrence, TCP control, tagging, per-site load); extraction copies them
+// whole, adds the capture-loss counters and a top-flow summary, and
+// leaves the full-fidelity CSVs and pcaps behind.
 // Extraction is deterministic: flows enter the sketch in FlowKey order, so
 // the encoded record is byte-identical for any analysis thread count.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 #include "analysis/pipeline.hpp"
@@ -23,11 +23,11 @@ struct EpochMeta {
   double offered_bps = 0.0;      ///< Testbed offered load during the epoch.
   std::string manifest_json;     ///< Manifest deterministic section,
                                  ///< embedded verbatim in the record.
-  std::size_t top_flow_capacity = 256;
 };
 
-/// Reduce `report` to an archive record. The record's epoch indices are
-/// left unset — ArchiveWriter::append stamps them.
+/// Reduce `report` to an archive record whose top-flow sketch holds at
+/// most 256 flows. The record's epoch indices are left unset —
+/// ArchiveWriter::append stamps them.
 archive::EpochRecord extract_epoch_record(const ProfileReport& report,
                                           const EpochMeta& meta);
 

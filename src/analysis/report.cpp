@@ -6,14 +6,15 @@
 
 namespace patchwork::analysis {
 
-void write_frame_size_csv(std::ostream& out, const FrameSizeResult& result) {
+void write_frame_size_csv(std::ostream& out,
+                          const archive::HistCounts& result) {
   util::CsvWriter csv(out, {"bucket_lo", "bucket_hi", "frames", "fraction"});
-  for (std::size_t i = 0; i < result.histogram.bucket_count(); ++i) {
+  for (std::size_t i = 0; i < result.counts.size(); ++i) {
     csv.begin_row()
-        .add(result.histogram.bucket_lo(i))
-        .add(result.histogram.bucket_hi(i))
-        .add(result.histogram.bucket(i))
-        .add(result.histogram.fraction(i))
+        .add(result.edges[i])
+        .add(result.edges[i + 1])
+        .add(result.counts[i])
+        .add(result.fraction(i))
         .end_row();
   }
 }
@@ -23,23 +24,24 @@ void write_site_frame_size_csv(std::ostream& out,
   util::CsvWriter csv(out, {"site", "bucket_lo", "bucket_hi", "fraction",
                             "jumbo_fraction"});
   for (const SiteLoad& site : sites) {
-    const FrameSizeResult& r = site.frame_sizes;
-    for (std::size_t i = 0; i < r.histogram.bucket_count(); ++i) {
+    const archive::HistCounts& r = site.frame_sizes;
+    const double jumbo = r.fraction_at_or_above(archive::kJumboEdgeBytes);
+    for (std::size_t i = 0; i < r.counts.size(); ++i) {
       csv.begin_row()
           .add(site.site)
-          .add(r.histogram.bucket_lo(i))
-          .add(r.histogram.bucket_hi(i))
-          .add(r.histogram.fraction(i))
-          .add(r.jumbo_fraction())
+          .add(r.edges[i])
+          .add(r.edges[i + 1])
+          .add(r.fraction(i))
+          .add(jumbo)
           .end_row();
     }
   }
 }
 
-void write_header_occurrence_csv(std::ostream& out,
-                                 const HeaderOccurrenceResult& result) {
+void write_header_occurrence_csv(
+    std::ostream& out, const archive::HeaderOccurrenceCounts& result) {
   util::CsvWriter csv(out, {"protocol", "occurrences", "percent_of_frames"});
-  for (std::size_t i = 0; i < net::kProtocolCount; ++i) {
+  for (std::size_t i = 0; i < result.occurrences.size(); ++i) {
     const auto p = static_cast<net::Protocol>(i);
     if (result.occurrences[i] == 0) continue;
     csv.begin_row()
@@ -100,7 +102,7 @@ void write_flow_aggregate_csv(std::ostream& out, const FlowMap& flows) {
 }
 
 void write_tcp_control_csv(std::ostream& out,
-                           const TcpControlResult& result) {
+                           const archive::TcpControlCounts& result) {
   util::CsvWriter csv(out, {"metric", "count"});
   csv.begin_row().add("tcp_frames").add(result.tcp_frames).end_row();
   csv.begin_row().add("syn").add(result.syn).end_row();
@@ -122,26 +124,23 @@ void write_top_stacks_csv(std::ostream& out,
 void write_flow_distribution_csv(std::ostream& out,
                                  const FlowDistributionResult& result) {
   util::CsvWriter csv(out, {"dimension", "bucket_lo", "bucket_hi", "flows"});
-  for (std::size_t i = 0; i < result.size_histogram.bucket_count(); ++i) {
-    csv.begin_row()
-        .add("bytes")
-        .add(result.size_histogram.bucket_lo(i))
-        .add(result.size_histogram.bucket_hi(i))
-        .add(result.size_histogram.bucket(i))
-        .end_row();
-  }
-  for (std::size_t i = 0; i < result.duration_histogram.bucket_count();
-       ++i) {
-    csv.begin_row()
-        .add("seconds")
-        .add(result.duration_histogram.bucket_lo(i))
-        .add(result.duration_histogram.bucket_hi(i))
-        .add(result.duration_histogram.bucket(i))
-        .end_row();
-  }
+  const auto rows = [&csv](const char* dimension,
+                           const archive::HistCounts& h) {
+    for (std::size_t i = 0; i < h.counts.size(); ++i) {
+      csv.begin_row()
+          .add(dimension)
+          .add(h.edges[i])
+          .add(h.edges[i + 1])
+          .add(h.counts[i])
+          .end_row();
+    }
+  };
+  rows("bytes", result.size_histogram);
+  rows("seconds", result.duration_histogram);
 }
 
-void write_tagging_csv(std::ostream& out, const TaggingResult& result) {
+void write_tagging_csv(std::ostream& out,
+                       const archive::TaggingCounts& result) {
   util::CsvWriter csv(out, {"metric", "count"});
   csv.begin_row().add("frames").add(result.frames).end_row();
   csv.begin_row().add("vlan_tagged").add(result.vlan_tagged).end_row();

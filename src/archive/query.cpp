@@ -83,11 +83,12 @@ std::vector<ArchiveQuery::TrendPoint> ArchiveQuery::protocol_share(
     net::Protocol protocol) const {
   const std::size_t idx = static_cast<std::size_t>(protocol);
   return trend([idx](const EpochRecord& r) {
-    if (r.occurrence_frames == 0 || idx >= r.protocol_occurrences.size()) {
+    const HeaderOccurrenceCounts& occurrence = r.header_occurrence;
+    if (occurrence.frames == 0 || idx >= occurrence.occurrences.size()) {
       return 0.0;
     }
-    return static_cast<double>(r.protocol_occurrences[idx]) /
-           static_cast<double>(r.occurrence_frames);
+    return static_cast<double>(occurrence.occurrences[idx]) /
+           static_cast<double>(occurrence.frames);
   });
 }
 

@@ -126,9 +126,6 @@ class ArchiveQuery {
   /// The k heaviest flows across the whole archive, with error bounds.
   std::vector<TopFlowSketch::Entry> top_flows(std::size_t k) const;
 
-  /// The paper's jumbo lower edge (1519: above the 1518 standard max).
-  static constexpr double kJumboEdgeBytes = 1519.0;
-
  private:
   template <typename Fn>
   std::vector<TrendPoint> trend(Fn&& value_of) const;

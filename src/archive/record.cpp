@@ -2,17 +2,70 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <map>
+#include <sstream>
+#include <utility>
 
 #include "archive/format.hpp"
 #include "util/byte_io.hpp"
 
 namespace patchwork::archive {
 
+HistCounts::HistCounts(std::vector<double> edges_in)
+    : edges(std::move(edges_in)) {
+  assert(edges.size() >= 2);
+  for (std::size_t i = 1; i < edges.size(); ++i) {
+    assert(edges[i] > edges[i - 1]);
+  }
+  counts.assign(edges.size() - 1, 0);
+}
+
+void HistCounts::add(double value, std::uint64_t count) {
+  if (counts.empty() || value < edges.front()) {
+    underflow += count;
+    return;
+  }
+  if (value >= edges.back()) {
+    overflow += count;
+    return;
+  }
+  // Binary search for the bucket containing `value`.
+  std::size_t lo = 0, hi = counts.size() - 1;
+  while (lo < hi) {
+    std::size_t mid = (lo + hi + 1) / 2;
+    if (value >= edges[mid]) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  counts[lo] += count;
+}
+
 std::uint64_t HistCounts::total() const {
   std::uint64_t sum = underflow + overflow;
   for (std::uint64_t c : counts) sum += c;
   return sum;
+}
+
+double HistCounts::fraction(std::size_t i) const {
+  const std::uint64_t all = total();
+  if (all == 0) return 0.0;
+  return static_cast<double>(counts.at(i)) / static_cast<double>(all);
+}
+
+double HistCounts::fraction_in(double lo) const {
+  for (std::size_t i = 0; i < counts.size() && i < edges.size(); ++i) {
+    if (edges[i] == lo) return fraction(i);
+  }
+  return 0.0;
+}
+
+std::string HistCounts::bucket_label(std::size_t i) const {
+  std::ostringstream os;
+  os << "[" << edges.at(i) << ", " << edges.at(i + 1) << ")";
+  return os.str();
 }
 
 double HistCounts::fraction_at_or_above(double lo) const {
@@ -126,6 +179,48 @@ void HistCounts::merge(const HistCounts& other) {
   *this = std::move(merged);
 }
 
+double HeaderOccurrenceCounts::percent(net::Protocol p) const {
+  const auto i = static_cast<std::size_t>(p);
+  if (frames == 0 || i >= occurrences.size()) return 0.0;
+  return 100.0 * static_cast<double>(occurrences[i]) /
+         static_cast<double>(frames);
+}
+
+void HeaderOccurrenceCounts::merge(const HeaderOccurrenceCounts& other) {
+  frames += other.frames;
+  if (occurrences.size() < other.occurrences.size()) {
+    occurrences.resize(other.occurrences.size(), 0);
+  }
+  for (std::size_t i = 0; i < other.occurrences.size(); ++i) {
+    occurrences[i] += other.occurrences[i];
+  }
+}
+
+void TcpControlCounts::merge(const TcpControlCounts& other) {
+  tcp_frames += other.tcp_frames;
+  syn += other.syn;
+  fin += other.fin;
+  rst += other.rst;
+  pure_ack += other.pure_ack;
+}
+
+void TaggingCounts::merge(const TaggingCounts& other) {
+  frames += other.frames;
+  vlan_tagged += other.vlan_tagged;
+  mpls_tagged += other.mpls_tagged;
+  both_tagged += other.both_tagged;
+  untagged += other.untagged;
+}
+
+void SiteEpochLoad::merge(const SiteEpochLoad& other) {
+  samples += other.samples;
+  frames += other.frames;
+  wire_bytes += other.wire_bytes;
+  pcap_bytes += other.pcap_bytes;
+  switch_drops_suspected += other.switch_drops_suspected;
+  frame_sizes.merge(other.frame_sizes);
+}
+
 void EpochRecord::merge_from(const EpochRecord& other) {
   level = std::max({level, other.level, std::uint32_t{1}});
   first_epoch = std::min(first_epoch, other.first_epoch);
@@ -170,23 +265,9 @@ void EpochRecord::merge_from(const EpochRecord& other) {
   pcap_bytes += other.pcap_bytes;
 
   frame_sizes.merge(other.frame_sizes);
-  occurrence_frames += other.occurrence_frames;
-  if (protocol_occurrences.size() < other.protocol_occurrences.size()) {
-    protocol_occurrences.resize(other.protocol_occurrences.size(), 0);
-  }
-  for (std::size_t i = 0; i < other.protocol_occurrences.size(); ++i) {
-    protocol_occurrences[i] += other.protocol_occurrences[i];
-  }
-  tcp_frames += other.tcp_frames;
-  tcp_syn += other.tcp_syn;
-  tcp_fin += other.tcp_fin;
-  tcp_rst += other.tcp_rst;
-  tcp_pure_ack += other.tcp_pure_ack;
-  tag_frames += other.tag_frames;
-  vlan_tagged += other.vlan_tagged;
-  mpls_tagged += other.mpls_tagged;
-  both_tagged += other.both_tagged;
-  untagged += other.untagged;
+  header_occurrence.merge(other.header_occurrence);
+  tcp_control.merge(other.tcp_control);
+  tagging.merge(other.tagging);
   flow_snippets += other.flow_snippets;
   largest_flow_bytes = std::max(largest_flow_bytes, other.largest_flow_bytes);
 
@@ -196,14 +277,7 @@ void EpochRecord::merge_from(const EpochRecord& other) {
   }
   for (const SiteEpochLoad& load : other.site_loads) {
     auto [it, inserted] = by_site.emplace(load.site, load);
-    if (!inserted) {
-      it->second.samples += load.samples;
-      it->second.frames += load.frames;
-      it->second.wire_bytes += load.wire_bytes;
-      it->second.pcap_bytes += load.pcap_bytes;
-      it->second.switch_drops_suspected += load.switch_drops_suspected;
-      it->second.frame_sizes.merge(load.frame_sizes);
-    }
+    if (!inserted) it->second.merge(load);
   }
   site_loads.clear();
   site_loads.reserve(by_site.size());
@@ -349,20 +423,21 @@ std::vector<std::uint8_t> encode_record(const EpochRecord& r) {
   util::put_be64(out, r.pcap_bytes);
 
   put_hist(out, r.frame_sizes);
-  util::put_be64(out, r.occurrence_frames);
-  util::put_be32(out, static_cast<std::uint32_t>(
-                          r.protocol_occurrences.size()));
-  for (std::uint64_t v : r.protocol_occurrences) util::put_be64(out, v);
-  util::put_be64(out, r.tcp_frames);
-  util::put_be64(out, r.tcp_syn);
-  util::put_be64(out, r.tcp_fin);
-  util::put_be64(out, r.tcp_rst);
-  util::put_be64(out, r.tcp_pure_ack);
-  util::put_be64(out, r.tag_frames);
-  util::put_be64(out, r.vlan_tagged);
-  util::put_be64(out, r.mpls_tagged);
-  util::put_be64(out, r.both_tagged);
-  util::put_be64(out, r.untagged);
+  const HeaderOccurrenceCounts& occurrence = r.header_occurrence;
+  util::put_be64(out, occurrence.frames);
+  util::put_be32(out,
+                 static_cast<std::uint32_t>(occurrence.occurrences.size()));
+  for (std::uint64_t v : occurrence.occurrences) util::put_be64(out, v);
+  util::put_be64(out, r.tcp_control.tcp_frames);
+  util::put_be64(out, r.tcp_control.syn);
+  util::put_be64(out, r.tcp_control.fin);
+  util::put_be64(out, r.tcp_control.rst);
+  util::put_be64(out, r.tcp_control.pure_ack);
+  util::put_be64(out, r.tagging.frames);
+  util::put_be64(out, r.tagging.vlan_tagged);
+  util::put_be64(out, r.tagging.mpls_tagged);
+  util::put_be64(out, r.tagging.both_tagged);
+  util::put_be64(out, r.tagging.untagged);
   util::put_be64(out, r.flow_snippets);
   util::put_be64(out, r.largest_flow_bytes);
 
@@ -414,19 +489,20 @@ bool decode_record(std::span<const std::uint8_t> payload,
   r.pcap_bytes = c.u64();
 
   r.frame_sizes = get_hist(c);
-  r.occurrence_frames = c.u64();
-  r.protocol_occurrences.resize(c.count(8));
-  for (std::uint64_t& v : r.protocol_occurrences) v = c.u64();
-  r.tcp_frames = c.u64();
-  r.tcp_syn = c.u64();
-  r.tcp_fin = c.u64();
-  r.tcp_rst = c.u64();
-  r.tcp_pure_ack = c.u64();
-  r.tag_frames = c.u64();
-  r.vlan_tagged = c.u64();
-  r.mpls_tagged = c.u64();
-  r.both_tagged = c.u64();
-  r.untagged = c.u64();
+  HeaderOccurrenceCounts& occurrence = r.header_occurrence;
+  occurrence.frames = c.u64();
+  occurrence.occurrences.resize(c.count(8));
+  for (std::uint64_t& v : occurrence.occurrences) v = c.u64();
+  r.tcp_control.tcp_frames = c.u64();
+  r.tcp_control.syn = c.u64();
+  r.tcp_control.fin = c.u64();
+  r.tcp_control.rst = c.u64();
+  r.tcp_control.pure_ack = c.u64();
+  r.tagging.frames = c.u64();
+  r.tagging.vlan_tagged = c.u64();
+  r.tagging.mpls_tagged = c.u64();
+  r.tagging.both_tagged = c.u64();
+  r.tagging.untagged = c.u64();
   r.flow_snippets = c.u64();
   r.largest_flow_bytes = c.u64();
 

@@ -7,6 +7,12 @@
 // section, embedded verbatim). A rollup is the same struct covering a
 // span of epochs, produced by merge_from().
 //
+// The profile sums (HistCounts, HeaderOccurrenceCounts, TcpControlCounts,
+// TaggingCounts, SiteEpochLoad) are declared here once. The Analyze fold
+// accumulates into the same types, so extraction copies them whole, and
+// each has one merge that both the fold's chunk merge and merge_from()
+// call.
+//
 // Merge semantics: every field is either a sum (counters, histogram
 // buckets, per-site loads joined by site name), a max (largest flow), a
 // span extension (first/last epoch, start/duration), or a sketch fold.
@@ -31,19 +37,37 @@
 #include <vector>
 
 #include "archive/sketch.hpp"
+#include "net/protocol.hpp"
 
 namespace patchwork::archive {
 
-/// A serializable histogram: explicit edges plus per-bucket counts, so the
-/// archive is self-describing (no dependence on the writer's bucket
-/// tables). Bucket i covers [edges[i], edges[i+1]).
+/// The fixed-edge histogram: explicit edges plus per-bucket counts. The
+/// Analyze fold bins frame and flow sizes into it, and the archive stores
+/// it as it stands, so a record is self-describing (no dependence on the
+/// writer's bucket tables). Bucket i covers [edges[i], edges[i+1]); values
+/// below the first edge count as underflow, at or above the last as
+/// overflow.
 struct HistCounts {
   std::vector<double> edges;
   std::vector<std::uint64_t> counts;
   std::uint64_t underflow = 0;
   std::uint64_t overflow = 0;
 
+  HistCounts() = default;
+  /// Zero counts over `edges`, which must be strictly increasing and hold
+  /// at least two entries.
+  explicit HistCounts(std::vector<double> edges);
+
+  /// Count `value` into its bucket. Without a layout it is underflow.
+  void add(double value, std::uint64_t count = 1);
+
   std::uint64_t total() const;
+  /// Fraction of all samples (under/overflow included) in bucket i.
+  double fraction(std::size_t i) const;
+  /// fraction(i) of the bucket whose lower edge is `lo`; 0 if none is.
+  double fraction_in(double lo) const;
+  /// Human-readable label like "[65, 128)".
+  std::string bucket_label(std::size_t i) const;
   /// Fraction of all samples at or above `lo`, plus overflow (e.g. lo=1519
   /// gives the jumbo share under the paper edges). A bucket that straddles
   /// `lo` contributes the overlap fraction of its count (uniform-within-
@@ -59,7 +83,53 @@ struct HistCounts {
   bool operator==(const HistCounts&) const = default;
 };
 
-/// One site's contribution to an epoch (or a rollup's span).
+/// The paper's jumbo lower edge (1519: above the 1518 standard max).
+inline constexpr double kJumboEdgeBytes = 1519.0;
+
+/// Header occurrence (Fig. 12): frames seen and each protocol's
+/// occurrences, indexed by net::Protocol. Ethernet can exceed `frames`
+/// because pseudowire/VXLAN frames carry Ethernet twice.
+struct HeaderOccurrenceCounts {
+  std::uint64_t frames = 0;
+  std::vector<std::uint64_t> occurrences;
+
+  /// Occurrences of `p` per hundred frames.
+  double percent(net::Protocol p) const;
+  /// Sums; the shorter occurrence vector grows to the longer one's size.
+  void merge(const HeaderOccurrenceCounts& other);
+
+  bool operator==(const HeaderOccurrenceCounts&) const = default;
+};
+
+/// TCP control information (Section 4: e.g. RST-flagged packets).
+struct TcpControlCounts {
+  std::uint64_t tcp_frames = 0;
+  std::uint64_t syn = 0;
+  std::uint64_t fin = 0;
+  std::uint64_t rst = 0;
+  std::uint64_t pure_ack = 0;  ///< ACK set, no payload on the wire.
+
+  void merge(const TcpControlCounts& other);
+
+  bool operator==(const TcpControlCounts&) const = default;
+};
+
+/// Encapsulation / tagging (Fig. 12's VLAN/MPLS finding).
+struct TaggingCounts {
+  std::uint64_t frames = 0;
+  std::uint64_t vlan_tagged = 0;
+  std::uint64_t mpls_tagged = 0;
+  std::uint64_t both_tagged = 0;
+  std::uint64_t untagged = 0;
+
+  void merge(const TaggingCounts& other);
+
+  bool operator==(const TaggingCounts&) const = default;
+};
+
+/// One site's load over a profile, an epoch, or a rollup's span: how many
+/// sample windows it contributed, what hit the wire and what survived to
+/// pcap, and its frame sizes.
 struct SiteEpochLoad {
   std::string site;
   std::uint64_t samples = 0;
@@ -68,6 +138,9 @@ struct SiteEpochLoad {
   std::uint64_t pcap_bytes = 0;
   std::uint64_t switch_drops_suspected = 0;
   HistCounts frame_sizes;
+
+  /// Sums another row of the same site into this one.
+  void merge(const SiteEpochLoad& other);
 
   bool operator==(const SiteEpochLoad&) const = default;
 };
@@ -97,15 +170,11 @@ struct EpochRecord {
   std::uint64_t switch_drops_suspected = 0;
   std::uint64_t pcap_bytes = 0;
 
-  // --- profile composition -----------------------------------------------
+  // --- profile composition (the Analyze fold's sums) ----------------------
   HistCounts frame_sizes;
-  std::uint64_t occurrence_frames = 0;
-  /// Indexed by net::Protocol; sized at extraction time.
-  std::vector<std::uint64_t> protocol_occurrences;
-  std::uint64_t tcp_frames = 0, tcp_syn = 0, tcp_fin = 0, tcp_rst = 0,
-                tcp_pure_ack = 0;
-  std::uint64_t tag_frames = 0, vlan_tagged = 0, mpls_tagged = 0,
-                both_tagged = 0, untagged = 0;
+  HeaderOccurrenceCounts header_occurrence;
+  TcpControlCounts tcp_control;
+  TaggingCounts tagging;
   /// Sum of per-epoch distinct flow counts (flow *snippets*: a flow alive
   /// in two epochs counts twice — the mergeable reading of "distinct").
   std::uint64_t flow_snippets = 0;

@@ -1,53 +1,14 @@
-// Histograms used across the analysis pipeline and the host model.
-//
-// Histogram     — fixed user-supplied bucket edges (frame-size bins, etc.).
-// Log2Histogram — power-of-two buckets, matching the bpftrace-style
-//                 log-scaled latency histograms the paper uses in App. B.
+// Power-of-two histograms for the host model and latency metrics, matching
+// the bpftrace-style log-scaled latency histograms the paper uses in
+// App. B. The fixed-edge histogram (frame-size bins, etc.) is
+// archive::HistCounts.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace patchwork::util {
-
-/// Histogram over user-supplied bucket boundaries.
-///
-/// Buckets are [edge[i], edge[i+1]) for i in [0, n-2], plus an implicit
-/// overflow bucket for values >= the last edge and an underflow bucket for
-/// values < the first edge.
-class Histogram {
- public:
-  /// `edges` must be strictly increasing and contain at least two entries.
-  explicit Histogram(std::vector<double> edges);
-
-  void add(double value, std::uint64_t count = 1);
-
-  /// Add `other`'s counts bucket by bucket. Both must share their edges.
-  Histogram& operator+=(const Histogram& other);
-
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::uint64_t total() const { return total_; }
-
-  double bucket_lo(std::size_t i) const { return edges_.at(i); }
-  double bucket_hi(std::size_t i) const { return edges_.at(i + 1); }
-
-  /// Fraction of all samples (including under/overflow) in bucket i.
-  double fraction(std::size_t i) const;
-
-  /// Human-readable label like "[65, 128)".
-  std::string bucket_label(std::size_t i) const;
-
- private:
-  std::vector<double> edges_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
 
 /// Power-of-two histogram: bucket k holds values in [2^k, 2^(k+1)).
 ///

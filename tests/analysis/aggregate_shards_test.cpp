@@ -79,18 +79,6 @@ std::vector<RawCapture> stitched_profile() {
   return captures;
 }
 
-void expect_histograms_equal(const util::Histogram& a,
-                             const util::Histogram& b,
-                             const std::string& label) {
-  ASSERT_EQ(a.bucket_count(), b.bucket_count()) << label;
-  for (std::size_t i = 0; i < a.bucket_count(); ++i) {
-    EXPECT_EQ(a.bucket(i), b.bucket(i)) << label << " bucket " << i;
-  }
-  EXPECT_EQ(a.underflow(), b.underflow()) << label;
-  EXPECT_EQ(a.overflow(), b.overflow()) << label;
-  EXPECT_EQ(a.total(), b.total()) << label;
-}
-
 void expect_flow_maps_equal(const FlowMap& a, const FlowMap& b,
                             const std::string& label) {
   ASSERT_EQ(a.size(), b.size()) << label;
@@ -121,9 +109,7 @@ void expect_analyses_equal(const ProfileAnalysis& a, const ProfileAnalysis& b,
   EXPECT_EQ(a.digest_stats.malformed_frames, b.digest_stats.malformed_frames)
       << label;
 
-  expect_histograms_equal(a.frame_sizes.histogram, b.frame_sizes.histogram,
-                          label + "frame_sizes");
-  EXPECT_EQ(a.frame_sizes.frames, b.frame_sizes.frames) << label;
+  EXPECT_EQ(a.frame_sizes, b.frame_sizes) << label;
 
   EXPECT_EQ(a.header_occurrence.frames, b.header_occurrence.frames) << label;
   EXPECT_EQ(a.header_occurrence.occurrences, b.header_occurrence.occurrences)
@@ -171,9 +157,7 @@ void expect_analyses_equal(const ProfileAnalysis& a, const ProfileAnalysis& b,
     EXPECT_EQ(x.wire_bytes, y.wire_bytes) << site;
     EXPECT_EQ(x.pcap_bytes, y.pcap_bytes) << site;
     EXPECT_EQ(x.switch_drops_suspected, y.switch_drops_suspected) << site;
-    expect_histograms_equal(x.frame_sizes.histogram, y.frame_sizes.histogram,
-                            site);
-    EXPECT_EQ(x.frame_sizes.frames, y.frame_sizes.frames) << site;
+    EXPECT_EQ(x.frame_sizes, y.frame_sizes) << site;
     EXPECT_EQ(x.distinct_headers, y.distinct_headers) << site;
     EXPECT_EQ(x.deepest_stack, y.deepest_stack) << site;
   }
@@ -181,12 +165,12 @@ void expect_analyses_equal(const ProfileAnalysis& a, const ProfileAnalysis& b,
   expect_flow_maps_equal(a.flow_aggregates, b.flow_aggregates, label);
   EXPECT_EQ(a.distinct_flows, b.distinct_flows) << label;
   EXPECT_EQ(a.largest_flow_bytes, b.largest_flow_bytes) << label;
-  expect_histograms_equal(a.flow_distribution.size_histogram,
-                          b.flow_distribution.size_histogram,
-                          label + "flow sizes");
-  expect_histograms_equal(a.flow_distribution.duration_histogram,
-                          b.flow_distribution.duration_histogram,
-                          label + "flow durations");
+  EXPECT_EQ(a.flow_distribution.size_histogram,
+            b.flow_distribution.size_histogram)
+      << label;
+  EXPECT_EQ(a.flow_distribution.duration_histogram,
+            b.flow_distribution.duration_histogram)
+      << label;
   EXPECT_EQ(a.flow_distribution.median_flow_bytes,
             b.flow_distribution.median_flow_bytes)
       << label;

@@ -31,12 +31,12 @@ TEST(FrameSizes, CountsByWireLength) {
       "S1", 0,
       {tcp_frame(1, 2, 1, 2, 1900), tcp_frame(1, 2, 1, 2, 1900),
        tcp_frame(1, 2, 1, 2, 70), tcp_frame(1, 2, 1, 2, 300)}));
-  const FrameSizeResult result = analyze(captures).frame_sizes;
-  EXPECT_EQ(result.frames, 4u);
+  const archive::HistCounts result = analyze(captures).frame_sizes;
+  EXPECT_EQ(result.total(), 4u);
   EXPECT_DOUBLE_EQ(result.fraction_in(1519), 0.5);
   EXPECT_DOUBLE_EQ(result.fraction_in(65), 0.25);
   EXPECT_DOUBLE_EQ(result.fraction_in(256), 0.25);
-  EXPECT_DOUBLE_EQ(result.jumbo_fraction(), 0.5);
+  EXPECT_DOUBLE_EQ(result.fraction_at_or_above(1519), 0.5);
 }
 
 TEST(FrameSizes, PerSiteFiltering) {
@@ -47,8 +47,8 @@ TEST(FrameSizes, PerSiteFiltering) {
   ASSERT_EQ(sites.size(), 2u);
   EXPECT_EQ(sites[0].site, "S1");
   EXPECT_EQ(sites[1].site, "S2");
-  EXPECT_DOUBLE_EQ(sites[0].frame_sizes.jumbo_fraction(), 1.0);
-  EXPECT_DOUBLE_EQ(sites[1].frame_sizes.jumbo_fraction(), 0.0);
+  EXPECT_DOUBLE_EQ(sites[0].frame_sizes.fraction_at_or_above(1519), 1.0);
+  EXPECT_DOUBLE_EQ(sites[1].frame_sizes.fraction_at_or_above(1519), 0.0);
 }
 
 TEST(HeaderOccurrence, EthernetCanExceedHundredPercent) {
@@ -65,7 +65,8 @@ TEST(HeaderOccurrence, EthernetCanExceedHundredPercent) {
       .payload(10);
   std::vector<RawCapture> captures;
   captures.push_back(make_capture("S1", 0, {b.build()}));
-  const HeaderOccurrenceResult result = analyze(captures).header_occurrence;
+  const archive::HeaderOccurrenceCounts result =
+      analyze(captures).header_occurrence;
   EXPECT_DOUBLE_EQ(result.percent(net::Protocol::kEthernet), 200.0);
   EXPECT_DOUBLE_EQ(result.percent(net::Protocol::kIpv4), 100.0);
   EXPECT_DOUBLE_EQ(result.percent(net::Protocol::kIcmp), 0.0);
@@ -138,7 +139,7 @@ TEST(TcpControl, ClassifiesFlags) {
                  net::tcp_flags::kFin | net::tcp_flags::kAck),
        tcp_frame(1, 2, 1, 2, 256, 0, 100, net::tcp_flags::kRst),
        ack.build()}));
-  const TcpControlResult result = analyze(captures).tcp_control;
+  const archive::TcpControlCounts result = analyze(captures).tcp_control;
   EXPECT_EQ(result.tcp_frames, 4u);
   EXPECT_EQ(result.syn, 1u);
   EXPECT_EQ(result.fin, 1u);
@@ -160,12 +161,12 @@ TEST(FlowDistribution, BucketsSizesAndDurations) {
   EXPECT_EQ(result.flows, 2u);
   EXPECT_EQ(result.largest_flow_bytes, 1200u);
   // 1200 B lands in [1000, 1e4); 70 B in [10, 100).
-  EXPECT_EQ(result.size_histogram.bucket(3), 1u);
-  EXPECT_EQ(result.size_histogram.bucket(1), 1u);
+  EXPECT_EQ(result.size_histogram.counts[3], 1u);
+  EXPECT_EQ(result.size_histogram.counts[1], 1u);
   // The long flow's observed span is 600 s -> [300, 1800) bucket; the
   // single-frame flow has zero span -> [0, 1).
-  EXPECT_EQ(result.duration_histogram.bucket(5), 1u);
-  EXPECT_EQ(result.duration_histogram.bucket(0), 1u);
+  EXPECT_EQ(result.duration_histogram.counts[5], 1u);
+  EXPECT_EQ(result.duration_histogram.counts[0], 1u);
   EXPECT_DOUBLE_EQ(result.median_flow_bytes, 635.0);
   // Two flows of 70 and 1200 bytes: the tail quantiles interpolate along
   // the same rank rule as util::percentile.
@@ -232,7 +233,7 @@ TEST(Tagging, ClassifiesVlanMplsCombinations) {
   std::vector<RawCapture> captures;
   captures.push_back(make_capture(
       "S1", 0, {tcp_frame(1, 2, 1, 2), untagged.build()}));
-  const TaggingResult result = analyze(captures).tagging;
+  const archive::TaggingCounts result = analyze(captures).tagging;
   EXPECT_EQ(result.frames, 2u);
   EXPECT_EQ(result.vlan_tagged, 1u);
   EXPECT_EQ(result.mpls_tagged, 1u);

@@ -24,7 +24,7 @@ std::vector<RawCapture> sample_profile() {
 TEST(Pipeline, RunsAllStages) {
   const ProfileReport report = run_pipeline(sample_profile());
   EXPECT_EQ(report.digest_stats.frames, 3u);
-  EXPECT_EQ(report.frame_sizes.frames, 3u);
+  EXPECT_EQ(report.frame_sizes.total(), 3u);
   EXPECT_EQ(report.site_loads.size(), 2u);
   EXPECT_EQ(report.flows_per_sample.size(), 2u);
   EXPECT_EQ(report.distinct_flows, 2u);

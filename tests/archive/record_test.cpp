@@ -27,17 +27,17 @@ EpochRecord sample_record(std::uint64_t epoch, const std::string& label) {
   r.frame_sizes.counts = {10, 20};
   r.frame_sizes.underflow = 1;
   r.frame_sizes.overflow = 7;
-  r.protocol_occurrences = {100, 0, 30};
-  r.tcp_frames = 900;
-  r.tcp_syn = 10;
-  r.tcp_fin = 9;
-  r.tcp_rst = 2;
-  r.tcp_pure_ack = 300;
-  r.tag_frames = 1000;
-  r.vlan_tagged = 950;
-  r.mpls_tagged = 400;
-  r.both_tagged = 390;
-  r.untagged = 40;
+  r.header_occurrence.occurrences = {100, 0, 30};
+  r.tcp_control.tcp_frames = 900;
+  r.tcp_control.syn = 10;
+  r.tcp_control.fin = 9;
+  r.tcp_control.rst = 2;
+  r.tcp_control.pure_ack = 300;
+  r.tagging.frames = 1000;
+  r.tagging.vlan_tagged = 950;
+  r.tagging.mpls_tagged = 400;
+  r.tagging.both_tagged = 390;
+  r.tagging.untagged = 40;
   r.flow_snippets = 77;
   r.largest_flow_bytes = 999999;
   SiteEpochLoad site;
@@ -294,8 +294,11 @@ TEST(EpochRecord, MergePreservesSumQueriesUnderAnyGrouping) {
 
   EXPECT_EQ(left.frames, pairs_a.frames);
   EXPECT_EQ(left.frame_sizes, pairs_a.frame_sizes);
-  EXPECT_EQ(left.protocol_occurrences, pairs_a.protocol_occurrences);
-  EXPECT_EQ(left.tcp_frames, pairs_a.tcp_frames);
+  EXPECT_EQ(left.header_occurrence.occurrences,
+            pairs_a.header_occurrence.occurrences);
+  EXPECT_EQ(left.tcp_control.tcp_frames, pairs_a.tcp_control.tcp_frames);
+  EXPECT_TRUE(left.tcp_control == pairs_a.tcp_control);
+  EXPECT_TRUE(left.tagging == pairs_a.tagging);
   EXPECT_EQ(left.flow_snippets, pairs_a.flow_snippets);
   EXPECT_EQ(left.site_loads, pairs_a.site_loads);
   EXPECT_EQ(left.epoch_count, pairs_a.epoch_count);

@@ -2,56 +2,60 @@
 
 #include <gtest/gtest.h>
 
+#include "archive/record.hpp"
+
 namespace patchwork::util {
 namespace {
 
+// The fixed-edge histogram is archive::HistCounts.
+
 TEST(Histogram, BucketsValuesCorrectly) {
-  Histogram h({0, 10, 20, 30});
+  archive::HistCounts h({0, 10, 20, 30});
   h.add(0);    // [0,10)
   h.add(9.9);  // [0,10)
   h.add(10);   // [10,20)
   h.add(25);   // [20,30)
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 1u);
+  EXPECT_EQ(h.counts[0], 2u);
+  EXPECT_EQ(h.counts[1], 1u);
+  EXPECT_EQ(h.counts[2], 1u);
   EXPECT_EQ(h.total(), 4u);
 }
 
 TEST(Histogram, UnderflowAndOverflow) {
-  Histogram h({10, 20});
+  archive::HistCounts h({10, 20});
   h.add(5);
   h.add(20);
   h.add(1000);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bucket(0), 0u);
+  EXPECT_EQ(h.underflow, 1u);
+  EXPECT_EQ(h.overflow, 2u);
+  EXPECT_EQ(h.counts[0], 0u);
   EXPECT_EQ(h.total(), 3u);
 }
 
 TEST(Histogram, WeightedAdd) {
-  Histogram h({0, 100});
+  archive::HistCounts h({0, 100});
   h.add(50, 7);
-  EXPECT_EQ(h.bucket(0), 7u);
+  EXPECT_EQ(h.counts[0], 7u);
   EXPECT_EQ(h.total(), 7u);
 }
 
 TEST(Histogram, MergeAddsEveryBucket) {
-  Histogram a({0, 10, 20});
-  Histogram b({0, 10, 20});
+  archive::HistCounts a({0, 10, 20});
+  archive::HistCounts b({0, 10, 20});
   a.add(5);
   a.add(-1);
   b.add(15, 3);
   b.add(25);
-  a += b;
-  EXPECT_EQ(a.bucket(0), 1u);
-  EXPECT_EQ(a.bucket(1), 3u);
-  EXPECT_EQ(a.underflow(), 1u);
-  EXPECT_EQ(a.overflow(), 1u);
+  a.merge(b);
+  EXPECT_EQ(a.counts[0], 1u);
+  EXPECT_EQ(a.counts[1], 3u);
+  EXPECT_EQ(a.underflow, 1u);
+  EXPECT_EQ(a.overflow, 1u);
   EXPECT_EQ(a.total(), 6u);
 }
 
 TEST(Histogram, FractionIncludesOutOfRangeSamples) {
-  Histogram h({0, 10});
+  archive::HistCounts h({0, 10});
   h.add(5);
   h.add(100);  // Overflow.
   EXPECT_DOUBLE_EQ(h.fraction(0), 0.5);
@@ -60,14 +64,14 @@ TEST(Histogram, FractionIncludesOutOfRangeSamples) {
 TEST(Histogram, BoundaryFallsInUpperBucket) {
   // The paper's frame-size bins are [lo, hi): 1519 must land in the
   // 1519-2047 bucket, not 1024-1518.
-  Histogram h({1024, 1519, 2048});
+  archive::HistCounts h({1024, 1519, 2048});
   h.add(1519);
-  EXPECT_EQ(h.bucket(0), 0u);
-  EXPECT_EQ(h.bucket(1), 1u);
+  EXPECT_EQ(h.counts[0], 0u);
+  EXPECT_EQ(h.counts[1], 1u);
 }
 
 TEST(Histogram, PaperFrameSizeBinsLabel) {
-  Histogram h({64, 65, 128});
+  archive::HistCounts h({64, 65, 128});
   EXPECT_EQ(h.bucket_label(1), "[65, 128)");
 }
 
