@@ -28,7 +28,7 @@ constexpr int kSamplesPerSite = 3;
 constexpr int kFramesPerSample = 1500;
 constexpr int kReps = 5;
 
-net::Frame profile_frame(int site, int f) {
+void profile_frame(net::FrameStore& store, int site, int f) {
   const auto a = static_cast<std::uint8_t>(1 + (f + site) % 6);
   const auto b = static_cast<std::uint8_t>(7 + f % 5);
   net::FrameBuilder builder;
@@ -42,18 +42,21 @@ net::Frame profile_frame(int site, int f) {
            static_cast<std::uint16_t>(f % 2 ? 443 : 5201))
       .payload(4)
       .pad_to(64 + static_cast<std::size_t>((f * 97) % 1800));
-  return builder.build(static_cast<util::Nanos>(f) * util::kMillisecond);
+  builder.build_into(store, static_cast<util::Nanos>(f) * util::kMillisecond);
 }
 
 std::vector<analysis::RawCapture> synthetic_profile() {
   std::vector<analysis::RawCapture> captures;
   for (int site = 0; site < kSites; ++site) {
     for (int sample = 0; sample < kSamplesPerSite; ++sample) {
-      pcap::PcapWriter writer(200);
+      net::FrameStore frames;
       for (int f = 0; f < kFramesPerSample; ++f) {
-        const net::Frame frame = profile_frame(site, f + sample * 31);
-        writer.write_record(frame.bytes(), frame.wire_length(),
-                            frame.timestamp());
+        profile_frame(frames, site, f + sample * 31);
+      }
+      pcap::PcapWriter writer(200);
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        const net::FrameView frame = frames.view(i);
+        writer.write_record(frame.bytes, frame.wire_length, frame.timestamp);
       }
       analysis::RawCapture raw;
       raw.site = "S" + std::to_string(site);

@@ -215,17 +215,9 @@ FrameBuilder& FrameBuilder::pad_to(std::size_t frame_size) {
   return *this;
 }
 
-Frame FrameBuilder::build(util::Nanos timestamp) const {
-  assert(!layers_.empty());
-  scratch_ = layers_;  // Working copy: builder stays reusable + const.
-  Bytes out;
-  resolve_and_serialize(scratch_, out, 1);
-  return Frame(std::move(out), timestamp);
-}
-
 void FrameBuilder::build_into(FrameStore& store, util::Nanos timestamp) const {
   assert(!layers_.empty());
-  scratch_ = layers_;
+  scratch_ = layers_;  // Working copy: builder stays reusable + const.
   const std::size_t start = store.arena().size();
   resolve_and_serialize(scratch_, store.arena(), 1);
   store.commit(start, timestamp);

@@ -1,7 +1,7 @@
 // Fluent construction of wire-format frames.
 //
 // The builder records a stack of layers and resolves all inter-layer
-// plumbing at build() time: EtherType chaining, MPLS bottom-of-stack bits,
+// plumbing when it serializes: EtherType chaining, MPLS bottom-of-stack bits,
 // IP protocol numbers, and the length fields that depend on everything
 // stacked above. This is what lets the traffic generator express the
 // paper's FABRIC encapsulations naturally:
@@ -11,7 +11,7 @@
 //       .pseudowire().ethernet(vm_src, vm_dst)
 //       .ipv4(a, b).tcp(49152, 443, tcp_flags::kAck).tls()
 //       .pad_to(1514)
-//       .build(t);
+//       .build_into(store, t);
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 
 #include "net/frame_store.hpp"
 #include "net/headers.hpp"
-#include "net/packet.hpp"
 
 namespace patchwork::net {
 
@@ -71,13 +70,8 @@ class FrameBuilder {
   /// exactly `frame_size` (64..9216). No-op if already at least that long.
   FrameBuilder& pad_to(std::size_t frame_size);
 
-  /// Resolve chaining/lengths and emit the frame. The builder can be
-  /// reused after build() for another identical stack.
-  Frame build(util::Nanos timestamp = 0) const;
-
-  /// Like build(), but serializes straight into `store`'s arena instead of
-  /// allocating an owning Frame — the batched-synthesis hot path. Emits
-  /// byte-identical output to build() for the same stack.
+  /// Resolve chaining/lengths and append the frame to `store`'s arena.
+  /// The builder can be reused afterwards for another identical stack.
   void build_into(FrameStore& store, util::Nanos timestamp = 0) const;
 
   /// Batched build_into(): emit one frame per timestamps[i], all from the
@@ -115,8 +109,8 @@ class FrameBuilder {
   std::vector<Layer> layers_;
   std::vector<Marker> markers_;  // Parallel to layers_, for SSH/HTTP text.
   std::size_t pad_to_ = 0;
-  /// Working copy resolved by build()/build_into(); a member so repeated
-  /// builds reuse its capacity instead of allocating per frame.
+  /// Working copy resolved by each build; a member so repeated builds
+  /// reuse its capacity instead of allocating per frame.
   mutable std::vector<Layer> scratch_;
 
   void push(Layer layer, Marker marker = Marker::kNone);

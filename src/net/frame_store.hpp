@@ -1,11 +1,10 @@
 // Arena-backed frame storage for the batched synthesis path.
 //
-// The render hot loop used to materialize every frame as an owning
-// net::Frame (one heap vector per packet). A FrameStore instead packs a
-// burst's frames back-to-back into one byte arena plus a small metadata
-// row per frame, and hands out FrameView slices — the same zero-copy view
-// pcap::PcapReader gives the read path. One allocation amortizes across
-// the whole burst, and clear() keeps the capacity for the next one.
+// A FrameStore packs a burst's frames back-to-back into one byte arena
+// plus a small metadata row per frame, and hands out FrameView slices —
+// the same zero-copy view pcap::PcapReader gives the read path. One
+// allocation amortizes across the whole burst, and clear() keeps the
+// capacity for the next one.
 //
 // Lifetime rule: views alias the arena, which may reallocate while frames
 // are still being appended. Take views only after the store stops growing

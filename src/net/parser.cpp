@@ -337,8 +337,4 @@ ParsedFrame parse_bytes(ByteView bytes, std::size_t wire_length,
   return out;
 }
 
-ParsedFrame parse_frame(const Frame& frame) {
-  return parse_bytes(frame.bytes(), frame.wire_length(), frame.timestamp());
-}
-
 }  // namespace patchwork::net

@@ -13,9 +13,9 @@
 #include <string>
 
 #include "net/headers.hpp"
-#include "net/packet.hpp"
 #include "net/protocol.hpp"
 #include "util/small_vec.hpp"
+#include "util/units.hpp"
 
 namespace patchwork::net {
 
@@ -71,10 +71,9 @@ struct ParsedFrame {
   std::string stack_string() const;
 };
 
-/// Dissect a frame starting from an Ethernet header.
-ParsedFrame parse_frame(const Frame& frame);
-
-/// Dissect raw bytes (used by the pcap-reading analysis path).
+/// Dissect a frame's captured bytes, starting from an Ethernet header.
+/// `wire_length` is its original on-the-wire size (larger than
+/// bytes.size() when a snaplen cut the capture).
 ParsedFrame parse_bytes(ByteView bytes, std::size_t wire_length,
                         util::Nanos timestamp);
 

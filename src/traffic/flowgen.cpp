@@ -169,24 +169,34 @@ void build_network(net::FrameBuilder& b, const FlowSpec& flow,
   }
 }
 
-/// Describe one data frame of `flow` on `b`. Returns false for an
-/// unreachable app value (caller emits an empty frame).
-bool fill_data_frame(net::FrameBuilder& b, const FlowSpec& flow,
-                     std::uint32_t seq) {
+}  // namespace
+
+void describe_frame(net::FrameBuilder& b, const FlowSpec& flow, bool ack,
+                    std::uint32_t value) {
   using net::tcp_flags::kAck;
   using net::tcp_flags::kPsh;
+  if (ack) {
+    assert(app_is_tcp(flow.app));
+    build_underlay(b, flow);
+    build_network(b, flow, /*reverse=*/true);
+    b.tcp(flow.dst_port, flow.src_port, kAck, 0, value);
+    // Tagged ACK minis land in the paper's dominant small bucket (65-127 B).
+    b.pad_to(68);
+    return;
+  }
+  const std::uint32_t seq = value;
   switch (flow.app) {
     case FlowApp::kArp:
       b.ethernet(flow.src_mac, flow.dst_mac);
       if (flow.vlan_id) b.vlan(*flow.vlan_id);
       b.arp(flow.src_mac, flow.src_ip, flow.dst_ip);
       b.pad_to(std::max<std::size_t>(flow.data_frame_size, 64));
-      return true;
+      return;
     case FlowApp::kIcmp:
       build_underlay(b, flow);
       build_network(b, flow);
       b.icmp(8, 0).payload(48).pad_to(flow.data_frame_size);
-      return true;
+      return;
     case FlowApp::kDns:
       build_underlay(b, flow);
       build_network(b, flow);
@@ -194,18 +204,18 @@ bool fill_data_frame(net::FrameBuilder& b, const FlowSpec& flow,
           .dns(static_cast<std::uint16_t>(seq))
           .payload(24)
           .pad_to(flow.data_frame_size);
-      return true;
+      return;
     case FlowApp::kNtp:
       build_underlay(b, flow);
       build_network(b, flow);
       b.udp(flow.src_port, flow.dst_port).ntp().pad_to(flow.data_frame_size);
-      return true;
+      return;
     case FlowApp::kIperfUdp:
       build_underlay(b, flow);
       build_network(b, flow);
       b.udp(flow.src_port, flow.dst_port).pad_to(flow.data_frame_size);
-      return true;
-    case FlowApp::kVxlan: {
+      return;
+    case FlowApp::kVxlan:
       build_underlay(b, flow);
       build_network(b, flow);
       b.udp(flow.src_port, flow.dst_port)
@@ -217,9 +227,8 @@ bool fill_data_frame(net::FrameBuilder& b, const FlowSpec& flow,
       b.ipv4(flow.src_ip, flow.dst_ip);
       b.tcp(flow.src_port, net::kPortIperf, kAck | kPsh, seq);
       b.pad_to(flow.data_frame_size);
-      return true;
-    }
-    case FlowApp::kGre: {
+      return;
+    case FlowApp::kGre:
       build_underlay(b, flow);
       b.ipv4(flow.src_ip, flow.dst_ip);
       b.gre();
@@ -228,67 +237,36 @@ bool fill_data_frame(net::FrameBuilder& b, const FlowSpec& flow,
       b.ipv4(flow.src_ip, flow.dst_ip);
       b.tcp(flow.src_port, net::kPortIperf, kAck | kPsh, seq);
       b.pad_to(flow.data_frame_size);
-      return true;
-    }
+      return;
     case FlowApp::kTls:
       build_underlay(b, flow);
       build_network(b, flow);
       b.tcp(flow.src_port, flow.dst_port, kAck | kPsh, seq)
           .tls(23)
           .pad_to(flow.data_frame_size);
-      return true;
+      return;
     case FlowApp::kSsh:
       build_underlay(b, flow);
       build_network(b, flow);
       b.tcp(flow.src_port, flow.dst_port, kAck | kPsh, seq)
           .ssh_banner()
           .pad_to(flow.data_frame_size);
-      return true;
+      return;
     case FlowApp::kHttp:
       build_underlay(b, flow);
       build_network(b, flow);
       b.tcp(flow.src_port, flow.dst_port, kAck | kPsh, seq)
           .http_request()
           .pad_to(flow.data_frame_size);
-      return true;
+      return;
     case FlowApp::kIperfTcp:
       build_underlay(b, flow);
       build_network(b, flow);
       b.tcp(flow.src_port, flow.dst_port, kAck | kPsh, seq)
           .payload(1)
           .pad_to(flow.data_frame_size);
-      return true;
+      return;
   }
-  return false;
-}
-
-void fill_ack_frame(net::FrameBuilder& b, const FlowSpec& flow,
-                    std::uint32_t ack) {
-  assert(app_is_tcp(flow.app));
-  build_underlay(b, flow);
-  build_network(b, flow, /*reverse=*/true);
-  b.tcp(flow.dst_port, flow.src_port, net::tcp_flags::kAck, 0, ack);
-  // Tagged ACK minis land in the paper's dominant small bucket (65-127 B).
-  b.pad_to(68);
-}
-
-}  // namespace
-
-net::Frame make_data_frame(const FlowSpec& flow, util::Nanos t,
-                           std::uint32_t seq) {
-  net::FrameBuilder b;
-  if (!fill_data_frame(b, flow, seq)) {
-    // Unreachable; keep the compiler satisfied.
-    return net::Frame({}, t);
-  }
-  return b.build(t);
-}
-
-net::Frame make_ack_frame(const FlowSpec& flow, util::Nanos t,
-                          std::uint32_t ack) {
-  net::FrameBuilder b;
-  fill_ack_frame(b, flow, ack);
-  return b.build(t);
 }
 
 WindowPlan plan_window(util::Rng& rng, const SiteWorkloadProfile& profile,
@@ -383,14 +361,10 @@ void render_unit(const RenderUnit& unit, const util::RngBlock& draws,
   // varying field zeroed, bulk-draw the per-frame values in
   // struct-of-arrays chunks, and let the builder stamp the burst.
   builder.reset();
-  net::PerFrameField field = net::PerFrameField::kTcpSeqAndDnsId;
-  bool buildable = true;
-  if (unit.acks) {
-    fill_ack_frame(builder, unit.flow, 0);
-    field = net::PerFrameField::kTcpAck;
-  } else {
-    buildable = fill_data_frame(builder, unit.flow, 0);
-  }
+  describe_frame(builder, unit.flow, unit.acks, 0);
+  const net::PerFrameField field = unit.acks
+                                       ? net::PerFrameField::kTcpAck
+                                       : net::PerFrameField::kTcpSeqAndDnsId;
 
   // Timestamp range: the unit's active interval clamped into the window.
   const util::Nanos lo = std::min(unit.ts_lo, duration - 1);
@@ -410,15 +384,8 @@ void render_unit(const RenderUnit& unit, const util::RngBlock& draws,
     for (std::size_t i = 0; i < n; ++i) {
       vals[i] = static_cast<std::uint32_t>(j + i) * 1000;
     }
-    if (buildable) {
-      builder.build_many_into(store, std::span<const util::Nanos>(ts, n),
-                              std::span<const std::uint32_t>(vals, n), field);
-    } else {
-      // Unreachable app value: one empty frame per timestamp.
-      for (std::size_t i = 0; i < n; ++i) {
-        store.commit(store.arena().size(), ts[i]);
-      }
-    }
+    builder.build_many_into(store, std::span<const util::Nanos>(ts, n),
+                            std::span<const std::uint32_t>(vals, n), field);
     j += n;
   }
 }

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "net/frame_builder.hpp"
-#include "net/packet.hpp"
 #include "traffic/workload.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -48,15 +47,14 @@ struct FlowSpec {
 /// Draw a flow consistent with a site's profile.
 FlowSpec draw_flow(util::Rng& rng, const SiteWorkloadProfile& profile);
 
-/// Render a single data frame of `flow` at `t` (direction src -> dst).
-net::Frame make_data_frame(const FlowSpec& flow, util::Nanos t,
-                           std::uint32_t seq = 0);
-
-/// Render a reverse-direction pure-ACK frame (TCP flows only); these are
-/// the minimum-size "Ethernet / VLAN / MPLS / IPv4 / TCP" frames the paper
-/// observes filling the 65-127 B bucket.
-net::Frame make_ack_frame(const FlowSpec& flow, util::Nanos t,
-                          std::uint32_t ack = 0);
+/// Describe one frame of `flow` on `builder`: a data frame (src -> dst)
+/// carrying TCP seq / DNS id `value`, or with `ack`, a reverse-direction
+/// pure ACK (TCP flows only) acknowledging `value`. The ACKs are the
+/// minimum-size "Ethernet / VLAN / MPLS / IPv4 / TCP" frames the paper
+/// observes filling the 65-127 B bucket. render_unit describes its unit's
+/// stack once with value 0 and stamps frame j's value j * 1000.
+void describe_frame(net::FrameBuilder& builder, const FlowSpec& flow,
+                    bool ack, std::uint32_t value);
 
 /// True when the app rides TCP (and therefore produces an ACK stream).
 bool app_is_tcp(FlowApp app);

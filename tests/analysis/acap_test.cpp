@@ -7,10 +7,13 @@
 #include <vector>
 
 #include "net/frame_builder.hpp"
+#include "testing/fixtures.hpp"
 
 namespace patchwork::analysis {
 namespace {
 
+using patchwork::testing::parse_built;
+using patchwork::testing::parse_view;
 using net::FrameBuilder;
 using net::Ipv4Address;
 using net::MacAddress;
@@ -22,7 +25,7 @@ net::ParsedFrame parsed_tcp(Ipv4Address src, Ipv4Address dst,
   b.ethernet(MacAddress::from_id(1), MacAddress::from_id(2));
   if (vlan) b.vlan(vlan);
   b.ipv4(src, dst).tcp(sport, dport).payload(10);
-  return net::parse_frame(b.build());
+  return parse_built(b);
 }
 
 TEST(FlowKey, BidirectionalFramesShareOneKey) {
@@ -63,8 +66,8 @@ TEST(FlowKey, MplsLabelsIncluded) {
       .mpls(16002)
       .ipv4(a, b)
       .udp(1, 2);
-  EXPECT_NE(flow_key_of(net::parse_frame(b1.build())),
-            flow_key_of(net::parse_frame(b2.build())));
+  EXPECT_NE(flow_key_of(parse_built(b1)),
+            flow_key_of(parse_built(b2)));
 }
 
 TEST(FlowKey, OrderingIsStrictWeak) {
@@ -134,8 +137,9 @@ TEST(AbstractFrame, CapturesStackAndMetadata) {
             Ipv4Address::from_octets(10, 0, 0, 2))
       .tcp(1, 2, net::tcp_flags::kRst)
       .pad_to(999);
-  const net::Frame frame = b.build(123456);
-  const AcapRecord rec = abstract_frame(net::parse_frame(frame));
+  net::FrameStore frame;
+  b.build_into(frame, 123456);
+  const AcapRecord rec = abstract_frame(parse_view(frame.view(0)));
   EXPECT_EQ(rec.wire_length, 999u);
   EXPECT_EQ(rec.timestamp, 123456u);
   EXPECT_EQ(rec.tcp_flags, net::tcp_flags::kRst);
@@ -150,7 +154,7 @@ TEST(AbstractFrame, NonTcpHasZeroFlags) {
             Ipv4Address::from_octets(10, 0, 0, 2))
       .udp(1, 2)
       .payload(5);
-  const AcapRecord rec = abstract_frame(net::parse_frame(b.build()));
+  const AcapRecord rec = abstract_frame(parse_built(b));
   EXPECT_EQ(rec.tcp_flags, 0);
   EXPECT_EQ(rec.flow.l4_proto, net::kIpProtoUdp);
 }

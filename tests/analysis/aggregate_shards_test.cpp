@@ -25,8 +25,8 @@ using patchwork::testing::tcp_frame;
 /// `count` frames of one site's traffic over a few host pairs. Every
 /// seventh frame is an untagged UDP frame, so stacks and tagging have more
 /// than one row.
-std::vector<net::Frame> site_frames(int site, int count) {
-  std::vector<net::Frame> frames;
+net::FrameStore site_frames(int site, int count) {
+  net::FrameStore frames;
   for (int f = 0; f < count; ++f) {
     const auto a = static_cast<std::uint8_t>(1 + (f + site) % 7);
     const auto b = static_cast<std::uint8_t>(8 + f % 5);
@@ -38,16 +38,15 @@ std::vector<net::Frame> site_frames(int site, int count) {
                 net::Ipv4Address::from_octets(10, 0, 0, b))
           .udp(static_cast<std::uint16_t>(4000 + f % 3), 53)
           .payload(20);
-      frames.push_back(udp.build(ts));
+      udp.build_into(frames, ts);
       continue;
     }
-    frames.push_back(tcp_frame(
-        a, b, static_cast<std::uint16_t>(1000 + f % 17),
-        static_cast<std::uint16_t>(f % 3 ? 443 : 8080),
-        64 + static_cast<std::size_t>((f * 131) % 1400), ts,
-        static_cast<std::uint16_t>(200 + site),
-        static_cast<std::uint8_t>(f % 11 ? net::tcp_flags::kAck
-                                         : net::tcp_flags::kRst)));
+    tcp_frame(frames, a, b, static_cast<std::uint16_t>(1000 + f % 17),
+              static_cast<std::uint16_t>(f % 3 ? 443 : 8080),
+              64 + static_cast<std::size_t>((f * 131) % 1400), ts,
+              static_cast<std::uint16_t>(200 + site),
+              static_cast<std::uint8_t>(f % 11 ? net::tcp_flags::kAck
+                                               : net::tcp_flags::kRst));
   }
   return frames;
 }
@@ -71,7 +70,7 @@ std::vector<RawCapture> stitched_profile() {
                   make_capture("S2", 9, site_frames(2, 3000),
                                30 * util::kMinute));
   captures.insert(captures.begin() + 13,
-                  make_capture("S3", 8, {}, 40 * util::kMinute));
+                  make_capture("S3", 8, net::FrameStore{}, 40 * util::kMinute));
   RawCapture corrupt;
   corrupt.site = "S5";
   corrupt.pcap = {0xde, 0xad, 0xbe, 0xef};

@@ -27,10 +27,12 @@ TEST(FrameSizes, PaperBucketsCoverInterestingRanges) {
 
 TEST(FrameSizes, CountsByWireLength) {
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0,
-      {tcp_frame(1, 2, 1, 2, 1900), tcp_frame(1, 2, 1, 2, 1900),
-       tcp_frame(1, 2, 1, 2, 70), tcp_frame(1, 2, 1, 2, 300)}));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1, 2, 1900);
+  tcp_frame(frames, 1, 2, 1, 2, 1900);
+  tcp_frame(frames, 1, 2, 1, 2, 70);
+  tcp_frame(frames, 1, 2, 1, 2, 300);
+  captures.push_back(make_capture("S1", 0, frames));
   const archive::HistCounts result = analyze(captures).frame_sizes;
   EXPECT_EQ(result.total(), 4u);
   EXPECT_DOUBLE_EQ(result.fraction_in(1519), 0.5);
@@ -41,8 +43,12 @@ TEST(FrameSizes, CountsByWireLength) {
 
 TEST(FrameSizes, PerSiteFiltering) {
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture("S1", 0, {tcp_frame(1, 2, 1, 2, 2000)}));
-  captures.push_back(make_capture("S2", 0, {tcp_frame(1, 2, 1, 2, 80)}));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1, 2, 2000);
+  captures.push_back(make_capture("S1", 0, frames));
+  net::FrameStore frames2;
+  tcp_frame(frames2, 1, 2, 1, 2, 80);
+  captures.push_back(make_capture("S2", 0, frames2));
   const std::vector<SiteLoad> sites = analyze(captures).site_loads;
   ASSERT_EQ(sites.size(), 2u);
   EXPECT_EQ(sites[0].site, "S1");
@@ -64,7 +70,9 @@ TEST(HeaderOccurrence, EthernetCanExceedHundredPercent) {
       .tcp(1, 2)
       .payload(10);
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture("S1", 0, {b.build()}));
+  net::FrameStore frames;
+  b.build_into(frames);
+  captures.push_back(make_capture("S1", 0, frames));
   const archive::HeaderOccurrenceCounts result =
       analyze(captures).header_occurrence;
   EXPECT_DOUBLE_EQ(result.percent(net::Protocol::kEthernet), 200.0);
@@ -74,8 +82,10 @@ TEST(HeaderOccurrence, EthernetCanExceedHundredPercent) {
 
 TEST(SiteVariety, CountsDistinctHeadersAndDepth) {
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0, {tcp_frame(1, 2, 1, 443), tcp_frame(1, 2, 1, 5201)}));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1, 443);
+  tcp_frame(frames, 1, 2, 1, 5201);
+  captures.push_back(make_capture("S1", 0, frames));
   const auto variety = analyze(captures).site_loads;
   ASSERT_EQ(variety.size(), 1u);
   // eth, vlan, mpls, ipv4, tcp (+payload protocols excluded from depth but
@@ -87,11 +97,12 @@ TEST(SiteVariety, CountsDistinctHeadersAndDepth) {
 
 TEST(FlowsPerSample, DistinctFlowCount) {
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0,
-      {tcp_frame(1, 2, 1000, 443), tcp_frame(1, 2, 1000, 443),
-       tcp_frame(2, 1, 443, 1000),  // Reverse direction: same flow.
-       tcp_frame(3, 4, 5, 6)}));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1000, 443);
+  tcp_frame(frames, 1, 2, 1000, 443);
+  tcp_frame(frames, 2, 1, 443, 1000);  // Reverse direction: same flow.
+  tcp_frame(frames, 3, 4, 5, 6);
+  captures.push_back(make_capture("S1", 0, frames));
   const auto counts = analyze(captures).flows_per_sample;
   ASSERT_EQ(counts.size(), 1u);
   EXPECT_EQ(counts[0].flows, 2u);
@@ -100,11 +111,12 @@ TEST(FlowsPerSample, DistinctFlowCount) {
 TEST(FlowAggregate, StitchesAcrossSamples) {
   // "We also analyzed across samples to piece together flow snippets."
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0, {tcp_frame(1, 2, 1000, 443, 500, 0)}, 0));
-  captures.push_back(make_capture(
-      "S1", 0, {tcp_frame(1, 2, 1000, 443, 700, util::kSecond)},
-      10 * util::kMinute));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1000, 443, 500, 0);
+  captures.push_back(make_capture("S1", 0, frames, 0));
+  net::FrameStore frames2;
+  tcp_frame(frames2, 1, 2, 1000, 443, 700, util::kSecond);
+  captures.push_back(make_capture("S1", 0, frames2, 10 * util::kMinute));
   const auto flows = analyze(captures).flow_aggregates;
   ASSERT_EQ(flows.size(), 1u);
   const FlowAggregate& agg = flows.begin()->second;
@@ -116,10 +128,10 @@ TEST(FlowAggregate, StitchesAcrossSamples) {
 
 TEST(FlowAggregate, RstCounting) {
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0,
-      {tcp_frame(1, 2, 1, 2, 256, 0, 100, net::tcp_flags::kRst),
-       tcp_frame(1, 2, 1, 2, 256, 1, 100)}));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1, 2, 256, 0, 100, net::tcp_flags::kRst);
+  tcp_frame(frames, 1, 2, 1, 2, 256, 1, 100);
+  captures.push_back(make_capture("S1", 0, frames));
   const auto flows = analyze(captures).flow_aggregates;
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows.begin()->second.rst_frames, 1u);
@@ -132,13 +144,13 @@ TEST(TcpControl, ClassifiesFlags) {
             net::Ipv4Address::from_octets(10, 0, 0, 2))
       .tcp(1, 2, net::tcp_flags::kAck);  // Pure ACK, no payload.
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0,
-      {tcp_frame(1, 2, 1, 2, 256, 0, 100, net::tcp_flags::kSyn),
-       tcp_frame(1, 2, 1, 2, 256, 0, 100,
-                 net::tcp_flags::kFin | net::tcp_flags::kAck),
-       tcp_frame(1, 2, 1, 2, 256, 0, 100, net::tcp_flags::kRst),
-       ack.build()}));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1, 2, 256, 0, 100, net::tcp_flags::kSyn);
+  tcp_frame(frames, 1, 2, 1, 2, 256, 0, 100,
+            net::tcp_flags::kFin | net::tcp_flags::kAck);
+  tcp_frame(frames, 1, 2, 1, 2, 256, 0, 100, net::tcp_flags::kRst);
+  ack.build_into(frames);
+  captures.push_back(make_capture("S1", 0, frames));
   const archive::TcpControlCounts result = analyze(captures).tcp_control;
   EXPECT_EQ(result.tcp_frames, 4u);
   EXPECT_EQ(result.syn, 1u);
@@ -151,12 +163,13 @@ TEST(FlowDistribution, BucketsSizesAndDurations) {
   std::vector<RawCapture> captures;
   // One two-frame flow spanning two samples 10 minutes apart, one tiny
   // single-frame flow.
-  captures.push_back(make_capture(
-      "S1", 0, {tcp_frame(1, 2, 1000, 443, 600, 0)}, 0));
-  captures.push_back(make_capture(
-      "S1", 0, {tcp_frame(1, 2, 1000, 443, 600, 0),
-                tcp_frame(3, 4, 5, 6, 70, 0)},
-      10 * util::kMinute));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1000, 443, 600, 0);
+  captures.push_back(make_capture("S1", 0, frames, 0));
+  net::FrameStore frames2;
+  tcp_frame(frames2, 1, 2, 1000, 443, 600, 0);
+  tcp_frame(frames2, 3, 4, 5, 6, 70, 0);
+  captures.push_back(make_capture("S1", 0, frames2, 10 * util::kMinute));
   const auto result = analyze(captures).flow_distribution;
   EXPECT_EQ(result.flows, 2u);
   EXPECT_EQ(result.largest_flow_bytes, 1200u);
@@ -186,11 +199,12 @@ TEST(FlowDistribution, EmptyInput) {
 
 TEST(TopStacks, OrdersByFrequencyAndReportsFractions) {
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0,
-      {tcp_frame(1, 2, 1, 5201), tcp_frame(3, 4, 5, 5201),
-       tcp_frame(5, 6, 7, 5201),  // Three identical stacks.
-       tcp_frame(1, 2, 1, 443)}));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1, 5201);
+  tcp_frame(frames, 3, 4, 5, 5201);
+  tcp_frame(frames, 5, 6, 7, 5201);  // Three identical stacks.
+  tcp_frame(frames, 1, 2, 1, 443);
+  captures.push_back(make_capture("S1", 0, frames));
   const auto stacks = analyze(captures).stacks;
   ASSERT_GE(stacks.size(), 2u);
   EXPECT_EQ(stacks[0].frames, 3u);
@@ -203,7 +217,7 @@ TEST(TopStacks, OrdersByFrequencyAndReportsFractions) {
 TEST(TopStacks, KLimitsOutput) {
   // Stacks with 0..11 VLAN tags: twelve distinct stacks. The analysis keeps
   // them all; top_stacks.csv lists the ten most frequent.
-  std::vector<net::Frame> frames;
+  net::FrameStore frames;
   for (int tags = 0; tags < 12; ++tags) {
     net::FrameBuilder b;
     b.ethernet(net::MacAddress::from_id(1), net::MacAddress::from_id(2));
@@ -211,7 +225,7 @@ TEST(TopStacks, KLimitsOutput) {
     b.ipv4(net::Ipv4Address::from_octets(10, 0, 0, 1),
            net::Ipv4Address::from_octets(10, 0, 0, 2))
         .tcp(1, 2, net::tcp_flags::kAck);
-    frames.push_back(b.build());
+    b.build_into(frames);
   }
   std::vector<RawCapture> captures;
   captures.push_back(make_capture("S1", 0, frames));
@@ -231,8 +245,10 @@ TEST(Tagging, ClassifiesVlanMplsCombinations) {
       .udp(1, 2)
       .payload(10);
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0, {tcp_frame(1, 2, 1, 2), untagged.build()}));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1, 2);
+  untagged.build_into(frames);
+  captures.push_back(make_capture("S1", 0, frames));
   const archive::TaggingCounts result = analyze(captures).tagging;
   EXPECT_EQ(result.frames, 2u);
   EXPECT_EQ(result.vlan_tagged, 1u);

@@ -13,8 +13,10 @@ using testing::make_capture;
 using testing::tcp_frame;
 
 TEST(Digest, ProducesOneRecordPerFrame) {
-  const auto capture = make_capture(
-      "S1", 4, {tcp_frame(1, 2, 100, 200), tcp_frame(3, 4, 300, 400)});
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 100, 200);
+  tcp_frame(frames, 3, 4, 300, 400);
+  const auto capture = make_capture("S1", 4, frames);
   DigestStats stats;
   const auto records = digest_records(capture, &stats);
   EXPECT_EQ(records.size(), 2u);
@@ -22,8 +24,9 @@ TEST(Digest, ProducesOneRecordPerFrame) {
 }
 
 TEST(Digest, PreservesSampleMetadata) {
-  auto capture = make_capture("S2", 7, {tcp_frame(1, 2, 1, 2)},
-                              5 * util::kMinute);
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1, 2);
+  auto capture = make_capture("S2", 7, frames, 5 * util::kMinute);
   capture.switch_drops_suspected = 42;
   const ProfileAnalysis analysis = analyze({capture});
   ASSERT_EQ(analysis.site_loads.size(), 1u);
@@ -34,8 +37,9 @@ TEST(Digest, PreservesSampleMetadata) {
 }
 
 TEST(Digest, RecordsKeepWireLengthDespiteTruncation) {
-  const auto capture =
-      make_capture("S1", 0, {tcp_frame(1, 2, 1, 2, 1514)}, 0, /*snaplen=*/64);
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1, 2, 1514);
+  const auto capture = make_capture("S1", 0, frames, 0, /*snaplen=*/64);
   const auto records = digest_records(capture);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].wire_length, 1514u);
@@ -45,8 +49,9 @@ TEST(Digest, RecordsKeepWireLengthDespiteTruncation) {
 TEST(Digest, CountsTruncatedFrames) {
   // A 64 B snaplen slices into the TCP header of this stack (14 + 4 + 4 +
   // 20 = 42 bytes before TCP; TCP needs 20 more and payload follows).
-  const auto capture =
-      make_capture("S1", 0, {tcp_frame(1, 2, 1, 2, 1514)}, 0, /*snaplen=*/50);
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1, 2, 1514);
+  const auto capture = make_capture("S1", 0, frames, 0, /*snaplen=*/50);
   DigestStats stats;
   digest(capture, &stats, [](const AcapRecord&) {});
   EXPECT_EQ(stats.truncated_frames, 1u);
@@ -63,16 +68,22 @@ TEST(Digest, InvalidPcapCountsBadRecords) {
 
 TEST(Digest, DigestAllAggregates) {
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture("S1", 0, {tcp_frame(1, 2, 1, 2)}));
-  captures.push_back(make_capture("S2", 1, {tcp_frame(3, 4, 5, 6),
-                                            tcp_frame(5, 6, 7, 8)}));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1, 2);
+  captures.push_back(make_capture("S1", 0, frames));
+  net::FrameStore frames2;
+  tcp_frame(frames2, 3, 4, 5, 6);
+  tcp_frame(frames2, 5, 6, 7, 8);
+  captures.push_back(make_capture("S2", 1, frames2));
   const ProfileAnalysis analysis = analyze(captures);
   EXPECT_EQ(analysis.flows_per_sample.size(), 2u);
   EXPECT_EQ(analysis.digest_stats.frames, 3u);
 }
 
 TEST(Digest, StatsPointerIsOptional) {
-  const auto capture = make_capture("S1", 0, {tcp_frame(1, 2, 1, 2)});
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1, 2);
+  const auto capture = make_capture("S1", 0, frames);
   EXPECT_EQ(digest_records(capture).size(), 1u);  // No crash without stats.
 }
 

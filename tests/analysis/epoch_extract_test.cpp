@@ -19,12 +19,13 @@ using patchwork::testing::tcp_frame;
 
 std::vector<RawCapture> sample_profile() {
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0,
-      {tcp_frame(1, 2, 1000, 443, 1900), tcp_frame(2, 1, 443, 1000, 70)}));
-  captures.push_back(
-      make_capture("S2", 3, {tcp_frame(3, 4, 2000, 5201, 2000)},
-                   10 * util::kMinute));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1000, 443, 1900);
+  tcp_frame(frames, 2, 1, 443, 1000, 70);
+  captures.push_back(make_capture("S1", 0, frames));
+  net::FrameStore frames2;
+  tcp_frame(frames2, 3, 4, 2000, 5201, 2000);
+  captures.push_back(make_capture("S2", 3, frames2, 10 * util::kMinute));
   return captures;
 }
 
@@ -183,13 +184,14 @@ EpochMeta golden_meta() {
 /// re-bins both histograms.
 archive::EpochRecord peer_record() {
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S2", 0,
-      {tcp_frame(1, 2, 1000, 443, 1900), tcp_frame(2, 1, 443, 1000, 70)}));
-  captures.push_back(make_capture(
-      "S7", 2,
-      {tcp_frame(7, 8, 4000, 443, 600), tcp_frame(7, 8, 4000, 443, 9000)},
-      10 * util::kMinute));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1000, 443, 1900);
+  tcp_frame(frames, 2, 1, 443, 1000, 70);
+  captures.push_back(make_capture("S2", 0, frames));
+  net::FrameStore frames2;
+  tcp_frame(frames2, 7, 8, 4000, 443, 600);
+  tcp_frame(frames2, 7, 8, 4000, 443, 9000);
+  captures.push_back(make_capture("S7", 2, frames2, 10 * util::kMinute));
   EpochMeta meta = golden_meta();
   meta.label = "week39";
   meta.start = 7 * util::kDay;

@@ -14,10 +14,10 @@ TEST(OperatorView, TagsAreInvisible) {
   // The same 5-tuple in two different slices (VLAN 100 vs 200): Patchwork
   // keeps them apart; the operator view cannot.
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0,
-      {tcp_frame(1, 2, 1000, 443, 256, 0, /*vlan=*/100),
-       tcp_frame(1, 2, 1000, 443, 256, 1, /*vlan=*/200)}));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1000, 443, 256, 0, /*vlan=*/100);
+  tcp_frame(frames, 1, 2, 1000, 443, 256, 1, /*vlan=*/200);
+  captures.push_back(make_capture("S1", 0, frames));
   const AsymmetryReport report = measure_asymmetry(captures);
   EXPECT_EQ(report.patchwork_flows, 2u);
   EXPECT_EQ(report.operator_flows, 1u);  // Collapsed.
@@ -28,8 +28,10 @@ TEST(OperatorView, TagsAreInvisible) {
 
 TEST(OperatorView, NoCollisionNoLoss) {
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0, {tcp_frame(1, 2, 1000, 443), tcp_frame(3, 4, 1001, 443)}));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1000, 443);
+  tcp_frame(frames, 3, 4, 1001, 443);
+  captures.push_back(make_capture("S1", 0, frames));
   const AsymmetryReport report = measure_asymmetry(captures);
   EXPECT_EQ(report.patchwork_flows, report.operator_flows);
   EXPECT_EQ(report.hidden_flows, 0u);

@@ -28,16 +28,15 @@ std::vector<RawCapture> multi_site_profile() {
   // flow stitching and per-site analyses all have real work to do.
   for (int site = 0; site < 6; ++site) {
     for (int sample = 0; sample < 3; ++sample) {
-      std::vector<net::Frame> frames;
+      net::FrameStore frames;
       for (int f = 0; f < 40 + site * 7 + sample * 3; ++f) {
         const auto a = static_cast<std::uint8_t>(1 + (f + site) % 5);
         const auto b = static_cast<std::uint8_t>(6 + f % 4);
-        frames.push_back(tcp_frame(
-            a, b, static_cast<std::uint16_t>(1000 + f % 13),
-            static_cast<std::uint16_t>(f % 2 ? 443 : 5201),
-            64 + static_cast<std::size_t>((f * 97) % 1800),
-            static_cast<util::Nanos>(f) * util::kMillisecond,
-            static_cast<std::uint16_t>(100 + site)));
+        tcp_frame(frames, a, b, static_cast<std::uint16_t>(1000 + f % 13),
+                  static_cast<std::uint16_t>(f % 2 ? 443 : 5201),
+                  64 + static_cast<std::size_t>((f * 97) % 1800),
+                  static_cast<util::Nanos>(f) * util::kMillisecond,
+                  static_cast<std::uint16_t>(100 + site));
       }
       captures.push_back(make_capture("S" + std::to_string(site),
                                       static_cast<std::uint32_t>(sample),

@@ -12,12 +12,13 @@ using patchwork::testing::tcp_frame;
 
 std::vector<RawCapture> sample_profile() {
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0,
-      {tcp_frame(1, 2, 1000, 443, 1900), tcp_frame(2, 1, 443, 1000, 70)}));
-  captures.push_back(
-      make_capture("S2", 3, {tcp_frame(3, 4, 2000, 5201, 2000)},
-                   10 * util::kMinute));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1000, 443, 1900);
+  tcp_frame(frames, 2, 1, 443, 1000, 70);
+  captures.push_back(make_capture("S1", 0, frames));
+  net::FrameStore frames2;
+  tcp_frame(frames2, 3, 4, 2000, 5201, 2000);
+  captures.push_back(make_capture("S2", 3, frames2, 10 * util::kMinute));
   return captures;
 }
 

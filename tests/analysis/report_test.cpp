@@ -15,9 +15,13 @@ using patchwork::testing::tcp_frame;
 
 ProfileAnalysis two_site_analysis() {
   std::vector<RawCapture> captures;
-  captures.push_back(make_capture(
-      "S1", 0, {tcp_frame(1, 2, 1, 443, 1900), tcp_frame(1, 2, 3, 443, 80)}));
-  captures.push_back(make_capture("S2", 0, {tcp_frame(3, 4, 5, 22, 300)}));
+  net::FrameStore frames;
+  tcp_frame(frames, 1, 2, 1, 443, 1900);
+  tcp_frame(frames, 1, 2, 3, 443, 80);
+  captures.push_back(make_capture("S1", 0, frames));
+  net::FrameStore frames2;
+  tcp_frame(frames2, 3, 4, 5, 22, 300);
+  captures.push_back(make_capture("S2", 0, frames2));
   return analyze(captures);
 }
 

@@ -9,13 +9,15 @@
 namespace patchwork::capture {
 namespace {
 
+using patchwork::testing::parse_view;
 using patchwork::testing::scrub_copy;
 using net::FrameBuilder;
 using net::Ipv4Address;
 using net::MacAddress;
 
-net::Frame sample_frame() {
-  return FrameBuilder()
+net::FrameStore sample_frame() {
+  net::FrameStore store;
+  FrameBuilder()
       .ethernet(MacAddress::from_id(11), MacAddress::from_id(22))
       .vlan(42)
       .ipv4(Ipv4Address::from_octets(10, 1, 2, 3),
@@ -23,7 +25,13 @@ net::Frame sample_frame() {
       .tcp(50000, 443)
       .tls()
       .payload(64)
-      .build();
+      .build_into(store);
+  return store;
+}
+
+/// Dissect the bytes scrub_copy() returns for an untruncated frame.
+net::ParsedFrame parse_scrubbed(const net::Bytes& bytes) {
+  return net::parse_bytes(bytes, bytes.size(), 0);
 }
 
 TEST(Anonymizer, MapIpv4PreservesSlashEight) {
@@ -50,10 +58,10 @@ TEST(Anonymizer, DistinctAddressesStayDistinct) {
 
 TEST(Anonymizer, ScrubRewritesAddressesInPlace) {
   Anonymizer anon(7);
-  const net::Frame original = sample_frame();
-  const net::Frame scrubbed = scrub_copy(anon, original);
-  const net::ParsedFrame before = net::parse_frame(original);
-  const net::ParsedFrame after = net::parse_frame(scrubbed);
+  const net::FrameStore original = sample_frame();
+  const net::ParsedFrame before = parse_view(original.view(0));
+  const net::ParsedFrame after =
+      parse_scrubbed(scrub_copy(anon, original.view(0)));
   ASSERT_TRUE(before.ipv4 && after.ipv4);
   EXPECT_NE(after.ipv4->src, before.ipv4->src);
   EXPECT_NE(after.ipv4->dst, before.ipv4->dst);
@@ -64,8 +72,8 @@ TEST(Anonymizer, ScrubRewritesAddressesInPlace) {
 
 TEST(Anonymizer, ScrubPreservesStructureAndPorts) {
   Anonymizer anon(7);
-  const net::Frame scrubbed = scrub_copy(anon, sample_frame());
-  const net::ParsedFrame parsed = net::parse_frame(scrubbed);
+  const net::ParsedFrame parsed =
+      parse_scrubbed(scrub_copy(anon, sample_frame().view(0)));
   EXPECT_EQ(parsed.stack_string(), "eth/vlan/ipv4/tcp/tls/data");
   ASSERT_TRUE(parsed.tcp.has_value());
   EXPECT_EQ(parsed.tcp->src_port, 50000);
@@ -76,26 +84,24 @@ TEST(Anonymizer, ScrubPreservesStructureAndPorts) {
 
 TEST(Anonymizer, Ipv4ChecksumStillVerifies) {
   Anonymizer anon(7);
-  const net::Frame scrubbed = scrub_copy(anon, sample_frame());
+  const net::Bytes scrubbed = scrub_copy(anon, sample_frame().view(0));
   // The IPv4 header (offset 18: eth+vlan) must checksum to zero.
-  const auto bytes = scrubbed.bytes();
+  const net::ByteView bytes = scrubbed;
   EXPECT_EQ(net::internet_checksum(bytes.subspan(18, 20)), 0);
 }
 
 TEST(Anonymizer, MacsBecomeLocallyAdministered) {
   Anonymizer anon(7);
-  const net::Frame scrubbed = scrub_copy(anon, sample_frame());
-  EXPECT_EQ(scrubbed.bytes()[0], 0x02);  // dst MAC first byte.
-  EXPECT_EQ(scrubbed.bytes()[6], 0x02);  // src MAC first byte.
+  const net::Bytes scrubbed = scrub_copy(anon, sample_frame().view(0));
+  EXPECT_EQ(scrubbed[0], 0x02);  // dst MAC first byte.
+  EXPECT_EQ(scrubbed[6], 0x02);  // src MAC first byte.
 }
 
 TEST(Anonymizer, SameFlowMapsConsistentlyAcrossFrames) {
   // Flows must remain correlatable after anonymization.
   Anonymizer anon(7);
-  const net::Frame f1 = scrub_copy(anon, sample_frame());
-  const net::Frame f2 = scrub_copy(anon, sample_frame());
-  const auto p1 = net::parse_frame(f1);
-  const auto p2 = net::parse_frame(f2);
+  const auto p1 = parse_scrubbed(scrub_copy(anon, sample_frame().view(0)));
+  const auto p2 = parse_scrubbed(scrub_copy(anon, sample_frame().view(0)));
   ASSERT_TRUE(p1.ipv4 && p2.ipv4);
   EXPECT_EQ(p1.ipv4->src, p2.ipv4->src);
   EXPECT_EQ(p1.ipv4->dst, p2.ipv4->dst);
@@ -103,19 +109,18 @@ TEST(Anonymizer, SameFlowMapsConsistentlyAcrossFrames) {
 
 TEST(Anonymizer, Ipv6InterfaceIdScrambledPrefixKept) {
   Anonymizer anon(7);
-  const net::Frame f =
-      FrameBuilder()
-          .ethernet(MacAddress::from_id(1), MacAddress::from_id(2))
-          .ipv6(net::Ipv6Address::from_words({0xfd00, 1, 2, 3, 4, 5, 6, 7}),
-                net::Ipv6Address::from_words({0xfd00, 9, 9, 9, 8, 8, 8, 8}))
-          .udp(1000, 2000)
-          .payload(32)
-          .build();
-  const net::Frame scrubbed = scrub_copy(anon, f);
-  const auto parsed = net::parse_frame(scrubbed);
+  net::FrameStore f;
+  FrameBuilder()
+      .ethernet(MacAddress::from_id(1), MacAddress::from_id(2))
+      .ipv6(net::Ipv6Address::from_words({0xfd00, 1, 2, 3, 4, 5, 6, 7}),
+            net::Ipv6Address::from_words({0xfd00, 9, 9, 9, 8, 8, 8, 8}))
+      .udp(1000, 2000)
+      .payload(32)
+      .build_into(f);
+  const auto parsed = parse_scrubbed(scrub_copy(anon, f.view(0)));
   ASSERT_TRUE(parsed.ipv6.has_value());
   // First 8 bytes (prefix) kept; last 8 scrambled.
-  const auto orig = net::parse_frame(f);
+  const auto orig = parse_view(f.view(0));
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(parsed.ipv6->src.bytes[static_cast<std::size_t>(i)],
               orig.ipv6->src.bytes[static_cast<std::size_t>(i)]);

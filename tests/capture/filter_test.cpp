@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "net/frame_builder.hpp"
+#include "testing/fixtures.hpp"
 
 namespace patchwork::capture {
 namespace {
 
+using patchwork::testing::parse_built;
 using net::FrameBuilder;
 using net::Ipv4Address;
 using net::MacAddress;
@@ -27,7 +29,7 @@ net::ParsedFrame tcp_frame(std::uint16_t sport, std::uint16_t dport,
   FrameBuilder b;
   b.ethernet(kSrc, kDst).vlan(100).ipv4(kA, kB).tcp(sport, dport).payload(4);
   if (size) b.pad_to(size);
-  return net::parse_frame(b.build());
+  return parse_built(b);
 }
 
 TEST(Filter, EmptyMatchesEverything) {
@@ -65,7 +67,7 @@ TEST(Filter, VlanAndMplsWithIds) {
   EXPECT_FALSE(compile_ok("vlan 101").matches(tcp_frame(1, 2)));
   FrameBuilder b;
   b.ethernet(kSrc, kDst).mpls(16001).ipv4(kA, kB).udp(1, 2);
-  const auto parsed = net::parse_frame(b.build());
+  const auto parsed = parse_built(b);
   EXPECT_TRUE(compile_ok("mpls").matches(parsed));
   EXPECT_TRUE(compile_ok("mpls 16001").matches(parsed));
   EXPECT_FALSE(compile_ok("mpls 7").matches(parsed));

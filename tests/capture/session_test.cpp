@@ -18,19 +18,18 @@ using net::FrameBuilder;
 using net::Ipv4Address;
 using net::MacAddress;
 
-std::vector<net::Frame> make_frames(std::size_t n, std::uint16_t dport = 5201,
-                                    std::size_t size = 1514) {
-  std::vector<net::Frame> out;
-  out.reserve(n);
+net::FrameStore make_frames(std::size_t n, std::uint16_t dport = 5201,
+                            std::size_t size = 1514) {
+  FrameBuilder b;
+  b.ethernet(MacAddress::from_id(1), MacAddress::from_id(2))
+      .ipv4(Ipv4Address::from_octets(10, 0, 0, 1),
+            Ipv4Address::from_octets(10, 0, 0, 2))
+      .tcp(50000, dport)
+      .payload(4)
+      .pad_to(size);
+  net::FrameStore out;
   for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(FrameBuilder()
-                      .ethernet(MacAddress::from_id(1), MacAddress::from_id(2))
-                      .ipv4(Ipv4Address::from_octets(10, 0, 0, 1),
-                            Ipv4Address::from_octets(10, 0, 0, 2))
-                      .tcp(50000, dport)
-                      .payload(4)
-                      .pad_to(size)
-                      .build(static_cast<util::Nanos>(i) * 1000));
+    b.build_into(out, static_cast<util::Nanos>(i) * 1000);
   }
   return out;
 }
@@ -163,16 +162,18 @@ TEST_F(SessionTest, InPlaceScrubMatchesScrubFrameSemantics) {
   const Anonymizer anonymizer(config.anonymize_key);
   auto reader = pcap::PcapReader::open(std::move(result.pcap));
   ASSERT_TRUE(reader.has_value());
-  for (const net::Frame& original : frames) {
+  for (std::size_t i = 0; i < frames.size(); ++i) {
     auto record = reader->next_view();
     ASSERT_TRUE(record.has_value());
-    const net::Frame expected = patchwork::testing::scrub_copy(
-        anonymizer, original.truncate(config.snaplen));
-    EXPECT_EQ(record->timestamp, expected.timestamp());
-    EXPECT_EQ(record->wire_length, expected.wire_length());
-    ASSERT_EQ(record->bytes.size(), expected.captured_length());
+    const net::FrameView cut =
+        patchwork::testing::truncated(frames.view(i), config.snaplen);
+    const net::Bytes expected =
+        patchwork::testing::scrub_copy(anonymizer, cut);
+    EXPECT_EQ(record->timestamp, cut.timestamp);
+    EXPECT_EQ(record->wire_length, cut.wire_length);
+    ASSERT_EQ(record->bytes.size(), expected.size());
     EXPECT_TRUE(std::equal(record->bytes.begin(), record->bytes.end(),
-                           expected.bytes().begin()));
+                           expected.begin()));
   }
   EXPECT_FALSE(reader->next_view().has_value());
 }
@@ -189,17 +190,16 @@ OffloadOverload run_offload_overload(const char* filter_text,
                                      double pass_fraction,
                                      const host::HostSpec& host) {
   // Alternating 443/22 flows, so "port 443" passes exactly half.
-  std::vector<net::Frame> frames;
+  net::FrameStore frames;
   for (std::size_t i = 0; i < 600; ++i) {
-    frames.push_back(FrameBuilder()
-                         .ethernet(MacAddress::from_id(1),
-                                   MacAddress::from_id(2))
-                         .ipv4(Ipv4Address::from_octets(10, 0, 0, 1),
-                               Ipv4Address::from_octets(10, 0, 0, 2))
-                         .tcp(50000, i % 2 == 0 ? 443 : 22)
-                         .payload(4)
-                         .pad_to(1514)
-                         .build(static_cast<util::Nanos>(i) * 1000));
+    FrameBuilder()
+        .ethernet(MacAddress::from_id(1), MacAddress::from_id(2))
+        .ipv4(Ipv4Address::from_octets(10, 0, 0, 1),
+              Ipv4Address::from_octets(10, 0, 0, 2))
+        .tcp(50000, i % 2 == 0 ? 443 : 22)
+        .payload(4)
+        .pad_to(1514)
+        .build_into(frames, static_cast<util::Nanos>(i) * 1000);
   }
   CaptureConfig config;
   config.method = CaptureMethod::kFpgaDpdk;

@@ -6,51 +6,63 @@
 #include <string>
 
 #include "net/parser.hpp"
+#include "testing/fixtures.hpp"
 #include "util/crc32.hpp"
 
 namespace patchwork::net {
 namespace {
+
+using patchwork::testing::parse_view;
 
 const MacAddress kSrc = MacAddress::from_id(1);
 const MacAddress kDst = MacAddress::from_id(2);
 const Ipv4Address kA = Ipv4Address::from_octets(10, 0, 0, 1);
 const Ipv4Address kB = Ipv4Address::from_octets(10, 0, 0, 2);
 
+/// A store holding the one frame `b` describes, stamped `ts`.
+FrameStore built(const FrameBuilder& b, util::Nanos ts = 0) {
+  FrameStore store;
+  b.build_into(store, ts);
+  return store;
+}
+
+bool same_bytes(std::span<const std::uint8_t> a,
+                std::span<const std::uint8_t> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
 TEST(FrameBuilder, MinimalEthernetIpv4Tcp) {
-  const Frame f =
-      FrameBuilder().ethernet(kSrc, kDst).ipv4(kA, kB).tcp(1000, 2000).build();
-  EXPECT_EQ(f.wire_length(), 14u + 20u + 20u);
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst).ipv4(kA, kB).tcp(1000, 2000);
+  const FrameStore store = built(b);
+  const FrameView f = store.view(0);
+  EXPECT_EQ(f.wire_length, 14u + 20u + 20u);
   // EtherType chained automatically.
-  EXPECT_EQ(f.bytes()[12], 0x08);
-  EXPECT_EQ(f.bytes()[13], 0x00);
+  EXPECT_EQ(f.bytes[12], 0x08);
+  EXPECT_EQ(f.bytes[13], 0x00);
 }
 
 TEST(FrameBuilder, Ipv4LengthsAreResolved) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .ipv4(kA, kB)
-                      .udp(1, 2)
-                      .payload(100)
-                      .build();
-  auto ip = Ipv4Header::decode(f.bytes(), 14);
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst).ipv4(kA, kB).udp(1, 2).payload(100);
+  const FrameStore store = built(b);
+  const FrameView f = store.view(0);
+  auto ip = Ipv4Header::decode(f.bytes, 14);
   ASSERT_TRUE(ip.has_value());
   EXPECT_EQ(ip->total_length, 20 + 8 + 100);
   EXPECT_EQ(ip->protocol, kIpProtoUdp);
-  auto udp = UdpHeader::decode(f.bytes(), 34);
+  auto udp = UdpHeader::decode(f.bytes, 34);
   ASSERT_TRUE(udp.has_value());
   EXPECT_EQ(udp->length, 8 + 100);
 }
 
 TEST(FrameBuilder, MplsBottomOfStackOnlyOnLast) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .mpls(100)
-                      .mpls(200)
-                      .ipv4(kA, kB)
-                      .tcp(1, 2)
-                      .build();
-  auto l1 = MplsLabel::decode(f.bytes(), 14);
-  auto l2 = MplsLabel::decode(f.bytes(), 18);
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst).mpls(100).mpls(200).ipv4(kA, kB).tcp(1, 2);
+  const FrameStore store = built(b);
+  const FrameView f = store.view(0);
+  auto l1 = MplsLabel::decode(f.bytes, 14);
+  auto l2 = MplsLabel::decode(f.bytes, 18);
   ASSERT_TRUE(l1 && l2);
   EXPECT_FALSE(l1->bottom_of_stack);
   EXPECT_TRUE(l2->bottom_of_stack);
@@ -59,46 +71,42 @@ TEST(FrameBuilder, MplsBottomOfStackOnlyOnLast) {
 }
 
 TEST(FrameBuilder, PadToExtendsFrame) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .ipv4(kA, kB)
-                      .tcp(1, 2)
-                      .pad_to(1514)
-                      .build();
-  EXPECT_EQ(f.wire_length(), 1514u);
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst).ipv4(kA, kB).tcp(1, 2).pad_to(1514);
+  const FrameStore store = built(b);
+  const FrameView f = store.view(0);
+  EXPECT_EQ(f.wire_length, 1514u);
   // The IPv4 total length must include the padding payload.
-  auto ip = Ipv4Header::decode(f.bytes(), 14);
+  auto ip = Ipv4Header::decode(f.bytes, 14);
   ASSERT_TRUE(ip.has_value());
   EXPECT_EQ(ip->total_length, 1514 - 14);
 }
 
 TEST(FrameBuilder, PadToIsNoOpWhenAlreadyLonger) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .ipv4(kA, kB)
-                      .udp(1, 2)
-                      .payload(200)
-                      .pad_to(64)
-                      .build();
-  EXPECT_EQ(f.wire_length(), 14u + 20u + 8u + 200u);
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst).ipv4(kA, kB).udp(1, 2).payload(200).pad_to(64);
+  const FrameStore store = built(b);
+  const FrameView f = store.view(0);
+  EXPECT_EQ(f.wire_length, 14u + 20u + 8u + 200u);
 }
 
 TEST(FrameBuilder, PaperEncapsulationExample) {
   // "Ethernet / VLAN / MPLS / MPLS / PseudoWire / Ethernet / IPv4 / TCP /
   // TLS" — the paper's Section 8.2 example stack.
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .vlan(100)
-                      .mpls(16001)
-                      .mpls(16002)
-                      .pseudowire()
-                      .ethernet(kSrc, kDst)
-                      .ipv4(kA, kB)
-                      .tcp(49152, 443)
-                      .tls()
-                      .payload(64)
-                      .build();
-  const ParsedFrame parsed = parse_frame(f);
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .vlan(100)
+      .mpls(16001)
+      .mpls(16002)
+      .pseudowire()
+      .ethernet(kSrc, kDst)
+      .ipv4(kA, kB)
+      .tcp(49152, 443)
+      .tls()
+      .payload(64);
+  const FrameStore store = built(b);
+  const FrameView f = store.view(0);
+  const ParsedFrame parsed = parse_view(f);
   EXPECT_EQ(parsed.stack_string(),
             "eth/vlan/mpls/mpls/pw/eth/ipv4/tcp/tls/data");
   EXPECT_EQ(parsed.header_depth(), 9u);
@@ -107,70 +115,50 @@ TEST(FrameBuilder, PaperEncapsulationExample) {
 TEST(FrameBuilder, BuilderIsReusable) {
   FrameBuilder b;
   b.ethernet(kSrc, kDst).ipv4(kA, kB).udp(1, 2).pad_to(100);
-  const Frame f1 = b.build(10);
-  const Frame f2 = b.build(20);
-  EXPECT_EQ(f1.wire_length(), f2.wire_length());
-  EXPECT_EQ(f1.timestamp(), 10u);
-  EXPECT_EQ(f2.timestamp(), 20u);
-  EXPECT_TRUE(std::equal(f1.bytes().begin(), f1.bytes().end(),
-                         f2.bytes().begin()));
+  FrameStore store;
+  b.build_into(store, 10);
+  b.build_into(store, 20);
+  const FrameView f1 = store.view(0);
+  const FrameView f2 = store.view(1);
+  EXPECT_EQ(f1.wire_length, f2.wire_length);
+  EXPECT_EQ(f1.timestamp, 10u);
+  EXPECT_EQ(f2.timestamp, 20u);
+  EXPECT_TRUE(same_bytes(f1.bytes, f2.bytes));
 }
 
 TEST(FrameBuilder, SshBannerInPayload) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .ipv4(kA, kB)
-                      .tcp(50000, 22)
-                      .ssh_banner()
-                      .pad_to(128)
-                      .build();
-  const ParsedFrame parsed = parse_frame(f);
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst).ipv4(kA, kB).tcp(50000, 22).ssh_banner().pad_to(128);
+  const FrameStore store = built(b);
+  const FrameView f = store.view(0);
+  const ParsedFrame parsed = parse_view(f);
   EXPECT_TRUE(parsed.has(Protocol::kSsh));
-  EXPECT_EQ(f.wire_length(), 128u);
+  EXPECT_EQ(f.wire_length, 128u);
 }
 
 TEST(FrameBuilder, VxlanCarriesInnerEthernet) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .ipv4(kA, kB)
-                      .udp(40000, 4789)
-                      .vxlan(77)
-                      .ethernet(kDst, kSrc)
-                      .ipv4(kB, kA)
-                      .tcp(1, 2)
-                      .build();
-  const ParsedFrame parsed = parse_frame(f);
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .ipv4(kA, kB)
+      .udp(40000, 4789)
+      .vxlan(77)
+      .ethernet(kDst, kSrc)
+      .ipv4(kB, kA)
+      .tcp(1, 2);
+  const FrameStore store = built(b);
+  const FrameView f = store.view(0);
+  const ParsedFrame parsed = parse_view(f);
   EXPECT_EQ(parsed.count(Protocol::kEthernet), 2u);
   EXPECT_TRUE(parsed.has(Protocol::kVxlan));
   ASSERT_TRUE(parsed.vxlan_vni.has_value());
   EXPECT_EQ(*parsed.vxlan_vni, 77u);
 }
 
-TEST(FrameBuilder, TruncateKeepsWireLength) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .ipv4(kA, kB)
-                      .udp(1, 2)
-                      .pad_to(1514)
-                      .build();
-  const Frame cut = f.truncate(200);
-  EXPECT_EQ(cut.captured_length(), 200u);
-  EXPECT_EQ(cut.wire_length(), 1514u);
-  EXPECT_TRUE(cut.truncated());
-  EXPECT_FALSE(f.truncated());
-}
-
-TEST(FrameBuilder, TruncateZeroKeepsEverything) {
-  const Frame f =
-      FrameBuilder().ethernet(kSrc, kDst).ipv4(kA, kB).udp(1, 2).build();
-  const Frame same = f.truncate(0);
-  EXPECT_EQ(same.captured_length(), f.captured_length());
-}
-
-TEST(FrameBuilder, BuildIntoMatchesBuildForRepresentativeStacks) {
-  // Every encapsulation shape the generator emits; build() and the arena
-  // path must serialize identical bytes, including the resolved chaining
-  // and pad growth.
+TEST(FrameBuilder, BuildIntoAppendsRepresentativeStacksBackToBack) {
+  // Every encapsulation shape the generator emits, built back to back into
+  // one arena: each frame must serialize exactly as its stack does alone
+  // in a fresh store, resolved chaining and pad growth included, and sit
+  // right behind the frame before it.
   std::vector<FrameBuilder> builders(5);
   builders[0].ethernet(kSrc, kDst).vlan(100).mpls(16001).mpls(16002)
       .pseudowire().ethernet(kDst, kSrc).ipv4(kA, kB)
@@ -188,32 +176,36 @@ TEST(FrameBuilder, BuildIntoMatchesBuildForRepresentativeStacks) {
     builders[i].build_into(store, 100 * static_cast<util::Nanos>(i));
   }
   ASSERT_EQ(store.size(), builders.size());
+  std::size_t offset = 0;
   for (std::size_t i = 0; i < builders.size(); ++i) {
-    const Frame expected = builders[i].build(100 * static_cast<util::Nanos>(i));
+    const FrameStore alone =
+        built(builders[i], 100 * static_cast<util::Nanos>(i));
+    const FrameView expected = alone.view(0);
     const FrameView view = store.view(i);
-    EXPECT_EQ(view.timestamp, expected.timestamp()) << "stack " << i;
-    EXPECT_EQ(view.wire_length, expected.wire_length()) << "stack " << i;
-    ASSERT_EQ(view.bytes.size(), expected.bytes().size()) << "stack " << i;
-    EXPECT_TRUE(std::equal(view.bytes.begin(), view.bytes.end(),
-                           expected.bytes().begin()))
+    EXPECT_EQ(view.timestamp, expected.timestamp) << "stack " << i;
+    EXPECT_EQ(view.wire_length, expected.wire_length) << "stack " << i;
+    EXPECT_TRUE(same_bytes(view.bytes, expected.bytes))
         << "stack " << i << " bytes differ";
+    EXPECT_EQ(view.bytes.data(), store.view(0).bytes.data() + offset)
+        << "stack " << i;
+    offset += view.bytes.size();
   }
+  EXPECT_EQ(store.total_bytes(), offset);
 }
 
 TEST(FrameBuilder, ResetClearsStackAndBuilderIsReusable) {
   FrameBuilder b;
   b.ethernet(kSrc, kDst).ipv4(kA, kB).udp(1, 2).pad_to(1514);
-  const Frame first = b.build(5);
+  const FrameStore first = built(b, 5);
   b.reset();
   EXPECT_EQ(b.layer_count(), 0u);
   b.ethernet(kSrc, kDst).ipv4(kB, kA).tcp(3, 4);
-  const Frame second = b.build(6);
+  const FrameStore second = built(b, 6);
   // No residue from the first stack: a fresh builder agrees.
-  const Frame fresh =
-      FrameBuilder().ethernet(kSrc, kDst).ipv4(kB, kA).tcp(3, 4).build(6);
-  EXPECT_TRUE(std::equal(second.bytes().begin(), second.bytes().end(),
-                         fresh.bytes().begin(), fresh.bytes().end()));
-  EXPECT_NE(first.captured_length(), second.captured_length());
+  FrameBuilder fresh;
+  fresh.ethernet(kSrc, kDst).ipv4(kB, kA).tcp(3, 4);
+  EXPECT_TRUE(same_bytes(second.view(0).bytes, built(fresh, 6).view(0).bytes));
+  EXPECT_NE(first.view(0).bytes.size(), second.view(0).bytes.size());
 }
 
 TEST(FrameBuilder, BuildManyIntoMatchesPerFrameSeqBuilds) {
@@ -257,13 +249,14 @@ TEST(FrameBuilder, BuildManyIntoMatchesPerFrameSeqBuilds) {
     for (std::size_t i = 0; i < ts.size(); ++i) {
       FrameBuilder reference;
       c.describe(reference, seqs[i]);
-      const Frame expected = reference.build(ts[i]);
+      const FrameStore one = built(reference, ts[i]);
+      const FrameView expected = one.view(0);
       const FrameView view = store.view(i);
-      EXPECT_EQ(view.timestamp, expected.timestamp()) << c.name << " " << i;
-      ASSERT_EQ(view.bytes.size(), expected.bytes().size())
+      EXPECT_EQ(view.timestamp, expected.timestamp) << c.name << " " << i;
+      ASSERT_EQ(view.bytes.size(), expected.bytes.size())
           << c.name << " " << i;
       EXPECT_TRUE(std::equal(view.bytes.begin(), view.bytes.end(),
-                             expected.bytes().begin()))
+                             expected.bytes.begin()))
           << c.name << " frame " << i << " bytes differ";
     }
   }
@@ -279,17 +272,16 @@ TEST(FrameBuilder, BuildManyIntoMatchesPerFrameAckBuilds) {
   batched.build_many_into(store, ts, acks, PerFrameField::kTcpAck);
   ASSERT_EQ(store.size(), ts.size());
   for (std::size_t i = 0; i < ts.size(); ++i) {
-    const Frame expected = FrameBuilder()
-                               .ethernet(kDst, kSrc)
-                               .ipv4(kB, kA)
-                               .tcp(443, 49152, tcp_flags::kAck, 0, acks[i])
-                               .pad_to(68)
-                               .build(ts[i]);
+    FrameBuilder reference;
+    reference.ethernet(kDst, kSrc).ipv4(kB, kA)
+        .tcp(443, 49152, tcp_flags::kAck, 0, acks[i]).pad_to(68);
+    const FrameStore one = built(reference, ts[i]);
+    const FrameView expected = one.view(0);
     const FrameView view = store.view(i);
-    EXPECT_EQ(view.timestamp, expected.timestamp()) << i;
-    ASSERT_EQ(view.bytes.size(), expected.bytes().size()) << i;
+    EXPECT_EQ(view.timestamp, expected.timestamp) << i;
+    ASSERT_EQ(view.bytes.size(), expected.bytes.size()) << i;
     EXPECT_TRUE(std::equal(view.bytes.begin(), view.bytes.end(),
-                           expected.bytes().begin()))
+                           expected.bytes.begin()))
         << "frame " << i << " bytes differ";
   }
 }
@@ -303,20 +295,18 @@ TEST(FrameBuilder, BuildManyIntoNoneFieldEmitsIdenticalFrames) {
   FrameStore store;
   b.build_many_into(store, ts, {}, PerFrameField::kNone);
   ASSERT_EQ(store.size(), ts.size());
-  const Frame expected = b.build(0);
+  const FrameStore one = built(b);
+  const FrameView expected = one.view(0);
   for (std::size_t i = 0; i < ts.size(); ++i) {
     const FrameView view = store.view(i);
     EXPECT_EQ(view.timestamp, ts[i]) << i;
-    ASSERT_EQ(view.bytes.size(), expected.bytes().size()) << i;
+    ASSERT_EQ(view.bytes.size(), expected.bytes.size()) << i;
     EXPECT_TRUE(std::equal(view.bytes.begin(), view.bytes.end(),
-                           expected.bytes().begin()))
+                           expected.bytes.begin()))
         << "frame " << i;
   }
   // The builder stays reusable after a batched build.
-  const Frame again = b.build(0);
-  ASSERT_EQ(again.bytes().size(), expected.bytes().size());
-  EXPECT_TRUE(std::equal(again.bytes().begin(), again.bytes().end(),
-                         expected.bytes().begin()));
+  EXPECT_TRUE(same_bytes(built(b).view(0).bytes, expected.bytes));
 }
 
 // Reference payload fill, one byte at a time: the '0'..'9' pattern, which
@@ -325,11 +315,6 @@ void append_reference_pattern(std::vector<std::uint8_t>& out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(static_cast<std::uint8_t>('0' + (i % 10)));
   }
-}
-
-bool same_bytes(std::span<const std::uint8_t> a,
-                std::span<const std::uint8_t> b) {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end());
 }
 
 TEST(FrameBuilder, PayloadBytesArePinned) {
@@ -392,23 +377,19 @@ TEST(FrameBuilder, PayloadBytesArePinned) {
   for (const Case& c : cases) {
     FrameBuilder b;
     c.describe(b);
-    const Frame built = b.build(7);
-    ASSERT_EQ(built.bytes().size(),
-              c.header_bytes + c.marker.size() + c.pattern_bytes)
-        << c.name;
-    std::vector<std::uint8_t> expected(
-        built.bytes().begin(),
-        built.bytes().begin() + static_cast<std::ptrdiff_t>(c.header_bytes));
-    expected.insert(expected.end(), c.marker.begin(), c.marker.end());
-    append_reference_pattern(expected, c.pattern_bytes);
-    EXPECT_TRUE(same_bytes(built.bytes(), expected)) << c.name << " build";
-    EXPECT_EQ(util::crc32(expected), c.crc) << c.name;
-
     FrameStore one;
     b.build_into(one, 7);
     ASSERT_EQ(one.size(), 1u) << c.name;
-    EXPECT_TRUE(same_bytes(one.view(0).bytes, expected))
-        << c.name << " build_into";
+    const ByteView bytes = one.view(0).bytes;
+    ASSERT_EQ(bytes.size(), c.header_bytes + c.marker.size() + c.pattern_bytes)
+        << c.name;
+    std::vector<std::uint8_t> expected(
+        bytes.begin(),
+        bytes.begin() + static_cast<std::ptrdiff_t>(c.header_bytes));
+    expected.insert(expected.end(), c.marker.begin(), c.marker.end());
+    append_reference_pattern(expected, c.pattern_bytes);
+    EXPECT_TRUE(same_bytes(bytes, expected)) << c.name << " build_into";
+    EXPECT_EQ(util::crc32(expected), c.crc) << c.name;
 
     FrameStore single;
     const util::Nanos ts1[] = {7};
@@ -441,8 +422,7 @@ TEST(FrameBuilder, BuildManyIntoAppendsAfterFramesAlreadyInTheStore) {
   const Case cases[] = {
       {"none", PerFrameField::kNone,
        [](FrameBuilder& b, std::uint32_t) {
-         b.ethernet(kSrc, kDst).ipv4(kA, kB).icmp(8, 0).payload(48)
-             .pad_to(98);
+         b.ethernet(kSrc, kDst).ipv4(kA, kB).icmp(8, 0).payload(48).pad_to(98);
        }},
       {"seq+dns", PerFrameField::kTcpSeqAndDnsId,
        [](FrameBuilder& b, std::uint32_t v) {
@@ -472,7 +452,7 @@ TEST(FrameBuilder, BuildManyIntoAppendsAfterFramesAlreadyInTheStore) {
       other.ethernet(kSrc, kDst).ipv4(kB, kA).udp(5, 6).payload(333);
       other.build_into(store, 1);
       other.build_into(store, 2);
-      const Frame first = other.build(1);
+      const FrameStore first = built(other, 1);
       const std::size_t before = store.total_bytes();
 
       FrameBuilder batched;
@@ -485,7 +465,7 @@ TEST(FrameBuilder, BuildManyIntoAppendsAfterFramesAlreadyInTheStore) {
                               vals, c.field);
       ASSERT_EQ(store.size(), 2 + n) << c.name << " x" << n;
       for (std::size_t i = 0; i < 2; ++i) {
-        EXPECT_TRUE(same_bytes(store.view(i).bytes, first.bytes()))
+        EXPECT_TRUE(same_bytes(store.view(i).bytes, first.view(0).bytes))
             << c.name << " x" << n << ": earlier frame " << i << " changed";
       }
       std::size_t appended = 0;
@@ -493,14 +473,15 @@ TEST(FrameBuilder, BuildManyIntoAppendsAfterFramesAlreadyInTheStore) {
         FrameBuilder reference;
         c.describe(reference,
                    c.field == PerFrameField::kNone ? 0 : values[i]);
-        const Frame expected = reference.build(stamps[i]);
+        const FrameStore one = built(reference, stamps[i]);
+        const FrameView expected = one.view(0);
         const FrameView view = store.view(2 + i);
         EXPECT_EQ(view.timestamp, stamps[i]) << c.name << " x" << n;
-        EXPECT_EQ(view.wire_length, expected.wire_length())
+        EXPECT_EQ(view.wire_length, expected.wire_length)
             << c.name << " x" << n;
-        EXPECT_TRUE(same_bytes(view.bytes, expected.bytes()))
+        EXPECT_TRUE(same_bytes(view.bytes, expected.bytes))
             << c.name << " x" << n << ": frame " << i << " bytes differ";
-        appended += expected.bytes().size();
+        appended += expected.bytes.size();
       }
       EXPECT_EQ(store.total_bytes(), before + appended)
           << c.name << " x" << n;
@@ -550,10 +531,9 @@ TEST(FrameBuilder, ResetAfterDeepStackMatchesFreshBuilder) {
   describe_arp(reused);
   FrameBuilder fresh;
   describe_arp(fresh);
-  const Frame expected = fresh.build(5);
-  ASSERT_EQ(expected.wire_length(), 64u);
-  const std::span<const std::uint8_t> want = expected.bytes();
-  EXPECT_TRUE(same_bytes(reused.build(5).bytes(), want));
+  const FrameStore expected = built(fresh, 5);
+  ASSERT_EQ(expected.view(0).wire_length, 64u);
+  const std::span<const std::uint8_t> want = expected.view(0).bytes;
   FrameStore into;
   reused.build_into(into, 5);
   EXPECT_TRUE(same_bytes(into.view(0).bytes, want));

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "net/frame_builder.hpp"
+#include "testing/fixtures.hpp"
 
 namespace patchwork::net {
 namespace {
+
+using patchwork::testing::parse_built;
 
 const MacAddress kSrc = MacAddress::from_id(1);
 const MacAddress kDst = MacAddress::from_id(2);
@@ -29,83 +32,76 @@ TEST(Parser, ClassifiesByPort) {
     } else {
       b.payload(100);
     }
-    const ParsedFrame parsed = parse_frame(b.build());
+    const ParsedFrame parsed = parse_built(b);
     EXPECT_TRUE(parsed.has(expected)) << "port " << port;
   }
 }
 
 TEST(Parser, TlsOnPort443) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .ipv4(kA, kB)
-                      .tcp(50000, 443)
-                      .tls(23)
-                      .payload(256)
-                      .build();
-  const ParsedFrame parsed = parse_frame(f);
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .ipv4(kA, kB)
+      .tcp(50000, 443)
+      .tls(23)
+      .payload(256);
+  const ParsedFrame parsed = parse_built(b);
   EXPECT_TRUE(parsed.has(Protocol::kTls));
 }
 
 TEST(Parser, PureAckHasNoPayloadLayer) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .vlan(5)
-                      .mpls(16000)
-                      .ipv4(kA, kB)
-                      .tcp(1, 2, tcp_flags::kAck)
-                      .build();
-  const ParsedFrame parsed = parse_frame(f);
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .vlan(5)
+      .mpls(16000)
+      .ipv4(kA, kB)
+      .tcp(1, 2, tcp_flags::kAck);
+  const ParsedFrame parsed = parse_built(b);
   EXPECT_EQ(parsed.stack_string(), "eth/vlan/mpls/ipv4/tcp");
   ASSERT_TRUE(parsed.tcp.has_value());
   EXPECT_EQ(parsed.tcp->flags, tcp_flags::kAck);
 }
 
 TEST(Parser, MplsFirstNibbleHeuristicIpv4) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .mpls(100)
-                      .ipv4(kA, kB)
-                      .udp(1, 2)
-                      .build();
-  EXPECT_EQ(parse_frame(f).stack_string(), "eth/mpls/ipv4/udp");
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .mpls(100)
+      .ipv4(kA, kB)
+      .udp(1, 2);
+  EXPECT_EQ(parse_built(b).stack_string(), "eth/mpls/ipv4/udp");
 }
 
 TEST(Parser, MplsFirstNibbleHeuristicIpv6) {
-  const Frame f =
-      FrameBuilder()
-          .ethernet(kSrc, kDst)
-          .mpls(100)
-          .ipv6(Ipv6Address::from_words({0xfd00, 0, 0, 0, 0, 0, 0, 1}),
-                Ipv6Address::from_words({0xfd00, 0, 0, 0, 0, 0, 0, 2}))
-          .tcp(1, 22)
-          .build();
-  EXPECT_EQ(parse_frame(f).stack_string(), "eth/mpls/ipv6/tcp");
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .mpls(100)
+      .ipv6(Ipv6Address::from_words({0xfd00, 0, 0, 0, 0, 0, 0, 1}),
+            Ipv6Address::from_words({0xfd00, 0, 0, 0, 0, 0, 0, 2}))
+      .tcp(1, 22);
+  EXPECT_EQ(parse_built(b).stack_string(), "eth/mpls/ipv6/tcp");
 }
 
 TEST(Parser, MplsFirstNibblePseudowire) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .mpls(100)
-                      .pseudowire()
-                      .ethernet(kSrc, kDst)
-                      .ipv4(kA, kB)
-                      .udp(1, 2)
-                      .build();
-  EXPECT_EQ(parse_frame(f).stack_string(), "eth/mpls/pw/eth/ipv4/udp");
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .mpls(100)
+      .pseudowire()
+      .ethernet(kSrc, kDst)
+      .ipv4(kA, kB)
+      .udp(1, 2);
+  EXPECT_EQ(parse_built(b).stack_string(), "eth/mpls/pw/eth/ipv4/udp");
 }
 
 TEST(Parser, ExtractsTagsForFlowClassification) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .vlan(123)
-                      .mpls(16001)
-                      .mpls(16002)
-                      .pseudowire()
-                      .ethernet(kSrc, kDst)
-                      .ipv4(kA, kB)
-                      .tcp(1000, 2000)
-                      .build();
-  const ParsedFrame parsed = parse_frame(f);
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .vlan(123)
+      .mpls(16001)
+      .mpls(16002)
+      .pseudowire()
+      .ethernet(kSrc, kDst)
+      .ipv4(kA, kB)
+      .tcp(1000, 2000);
+  const ParsedFrame parsed = parse_built(b);
   ASSERT_EQ(parsed.vlan_ids.size(), 1u);
   EXPECT_EQ(parsed.vlan_ids[0], 123);
   ASSERT_EQ(parsed.mpls_labels.size(), 2u);
@@ -118,30 +114,27 @@ TEST(Parser, ExtractsTagsForFlowClassification) {
 }
 
 TEST(Parser, SnaplenTruncationMarksTruncatedLayer) {
-  const Frame full = FrameBuilder()
-                         .ethernet(kSrc, kDst)
-                         .vlan(5)
-                         .ipv4(kA, kB)
-                         .tcp(1, 2)
-                         .payload(1000)
-                         .build();
+  FrameBuilder full;
+  full.ethernet(kSrc, kDst)
+      .vlan(5)
+      .ipv4(kA, kB)
+      .tcp(1, 2)
+      .payload(1000);
   // Cut inside the IPv4 header: eth(14) + vlan(4) + 10 bytes of IP.
-  const Frame cut = full.truncate(28);
-  const ParsedFrame parsed = parse_frame(cut);
+  const ParsedFrame parsed = parse_built(full, 28);
   EXPECT_TRUE(parsed.has(Protocol::kTruncated));
   EXPECT_EQ(parsed.stack_string(), "eth/vlan/truncated");
   EXPECT_FALSE(parsed.ipv4.has_value());
 }
 
 TEST(Parser, TruncationAfterHeadersKeepsThem) {
-  const Frame full = FrameBuilder()
-                         .ethernet(kSrc, kDst)
-                         .ipv4(kA, kB)
-                         .tcp(1, 5201)
-                         .payload(1400)
-                         .build();
-  const Frame cut = full.truncate(200);  // Paper's profile snaplen.
-  const ParsedFrame parsed = parse_frame(cut);
+  FrameBuilder full;
+  full.ethernet(kSrc, kDst)
+      .ipv4(kA, kB)
+      .tcp(1, 5201)
+      .payload(1400);
+  // The paper's profile snaplen.
+  const ParsedFrame parsed = parse_built(full, 200);
   EXPECT_TRUE(parsed.has(Protocol::kIpv4));
   EXPECT_TRUE(parsed.has(Protocol::kTcp));
   EXPECT_TRUE(parsed.has(Protocol::kIperf));
@@ -150,58 +143,53 @@ TEST(Parser, TruncationAfterHeadersKeepsThem) {
 }
 
 TEST(Parser, ArpFrame) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .arp(kSrc, kA, kB)
-                      .pad_to(64)
-                      .build();
-  const ParsedFrame parsed = parse_frame(f);
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .arp(kSrc, kA, kB)
+      .pad_to(64);
+  const ParsedFrame parsed = parse_built(b);
   EXPECT_TRUE(parsed.has(Protocol::kArp));
   EXPECT_FALSE(parsed.ipv4.has_value());
 }
 
 TEST(Parser, DnsOverUdp) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .ipv4(kA, kB)
-                      .udp(40000, 53)
-                      .dns(0x99)
-                      .payload(20)
-                      .build();
-  EXPECT_TRUE(parse_frame(f).has(Protocol::kDns));
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .ipv4(kA, kB)
+      .udp(40000, 53)
+      .dns(0x99)
+      .payload(20);
+  EXPECT_TRUE(parse_built(b).has(Protocol::kDns));
 }
 
 TEST(Parser, NtpOverUdp) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .ipv4(kA, kB)
-                      .udp(40000, 123)
-                      .ntp()
-                      .build();
-  EXPECT_TRUE(parse_frame(f).has(Protocol::kNtp));
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .ipv4(kA, kB)
+      .udp(40000, 123)
+      .ntp();
+  EXPECT_TRUE(parse_built(b).has(Protocol::kNtp));
 }
 
 TEST(Parser, IcmpEcho) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .ipv4(kA, kB)
-                      .icmp(8, 0)
-                      .payload(48)
-                      .build();
-  EXPECT_TRUE(parse_frame(f).has(Protocol::kIcmp));
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .ipv4(kA, kB)
+      .icmp(8, 0)
+      .payload(48);
+  EXPECT_TRUE(parse_built(b).has(Protocol::kIcmp));
 }
 
 TEST(Parser, GreCarriesInnerEthernet) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .ipv4(kA, kB)
-                      .gre()
-                      .ethernet(kDst, kSrc)
-                      .ipv4(kB, kA)
-                      .tcp(1000, 5201)
-                      .payload(50)
-                      .build();
-  const ParsedFrame parsed = parse_frame(f);
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .ipv4(kA, kB)
+      .gre()
+      .ethernet(kDst, kSrc)
+      .ipv4(kB, kA)
+      .tcp(1000, 5201)
+      .payload(50);
+  const ParsedFrame parsed = parse_built(b);
   EXPECT_EQ(parsed.stack_string(), "eth/ipv4/gre/eth/ipv4/tcp/iperf");
   EXPECT_EQ(parsed.count(Protocol::kEthernet), 2u);
   // Innermost network/transport fields win for flow classification.
@@ -212,15 +200,14 @@ TEST(Parser, GreCarriesInnerEthernet) {
 }
 
 TEST(Parser, GreCarriesIpDirectly) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .ipv4(kA, kB)
-                      .gre()
-                      .ipv4(kB, kA)
-                      .udp(1, 2)
-                      .payload(10)
-                      .build();
-  EXPECT_EQ(parse_frame(f).stack_string(), "eth/ipv4/gre/ipv4/udp/data");
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .ipv4(kA, kB)
+      .gre()
+      .ipv4(kB, kA)
+      .udp(1, 2)
+      .payload(10);
+  EXPECT_EQ(parse_built(b).stack_string(), "eth/ipv4/gre/ipv4/udp/data");
 }
 
 TEST(Parser, GreWithOptionsIsNotInvented) {
@@ -265,34 +252,31 @@ TEST(Parser, UnknownEthertypeBecomesPayload) {
 }
 
 TEST(Parser, HeaderDepthExcludesPayload) {
-  const Frame f = FrameBuilder()
-                      .ethernet(kSrc, kDst)
-                      .vlan(1)
-                      .ipv4(kA, kB)
-                      .tcp(1, 5201)
-                      .payload(10)
-                      .build();
-  const ParsedFrame parsed = parse_frame(f);
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .vlan(1)
+      .ipv4(kA, kB)
+      .tcp(1, 5201)
+      .payload(10);
+  const ParsedFrame parsed = parse_built(b);
   EXPECT_EQ(parsed.header_depth(), 4u);  // eth, vlan, ipv4, tcp.
   EXPECT_EQ(parsed.layers.size(), 5u);   // + iperf payload.
 }
 
 TEST(Parser, DeepestPaperStackDepth) {
   // "Ethernet / VLAN / MPLS / MPLS / PseudoWire / Ethernet / IPv6 / SSH"
-  const Frame f =
-      FrameBuilder()
-          .ethernet(kSrc, kDst)
-          .vlan(2)
-          .mpls(1)
-          .mpls(2)
-          .pseudowire()
-          .ethernet(kSrc, kDst)
-          .ipv6(Ipv6Address::from_words({0xfd00, 0, 0, 0, 0, 0, 0, 1}),
-                Ipv6Address::from_words({0xfd00, 0, 0, 0, 0, 0, 0, 2}))
-          .tcp(50000, 22)
-          .ssh_banner()
-          .build();
-  const ParsedFrame parsed = parse_frame(f);
+  FrameBuilder b;
+  b.ethernet(kSrc, kDst)
+      .vlan(2)
+      .mpls(1)
+      .mpls(2)
+      .pseudowire()
+      .ethernet(kSrc, kDst)
+      .ipv6(Ipv6Address::from_words({0xfd00, 0, 0, 0, 0, 0, 0, 1}),
+            Ipv6Address::from_words({0xfd00, 0, 0, 0, 0, 0, 0, 2}))
+      .tcp(50000, 22)
+      .ssh_banner();
+  const ParsedFrame parsed = parse_built(b);
   // eth vlan mpls mpls pw eth ipv6 tcp ssh = 9 headers.
   EXPECT_EQ(parsed.header_depth(), 9u);
 }

@@ -5,22 +5,28 @@
 #include <algorithm>
 
 #include "net/frame_builder.hpp"
-#include "testing/fixtures.hpp"
 #include "util/byte_io.hpp"
 
 namespace patchwork::pcap {
 namespace {
 
-using patchwork::testing::write_frame;
-
-net::Frame test_frame(std::size_t size, util::Nanos ts) {
-  return net::FrameBuilder()
+/// A store holding one IPv4/UDP frame of `size` wire bytes.
+net::FrameStore test_frame(std::size_t size, util::Nanos ts) {
+  net::FrameStore store;
+  net::FrameBuilder()
       .ethernet(net::MacAddress::from_id(1), net::MacAddress::from_id(2))
       .ipv4(net::Ipv4Address::from_octets(10, 0, 0, 1),
             net::Ipv4Address::from_octets(10, 0, 0, 2))
       .udp(1000, 2000)
       .pad_to(size)
-      .build(ts);
+      .build_into(store, ts);
+  return store;
+}
+
+void write_test_frame(PcapWriter& writer, std::size_t size, util::Nanos ts) {
+  const net::FrameStore store = test_frame(size, ts);
+  const net::FrameView f = store.view(0);
+  writer.write_record(f.bytes, f.wire_length, f.timestamp);
 }
 
 TEST(Pcap, GlobalHeaderFields) {
@@ -36,9 +42,8 @@ TEST(Pcap, GlobalHeaderFields) {
 
 TEST(Pcap, RoundTripsFrames) {
   PcapWriter writer(65535);
-  write_frame(writer,
-              test_frame(100, 5 * util::kSecond + 123 * util::kMicrosecond));
-  write_frame(writer, test_frame(200, 6 * util::kSecond));
+  write_test_frame(writer, 100, 5 * util::kSecond + 123 * util::kMicrosecond);
+  write_test_frame(writer, 200, 6 * util::kSecond);
   EXPECT_EQ(writer.frames_written(), 2u);
 
   auto reader = PcapReader::open(writer.take_buffer());
@@ -59,7 +64,7 @@ TEST(Pcap, RoundTripsFrames) {
 
 TEST(Pcap, SnaplenTruncatesButKeepsOrigLen) {
   PcapWriter writer(64);
-  write_frame(writer, test_frame(1500, 0));
+  write_test_frame(writer, 1500, 0);
   auto reader = PcapReader::open(writer.take_buffer());
   ASSERT_TRUE(reader.has_value());
   auto f = reader->next_view();
@@ -71,7 +76,7 @@ TEST(Pcap, SnaplenTruncatesButKeepsOrigLen) {
 
 TEST(Pcap, NanosecondResolution) {
   PcapWriter writer(65535, TimestampResolution::kNano);
-  write_frame(writer, test_frame(100, 123456789));
+  write_test_frame(writer, 100, 123456789);
   auto reader = PcapReader::open(writer.take_buffer());
   ASSERT_TRUE(reader.has_value());
   EXPECT_EQ(reader->info().resolution, TimestampResolution::kNano);
@@ -82,7 +87,7 @@ TEST(Pcap, NanosecondResolution) {
 
 TEST(Pcap, MicroResolutionRoundsDown) {
   PcapWriter writer(65535, TimestampResolution::kMicro);
-  write_frame(writer, test_frame(100, 123456789));  // 123456.789 us.
+  write_test_frame(writer, 100, 123456789);  // 123456.789 us.
   auto reader = PcapReader::open(writer.take_buffer());
   auto f = reader->next_view();
   ASSERT_TRUE(f.has_value());
@@ -100,7 +105,7 @@ TEST(Pcap, OpenRejectsShortBuffer) {
 
 TEST(Pcap, CorruptRecordCountsAsBad) {
   PcapWriter writer(65535);
-  write_frame(writer, test_frame(100, 0));
+  write_test_frame(writer, 100, 0);
   std::vector<std::uint8_t> bytes = writer.take_buffer();
   // Lie about the record's captured length so it overruns the buffer.
   bytes[kGlobalHeaderSize + 8] = 0xff;
@@ -113,9 +118,9 @@ TEST(Pcap, CorruptRecordCountsAsBad) {
 
 TEST(Pcap, InconsistentLengthsSkipJustTheBadRecord) {
   PcapWriter writer(65535);
-  write_frame(writer, test_frame(100, 1 * util::kSecond));
-  write_frame(writer, test_frame(120, 2 * util::kSecond));
-  write_frame(writer, test_frame(140, 3 * util::kSecond));
+  write_test_frame(writer, 100, 1 * util::kSecond);
+  write_test_frame(writer, 120, 2 * util::kSecond);
+  write_test_frame(writer, 140, 3 * util::kSecond);
   std::vector<std::uint8_t> bytes = writer.take_buffer();
   // Corrupt the middle record's orig_len so incl > orig while the body
   // still fits — the reader should resync at the third record.
@@ -140,8 +145,8 @@ TEST(Pcap, InconsistentLengthsSkipJustTheBadRecord) {
 
 TEST(Pcap, NextViewIsZeroCopyIntoReaderBuffer) {
   PcapWriter writer(65535);
-  write_frame(writer, test_frame(100, 5 * util::kSecond));
-  write_frame(writer, test_frame(200, 6 * util::kSecond));
+  write_test_frame(writer, 100, 5 * util::kSecond);
+  write_test_frame(writer, 200, 6 * util::kSecond);
   auto reader = PcapReader::open(writer.take_buffer());
   ASSERT_TRUE(reader.has_value());
 
@@ -165,34 +170,36 @@ TEST(Pcap, NextViewIsZeroCopyIntoReaderBuffer) {
 
 TEST(Pcap, ViewAndFrameAgreeOnTruncatedRecords) {
   PcapWriter writer(64);
-  const net::Frame f = test_frame(1500, 7 * util::kSecond);
-  write_frame(writer, f);
+  const net::FrameStore frames = test_frame(1500, 7 * util::kSecond);
+  const net::FrameView f = frames.view(0);
+  writer.write_record(f.bytes, f.wire_length, f.timestamp);
 
   auto views = PcapReader::open(writer.take_buffer());
   auto v = views->next_view();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->bytes.size(), 64u);
-  EXPECT_EQ(v->wire_length, f.wire_length());
-  EXPECT_EQ(v->timestamp, f.timestamp());
+  EXPECT_EQ(v->wire_length, f.wire_length);
+  EXPECT_EQ(v->timestamp, f.timestamp);
   EXPECT_LT(v->bytes.size(), v->wire_length);
-  EXPECT_TRUE(std::equal(v->bytes.begin(), v->bytes.end(), f.bytes().begin()));
+  EXPECT_TRUE(std::equal(v->bytes.begin(), v->bytes.end(), f.bytes.begin()));
 }
 
 TEST(Pcap, StreamSizeFormula) {
   PcapWriter writer(64);
   const std::size_t n = 10;
-  for (std::size_t i = 0; i < n; ++i) write_frame(writer, test_frame(64, 0));
+  for (std::size_t i = 0; i < n; ++i) write_test_frame(writer, 64, 0);
   EXPECT_EQ(writer.bytes_written(), pcap_stream_size(n, 64));
 }
 
 TEST(Pcap, WriteRecordReturnsMutableSpanOverStream) {
   // In-place post-write edits (anonymization) must land in the stream.
   PcapWriter writer(65535);
-  const net::Frame f = test_frame(100, util::kSecond);
+  const net::FrameStore frames = test_frame(100, util::kSecond);
+  const net::FrameView f = frames.view(0);
   std::span<std::uint8_t> record =
-      writer.write_record(f.bytes(), f.wire_length(), f.timestamp());
+      writer.write_record(f.bytes, f.wire_length, f.timestamp);
   ASSERT_EQ(record.size(), 100u);
-  EXPECT_TRUE(std::equal(record.begin(), record.end(), f.bytes().begin()));
+  EXPECT_TRUE(std::equal(record.begin(), record.end(), f.bytes.begin()));
   std::fill(record.begin(), record.begin() + 6, std::uint8_t{0xEE});
 
   auto reader = PcapReader::open(writer.take_buffer());
@@ -201,16 +208,17 @@ TEST(Pcap, WriteRecordReturnsMutableSpanOverStream) {
   ASSERT_TRUE(back.has_value());
   for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(back->bytes[i], 0xEE);
   EXPECT_TRUE(std::equal(back->bytes.begin() + 6, back->bytes.end(),
-                         f.bytes().begin() + 6));
+                         f.bytes.begin() + 6));
 }
 
 TEST(Pcap, WriteRecordSpanCoversOnlySnapLength) {
   // With truncation, the returned span is the captured prefix actually in
   // the stream, not the full wire frame.
   PcapWriter writer(64);
-  const net::Frame f = test_frame(1500, 0);
+  const net::FrameStore frames = test_frame(1500, 0);
+  const net::FrameView f = frames.view(0);
   std::span<std::uint8_t> record =
-      writer.write_record(f.bytes(), f.wire_length(), f.timestamp());
+      writer.write_record(f.bytes, f.wire_length, f.timestamp);
   EXPECT_EQ(record.size(), 64u);
   auto reader = PcapReader::open(writer.take_buffer());
   auto back = reader->next_view();

@@ -48,19 +48,17 @@ void store_le32(Bytes& bytes, std::size_t off, std::uint32_t v) {
 Bytes golden_pcap(std::uint64_t seed, std::uint32_t snaplen) {
   util::Rng rng(seed);
   const auto profiles = traffic::make_site_profiles(rng, 4);
-  pcap::PcapWriter writer(snaplen);
+  net::FrameStore frames;
   for (std::size_t i = 0; i < 120; ++i) {
     const traffic::FlowSpec flow =
         traffic::draw_flow(rng, profiles[i % profiles.size()]);
     const util::Nanos t = static_cast<util::Nanos>(i) * 1000;
-    patchwork::testing::write_frame(writer,
-                                    traffic::make_data_frame(flow, t));
+    patchwork::testing::flow_frame(frames, flow, t);
     if (traffic::app_is_tcp(flow.app)) {
-      patchwork::testing::write_frame(writer,
-                                      traffic::make_ack_frame(flow, t + 1));
+      patchwork::testing::flow_frame(frames, flow, t + 1, /*ack=*/true);
     }
   }
-  return writer.take_buffer();
+  return patchwork::testing::pcap_of(frames, snaplen);
 }
 
 /// Offset of each record header of an undamaged pcap.

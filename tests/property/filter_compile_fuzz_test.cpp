@@ -18,10 +18,13 @@
 
 #include "capture/filter.hpp"
 #include "net/frame_builder.hpp"
+#include "testing/fixtures.hpp"
 #include "util/rng.hpp"
 
 namespace patchwork::capture {
 namespace {
+
+using patchwork::testing::parse_built;
 
 /// Tokens as the compiler splits them: each parenthesis is a token of its
 /// own, and space, tab and newline separate the rest.
@@ -59,8 +62,7 @@ const std::array<net::ParsedFrame, 2>& probe_frames() {
         .ipv4(a, b)
         .udp(1, 53)
         .payload(4);
-    return std::array<net::ParsedFrame, 2>{net::parse_frame(tcp.build()),
-                                           net::parse_frame(udp.build())};
+    return std::array<net::ParsedFrame, 2>{parse_built(tcp), parse_built(udp)};
   }();
   return frames;
 }

@@ -6,12 +6,22 @@
 #include <algorithm>
 
 #include "net/parser.hpp"
+#include "testing/fixtures.hpp"
 #include "traffic/flowgen.hpp"
 #include "traffic/workload.hpp"
 #include "util/rng.hpp"
 
 namespace patchwork::net {
 namespace {
+
+using patchwork::testing::parse_built;
+
+/// Frame 0 of `flow`'s data unit, described as render_unit describes it.
+FrameBuilder data_frame(const traffic::FlowSpec& flow) {
+  FrameBuilder b;
+  traffic::describe_frame(b, flow, /*ack=*/false, 0);
+  return b;
+}
 
 class ParserFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -43,8 +53,7 @@ TEST_P(ParserFuzz, GeneratedTrafficNeverMalformed) {
   for (int trial = 0; trial < 150; ++trial) {
     const auto& profile = profiles[trial % profiles.size()];
     const traffic::FlowSpec flow = traffic::draw_flow(rng, profile);
-    const Frame frame = traffic::make_data_frame(flow, 0);
-    const ParsedFrame parsed = parse_frame(frame);
+    const ParsedFrame parsed = parse_built(data_frame(flow));
     EXPECT_FALSE(parsed.has(Protocol::kMalformed)) << parsed.stack_string();
     EXPECT_FALSE(parsed.has(Protocol::kTruncated)) << parsed.stack_string();
     EXPECT_GE(parsed.header_depth(), 2u);
@@ -57,10 +66,10 @@ TEST_P(ParserFuzz, TruncationYieldsPrefixOfFullParse) {
   for (int trial = 0; trial < 60; ++trial) {
     const auto& profile = profiles[trial % profiles.size()];
     const traffic::FlowSpec flow = traffic::draw_flow(rng, profile);
-    const Frame full = traffic::make_data_frame(flow, 0);
-    const ParsedFrame reference = parse_frame(full);
+    const FrameBuilder full = data_frame(flow);
+    const ParsedFrame reference = parse_built(full);
     for (std::size_t snaplen : {32ul, 64ul, 96ul, 200ul}) {
-      const ParsedFrame cut = parse_frame(full.truncate(snaplen));
+      const ParsedFrame cut = parse_built(full, snaplen);
       // Every fully-present layer of the truncated parse must agree with
       // the reference parse at the same position.
       for (std::size_t i = 0; i + 1 < cut.layers.size(); ++i) {
@@ -83,8 +92,7 @@ TEST_P(ParserFuzz, TagExtractionMatchesFlowSpec) {
   for (int trial = 0; trial < 150; ++trial) {
     const auto& profile = profiles[trial % profiles.size()];
     const traffic::FlowSpec flow = traffic::draw_flow(rng, profile);
-    const ParsedFrame parsed =
-        parse_frame(traffic::make_data_frame(flow, 0));
+    const ParsedFrame parsed = parse_built(data_frame(flow));
     if (flow.app == traffic::FlowApp::kArp) continue;  // VLAN-only path.
     EXPECT_TRUE(std::ranges::equal(parsed.mpls_labels, flow.mpls_labels));
     if (flow.vlan_id) {

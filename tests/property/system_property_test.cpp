@@ -19,16 +19,13 @@ namespace {
 
 class SystemProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-std::vector<net::Frame> random_frames(util::Rng& rng, std::size_t n) {
+net::FrameStore random_frames(util::Rng& rng, std::size_t n) {
   const auto profiles = traffic::make_site_profiles(rng, 3);
-  std::vector<net::Frame> out;
-  out.reserve(n);
+  net::FrameStore out;
   for (std::size_t i = 0; i < n; ++i) {
     const auto& profile = profiles[i % profiles.size()];
-    traffic::FlowSpec flow = traffic::draw_flow(rng, profile);
-    net::Frame f = traffic::make_data_frame(
-        flow, rng.uniform_u64(0, 3600 * util::kSecond));
-    out.push_back(std::move(f));
+    const traffic::FlowSpec flow = traffic::draw_flow(rng, profile);
+    testing::flow_frame(out, flow, rng.uniform_u64(0, 3600 * util::kSecond));
   }
   return out;
 }
@@ -37,17 +34,19 @@ TEST_P(SystemProperty, PcapRoundTripIsLossless) {
   util::Rng rng(GetParam());
   const auto frames = random_frames(rng, 100);
   pcap::PcapWriter writer(65535, pcap::TimestampResolution::kNano);
-  for (const net::Frame& f : frames) testing::write_frame(writer, f);
+  for (const net::FrameView& f : testing::views_of(frames)) {
+    writer.write_record(f.bytes, f.wire_length, f.timestamp);
+  }
   auto reader = pcap::PcapReader::open(writer.take_buffer());
   ASSERT_TRUE(reader.has_value());
-  for (const net::Frame& expected : frames) {
+  for (const net::FrameView& expected : testing::views_of(frames)) {
     const auto got = reader->next_view();
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->wire_length, expected.wire_length());
-    EXPECT_EQ(got->timestamp, expected.timestamp());
-    ASSERT_EQ(got->bytes.size(), expected.captured_length());
+    EXPECT_EQ(got->wire_length, expected.wire_length);
+    EXPECT_EQ(got->timestamp, expected.timestamp);
+    ASSERT_EQ(got->bytes.size(), expected.bytes.size());
     EXPECT_TRUE(std::equal(got->bytes.begin(), got->bytes.end(),
-                           expected.bytes().begin()));
+                           expected.bytes.begin()));
   }
   EXPECT_FALSE(reader->next_view().has_value());
   EXPECT_EQ(reader->bad_records(), 0u);
@@ -59,10 +58,11 @@ TEST_P(SystemProperty, FlowKeyIsDirectionSymmetric) {
   for (int i = 0; i < 100; ++i) {
     traffic::FlowSpec flow = traffic::draw_flow(rng, profiles[0]);
     if (!traffic::app_is_tcp(flow.app) || flow.ipv6) continue;
-    const auto fwd =
-        analysis::flow_key_of(net::parse_frame(traffic::make_data_frame(flow, 0)));
-    const auto rev =
-        analysis::flow_key_of(net::parse_frame(traffic::make_ack_frame(flow, 0)));
+    net::FrameBuilder data, ack;
+    traffic::describe_frame(data, flow, /*ack=*/false, 0);
+    traffic::describe_frame(ack, flow, /*ack=*/true, 0);
+    const auto fwd = analysis::flow_key_of(testing::parse_built(data));
+    const auto rev = analysis::flow_key_of(testing::parse_built(ack));
     EXPECT_EQ(fwd, rev);
     EXPECT_EQ(analysis::FlowKeyHash{}(fwd), analysis::FlowKeyHash{}(rev));
   }
@@ -79,8 +79,9 @@ TEST_P(SystemProperty, FilterDeMorgan) {
   const capture::Filter rhs = get("not tcp and not jumbo");
   const capture::Filter lhs2 = get("not (vlan and ip6)");
   const capture::Filter rhs2 = get("not vlan or not ip6");
-  for (const net::Frame& f : random_frames(rng, 120)) {
-    const net::ParsedFrame parsed = net::parse_frame(f);
+  const net::FrameStore frames = random_frames(rng, 120);
+  for (const net::FrameView& f : testing::views_of(frames)) {
+    const net::ParsedFrame parsed = testing::parse_view(f);
     EXPECT_EQ(lhs.matches(parsed), rhs.matches(parsed));
     EXPECT_EQ(lhs2.matches(parsed), rhs2.matches(parsed));
   }
@@ -91,8 +92,9 @@ TEST_P(SystemProperty, FilterComplementPartitionsTraffic) {
   auto tcp = std::get<capture::Filter>(capture::Filter::compile("tcp"));
   auto not_tcp =
       std::get<capture::Filter>(capture::Filter::compile("not tcp"));
-  for (const net::Frame& f : random_frames(rng, 120)) {
-    const net::ParsedFrame parsed = net::parse_frame(f);
+  const net::FrameStore frames = random_frames(rng, 120);
+  for (const net::FrameView& f : testing::views_of(frames)) {
+    const net::ParsedFrame parsed = testing::parse_view(f);
     EXPECT_NE(tcp.matches(parsed), not_tcp.matches(parsed));
   }
 }
@@ -100,15 +102,15 @@ TEST_P(SystemProperty, FilterComplementPartitionsTraffic) {
 TEST_P(SystemProperty, AnonymizerIsDeterministicAndStructurePreserving) {
   util::Rng rng(GetParam());
   const capture::Anonymizer anon(0x5eed);
-  for (const net::Frame& f : random_frames(rng, 80)) {
-    const net::Frame a = testing::scrub_copy(anon, f);
-    const net::Frame b = testing::scrub_copy(anon, f);
-    EXPECT_TRUE(std::equal(a.bytes().begin(), a.bytes().end(),
-                           b.bytes().begin()));
+  const net::FrameStore frames = random_frames(rng, 80);
+  for (const net::FrameView& f : testing::views_of(frames)) {
+    const net::Bytes a = testing::scrub_copy(anon, f);
+    const net::Bytes b = testing::scrub_copy(anon, f);
+    EXPECT_EQ(a, b);
     // Structure (the abstract header stack) is invariant under scrubbing.
-    EXPECT_EQ(net::parse_frame(a).stack_string(),
-              net::parse_frame(f).stack_string());
-    EXPECT_EQ(a.wire_length(), f.wire_length());
+    EXPECT_EQ(net::parse_bytes(a, f.wire_length, f.timestamp).stack_string(),
+              testing::parse_view(f).stack_string());
+    EXPECT_EQ(a.size(), f.bytes.size());
   }
 }
 
@@ -158,7 +160,9 @@ TEST_P(SystemProperty, DigestCountsMatchCaptureCounts) {
   util::Rng rng(GetParam());
   const auto frames = random_frames(rng, 150);
   pcap::PcapWriter writer(200);
-  for (const net::Frame& f : frames) testing::write_frame(writer, f);
+  for (const net::FrameView& f : testing::views_of(frames)) {
+    writer.write_record(f.bytes, f.wire_length, f.timestamp);
+  }
   analysis::RawCapture raw;
   raw.site = "S0";
   raw.pcap = writer.take_buffer();
@@ -168,7 +172,9 @@ TEST_P(SystemProperty, DigestCountsMatchCaptureCounts) {
   EXPECT_EQ(stats.frames, frames.size());
   std::uint64_t wire = 0, wire_expected = 0;
   for (const auto& r : records) wire += r.wire_length;
-  for (const auto& f : frames) wire_expected += f.wire_length();
+  for (const net::FrameView& f : testing::views_of(frames)) {
+    wire_expected += f.wire_length;
+  }
   EXPECT_EQ(wire, wire_expected);
 }
 

@@ -4,9 +4,12 @@
 
 #include "net/frame_builder.hpp"
 #include "net/parser.hpp"
+#include "testing/fixtures.hpp"
 
 namespace patchwork::telemetry {
 namespace {
+
+using patchwork::testing::parse_built;
 
 net::ParsedFrame tcp_frame(std::uint8_t host_a, std::uint8_t host_b,
                            std::uint16_t sport, std::uint16_t dport,
@@ -20,7 +23,7 @@ net::ParsedFrame tcp_frame(std::uint8_t host_a, std::uint8_t host_b,
       .tcp(sport, dport, flags)
       .payload(1)
       .pad_to(size);
-  return net::parse_frame(b.build());
+  return parse_built(b);
 }
 
 TEST(NetflowCache, AggregatesPacketsIntoFlows) {
@@ -66,8 +69,8 @@ TEST(NetflowCache, TagsAreInvisible) {
       .tcp(1000, 443)
       .payload(8);
   NetflowCache cache;
-  cache.observe(net::parse_frame(b1.build()), 0);
-  cache.observe(net::parse_frame(b2.build()), 0);
+  cache.observe(parse_built(b1), 0);
+  cache.observe(parse_built(b2), 0);
   EXPECT_EQ(cache.active_flows(), 1u);
 }
 
@@ -139,7 +142,7 @@ TEST(NetflowCache, IgnoresNonIpv4) {
            net::Ipv4Address::from_octets(10, 0, 0, 2))
       .pad_to(64);
   NetflowCache cache;
-  EXPECT_FALSE(cache.observe(net::parse_frame(arp.build()), 0));
+  EXPECT_FALSE(cache.observe(parse_built(arp), 0));
   EXPECT_EQ(cache.ignored_frames(), 1u);
   EXPECT_EQ(cache.active_flows(), 0u);
 }

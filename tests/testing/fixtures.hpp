@@ -1,22 +1,28 @@
-// Shared helpers for building synthetic captures in tests.
+// Shared helpers for building synthetic frames and captures in tests.
+// Frames live in net::FrameStore arenas, the way the data plane holds
+// them, and tests read them through net::FrameView.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "analysis/digest.hpp"
 #include "capture/anonymize.hpp"
 #include "net/frame_builder.hpp"
+#include "net/parser.hpp"
 #include "pcap/pcap.hpp"
+#include "traffic/flowgen.hpp"
 
 namespace patchwork::testing {
 
-inline net::Frame tcp_frame(std::uint8_t host_a, std::uint8_t host_b,
-                            std::uint16_t sport, std::uint16_t dport,
-                            std::size_t size = 256, util::Nanos ts = 0,
-                            std::uint16_t vlan = 100,
-                            std::uint8_t flags = net::tcp_flags::kAck |
-                                                 net::tcp_flags::kPsh) {
+/// Append a VLAN + MPLS tagged IPv4/TCP frame of `size` wire bytes.
+inline void tcp_frame(net::FrameStore& frames, std::uint8_t host_a,
+                      std::uint8_t host_b, std::uint16_t sport,
+                      std::uint16_t dport, std::size_t size = 256,
+                      util::Nanos ts = 0, std::uint16_t vlan = 100,
+                      std::uint8_t flags = net::tcp_flags::kAck |
+                                           net::tcp_flags::kPsh) {
   net::FrameBuilder b;
   b.ethernet(net::MacAddress::from_id(host_a), net::MacAddress::from_id(host_b))
       .vlan(vlan)
@@ -26,36 +32,57 @@ inline net::Frame tcp_frame(std::uint8_t host_a, std::uint8_t host_b,
       .tcp(sport, dport, flags)
       .payload(1)
       .pad_to(size);
-  return b.build(ts);
+  b.build_into(frames, ts);
 }
 
-/// A view of an owning frame, the shape the data plane hands frames over
-/// in. It aliases `frame`.
-inline net::FrameView view_of(const net::Frame& frame) {
-  return net::FrameView{frame.bytes(), frame.wire_length(), frame.timestamp()};
+/// Append one frame of `flow` stamped `ts`, described as render_unit
+/// describes it: a data frame, or with `ack` a pure ACK, carrying value 0.
+inline void flow_frame(net::FrameStore& frames, const traffic::FlowSpec& flow,
+                       util::Nanos ts, bool ack = false) {
+  net::FrameBuilder b;
+  traffic::describe_frame(b, flow, ack, 0);
+  b.build_into(frames, ts);
 }
 
-/// Views of owning frames; they alias `frames`.
-inline std::vector<net::FrameView> views_of(
-    const std::vector<net::Frame>& frames) {
+/// Views of every frame in `frames`, in order; they alias its arena.
+inline std::vector<net::FrameView> views_of(const net::FrameStore& frames) {
   std::vector<net::FrameView> out;
   out.reserve(frames.size());
-  for (const net::Frame& f : frames) out.push_back(view_of(f));
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    out.push_back(frames.view(i));
+  }
   return out;
 }
 
-/// Append an owning frame to a pcap stream.
-inline void write_frame(pcap::PcapWriter& writer, const net::Frame& frame) {
-  writer.write_record(frame.bytes(), frame.wire_length(), frame.timestamp());
+/// `frame` as a capture with `snaplen` stores it: at most `snaplen` bytes,
+/// wire length kept. A snaplen of 0 keeps everything.
+inline net::FrameView truncated(net::FrameView frame, std::size_t snaplen) {
+  if (snaplen != 0) {
+    frame.bytes = frame.bytes.first(std::min(snaplen, frame.bytes.size()));
+  }
+  return frame;
 }
 
-/// A copy of `frame` with its addresses scrubbed in place, the way the
-/// capture path scrubs each pcap record.
-inline net::Frame scrub_copy(const capture::Anonymizer& anon,
-                             const net::Frame& frame) {
-  std::vector<std::uint8_t> bytes(frame.bytes().begin(), frame.bytes().end());
-  anon.scrub(bytes, net::parse_frame(frame));
-  return net::Frame(std::move(bytes), frame.wire_length(), frame.timestamp());
+inline net::ParsedFrame parse_view(const net::FrameView& frame) {
+  return net::parse_bytes(frame.bytes, frame.wire_length, frame.timestamp);
+}
+
+/// Dissect the frame `b` describes, cut to `snaplen` bytes as a capture
+/// would (0 keeps everything).
+inline net::ParsedFrame parse_built(const net::FrameBuilder& b,
+                                    std::size_t snaplen = 0) {
+  net::FrameStore store;
+  b.build_into(store);
+  return parse_view(truncated(store.view(0), snaplen));
+}
+
+/// The captured bytes of `frame` with its addresses scrubbed, the way the
+/// capture path scrubs each pcap record in place.
+inline net::Bytes scrub_copy(const capture::Anonymizer& anon,
+                             const net::FrameView& frame) {
+  net::Bytes bytes(frame.bytes.begin(), frame.bytes.end());
+  anon.scrub(bytes, parse_view(frame));
+  return bytes;
 }
 
 /// Every record digest() hands out for `capture`, in capture order.
@@ -69,19 +96,28 @@ inline std::vector<analysis::AcapRecord> digest_records(
   return records;
 }
 
-/// Wrap frames into a RawCapture with a valid pcap stream.
-inline analysis::RawCapture make_capture(
-    std::string site, std::uint32_t port,
-    const std::vector<net::Frame>& frames, util::Nanos start = 0,
-    std::uint32_t snaplen = 200) {
+/// A pcap stream holding `frames`, each cut to `snaplen` bytes.
+inline net::Bytes pcap_of(const net::FrameStore& frames,
+                          std::uint32_t snaplen) {
   pcap::PcapWriter writer(snaplen);
-  for (const net::Frame& f : frames) write_frame(writer, f);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const net::FrameView f = frames.view(i);
+    writer.write_record(f.bytes, f.wire_length, f.timestamp);
+  }
+  return writer.take_buffer();
+}
+
+/// Wrap frames into a RawCapture with a valid pcap stream.
+inline analysis::RawCapture make_capture(std::string site, std::uint32_t port,
+                                         const net::FrameStore& frames,
+                                         util::Nanos start = 0,
+                                         std::uint32_t snaplen = 200) {
   analysis::RawCapture raw;
   raw.site = std::move(site);
   raw.port = port;
   raw.start = start;
   raw.duration = 20 * util::kSecond;
-  raw.pcap = writer.take_buffer();
+  raw.pcap = pcap_of(frames, snaplen);
   return raw;
 }
 

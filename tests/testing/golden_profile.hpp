@@ -14,27 +14,27 @@
 
 namespace patchwork::testing {
 
-inline net::Frame golden_untagged_udp(util::Nanos ts) {
+inline void golden_untagged_udp(net::FrameStore& frames, util::Nanos ts) {
   net::FrameBuilder b;
   b.ethernet(net::MacAddress::from_id(5), net::MacAddress::from_id(6))
       .ipv4(net::Ipv4Address::from_octets(10, 0, 1, 5),
             net::Ipv4Address::from_octets(10, 0, 1, 6))
       .udp(5353, 53)
       .payload(40);
-  return b.build(ts);
+  b.build_into(frames, ts);
 }
 
-inline net::Frame golden_pure_ack(util::Nanos ts) {
+inline void golden_pure_ack(net::FrameStore& frames, util::Nanos ts) {
   net::FrameBuilder b;
   b.ethernet(net::MacAddress::from_id(7), net::MacAddress::from_id(8))
       .ipv4(net::Ipv4Address::from_octets(10, 0, 2, 7),
             net::Ipv4Address::from_octets(10, 0, 2, 8))
       .tcp(40000, 22, net::tcp_flags::kAck);
-  return b.build(ts);
+  b.build_into(frames, ts);
 }
 
 /// Pseudowire stack whose inner IPv4 header lies past a 64-byte snaplen.
-inline net::Frame golden_deep_pseudowire(util::Nanos ts) {
+inline void golden_deep_pseudowire(net::FrameStore& frames, util::Nanos ts) {
   net::FrameBuilder b;
   b.ethernet(net::MacAddress::from_id(9), net::MacAddress::from_id(10))
       .vlan(300)
@@ -46,7 +46,7 @@ inline net::Frame golden_deep_pseudowire(util::Nanos ts) {
       .tcp(7000, 443)
       .payload(10)
       .pad_to(400);
-  return b.build(ts);
+  b.build_into(frames, ts);
 }
 
 inline std::vector<analysis::RawCapture> golden_profile() {
@@ -58,29 +58,28 @@ inline std::vector<analysis::RawCapture> golden_profile() {
   std::vector<analysis::RawCapture> captures;
   // S1, first sample: the stitched flow's handshake and data in both
   // directions, a reset flow, a pure ACK and an untagged UDP frame.
-  captures.push_back(make_capture(
-      "S1", 0,
-      {tcp_frame(1, 2, 1000, 443, 74, 0, 100, kSyn),
-       tcp_frame(1, 2, 1000, 443, 1900, 2 * ms),
-       tcp_frame(2, 1, 443, 1000, 90, 3 * ms, 100, kAck),
-       tcp_frame(3, 4, 2000, 80, 120, 4 * ms, 100, kRst),
-       golden_pure_ack(5 * ms), golden_untagged_udp(6 * ms)}));
+  net::FrameStore s1;
+  tcp_frame(s1, 1, 2, 1000, 443, 74, 0, 100, kSyn);
+  tcp_frame(s1, 1, 2, 1000, 443, 1900, 2 * ms);
+  tcp_frame(s1, 2, 1, 443, 1000, 90, 3 * ms, 100, kAck);
+  tcp_frame(s1, 3, 4, 2000, 80, 120, 4 * ms, 100, kRst);
+  golden_pure_ack(s1, 5 * ms);
+  golden_untagged_udp(s1, 6 * ms);
+  captures.push_back(make_capture("S1", 0, s1));
   // S1, second sample ten minutes later: the stitched flow again and a
   // pseudowire frame. The 64-byte snaplen cuts both, the second inside its
   // inner IPv4 header.
-  captures.push_back(make_capture(
-      "S1", 1,
-      {tcp_frame(1, 2, 1000, 443, 1500, 1 * ms, 100, kAck | kPsh),
-       golden_deep_pseudowire(2 * ms)},
-      10 * util::kMinute, 64));
+  net::FrameStore s1_later;
+  tcp_frame(s1_later, 1, 2, 1000, 443, 1500, 1 * ms, 100, kAck | kPsh);
+  golden_deep_pseudowire(s1_later, 2 * ms);
+  captures.push_back(make_capture("S1", 1, s1_later, 10 * util::kMinute, 64));
   // S2: one readable sample on another VLAN, and one whose pcap is garbage.
-  captures.push_back(make_capture(
-      "S2", 3,
-      {tcp_frame(5, 6, 3000, 5201, 9000, 0, 200),
-       tcp_frame(5, 6, 3000, 5201, 600, 1 * ms, 200),
-       tcp_frame(6, 5, 5201, 3000, 66, 2 * ms, 200, kAck),
-       golden_untagged_udp(3 * ms)},
-      2 * util::kMinute));
+  net::FrameStore s2;
+  tcp_frame(s2, 5, 6, 3000, 5201, 9000, 0, 200);
+  tcp_frame(s2, 5, 6, 3000, 5201, 600, 1 * ms, 200);
+  tcp_frame(s2, 6, 5, 5201, 3000, 66, 2 * ms, 200, kAck);
+  golden_untagged_udp(s2, 3 * ms);
+  captures.push_back(make_capture("S2", 3, s2, 2 * util::kMinute));
   analysis::RawCapture corrupt;
   corrupt.site = "S2";
   corrupt.port = 4;

@@ -6,9 +6,12 @@
 
 #include "core/window_render.hpp"
 #include "net/parser.hpp"
+#include "testing/fixtures.hpp"
 
 namespace patchwork::traffic {
 namespace {
+
+using patchwork::testing::parse_built;
 
 SiteWorkloadProfile default_profile() {
   util::Rng rng(3);
@@ -52,8 +55,9 @@ TEST(FlowGen, DataFrameParsesWithExpectedStack) {
   SiteWorkloadProfile profile = default_profile();
   for (int i = 0; i < 100; ++i) {
     const FlowSpec flow = draw_flow(rng, profile);
-    const net::Frame frame = make_data_frame(flow, 1000);
-    const net::ParsedFrame parsed = net::parse_frame(frame);
+    net::FrameBuilder data;
+    describe_frame(data, flow, /*ack=*/false, 0);
+    const net::ParsedFrame parsed = parse_built(data);
     ASSERT_FALSE(parsed.layers.empty());
     EXPECT_EQ(parsed.layers.front().protocol, net::Protocol::kEthernet);
     EXPECT_FALSE(parsed.has(net::Protocol::kMalformed))
@@ -73,9 +77,10 @@ TEST(FlowGen, AckFramesAreMinimumSizeReverseDirection) {
   do {
     flow = draw_flow(rng, profile);
   } while (!app_is_tcp(flow.app) || flow.ipv6);
-  const net::Frame ack = make_ack_frame(flow, 0);
-  EXPECT_LE(ack.wire_length(), 127u);  // Paper's 65-127 B ACK bucket.
-  const net::ParsedFrame parsed = net::parse_frame(ack);
+  net::FrameBuilder ack;
+  describe_frame(ack, flow, /*ack=*/true, 0);
+  const net::ParsedFrame parsed = parse_built(ack);
+  EXPECT_LE(parsed.wire_length, 127u);  // Paper's 65-127 B ACK bucket.
   ASSERT_TRUE(parsed.tcp.has_value());
   EXPECT_EQ(parsed.tcp->dst_port, flow.src_port);
   EXPECT_EQ(parsed.tcp->src_port, flow.dst_port);
@@ -214,9 +219,10 @@ TEST(FlowGen, RenderUnitIsBatchInvariant) {
 
 TEST(FlowGen, RenderUnitMatchesPerFrameReferenceBuilds) {
   // The batched template-stamp path vs the scalar ground truth: frame j of
-  // a unit must equal make_data_frame/make_ack_frame with seq = j * 1000
-  // at timestamp bounded_at(j, 0, duration - 1), for every app the plan
-  // draws (TCP-seq, DNS-id, ack, and no-varying-field stacks alike).
+  // a unit must equal its stack described with seq (or ack) j * 1000 and
+  // serialized whole by build_into at timestamp bounded_at(j, 0,
+  // duration - 1), for every app the plan draws (TCP-seq, DNS-id, ack, and
+  // no-varying-field stacks alike).
   util::Rng rng(12);
   const SiteWorkloadProfile profile = default_profile();
   WindowParams params;
@@ -238,16 +244,18 @@ TEST(FlowGen, RenderUnitMatchesPerFrameReferenceBuilds) {
     for (std::uint64_t j = 0; j < unit.frames; j += step) {
       const util::Nanos t = draws.bounded_at(j, 0, params.duration - 1);
       const std::uint32_t seq = static_cast<std::uint32_t>(j) * 1000;
-      const net::Frame expected = unit.acks
-                                      ? make_ack_frame(unit.flow, t, seq)
-                                      : make_data_frame(unit.flow, t, seq);
+      net::FrameBuilder reference;
+      describe_frame(reference, unit.flow, unit.acks, seq);
+      net::FrameStore one;
+      reference.build_into(one, t);
+      const net::FrameView expected = one.view(0);
       const net::FrameView v = store.view(j);
-      EXPECT_EQ(v.timestamp, expected.timestamp())
+      EXPECT_EQ(v.timestamp, expected.timestamp)
           << "unit " << u << " frame " << j;
-      ASSERT_EQ(v.bytes.size(), expected.bytes().size())
+      ASSERT_EQ(v.bytes.size(), expected.bytes.size())
           << "unit " << u << " frame " << j;
       EXPECT_TRUE(
-          std::equal(v.bytes.begin(), v.bytes.end(), expected.bytes().begin()))
+          std::equal(v.bytes.begin(), v.bytes.end(), expected.bytes.begin()))
           << "unit " << u << " frame " << j << " bytes differ";
     }
   }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "pcap/pcap.hpp"
 #include "testing/fixtures.hpp"
 #include "traffic/flowgen.hpp"
 #include "traffic/workload.hpp"
@@ -71,14 +70,15 @@ TEST(Compress, TruncatedHeaderPcapCompressesWell) {
   Rng rng(7);
   const auto profiles = traffic::make_site_profiles(rng, 1);
   traffic::FlowSpec flow = traffic::draw_flow(rng, profiles[0]);
-  pcap::PcapWriter writer(200);
+  net::FrameStore frames;
   for (int i = 0; i < 2000; ++i) {
-    patchwork::testing::write_frame(
-        writer, traffic::make_data_frame(
-                    flow, static_cast<Nanos>(i) * kMicrosecond,
-                    static_cast<std::uint32_t>(i)));
+    net::FrameBuilder b;
+    traffic::describe_frame(b, flow, /*ack=*/false,
+                            static_cast<std::uint32_t>(i));
+    b.build_into(frames, static_cast<Nanos>(i) * kMicrosecond);
   }
-  const std::vector<std::uint8_t> original = writer.take_buffer();
+  const std::vector<std::uint8_t> original =
+      patchwork::testing::pcap_of(frames, 200);
   const auto compressed = compress(original);
   EXPECT_LT(compression_ratio(original, compressed), 0.35);
   const auto restored = decompress(compressed);
