@@ -138,7 +138,7 @@ int main() {
   util::set_thread_count(0);
   std::vector<archive::EpochRecord> serial_out;
   const double serial_ms = best_of(kReps, [&] {
-    serial_out = archive::compact_records(records, options);
+    serial_out = archive::plan_compaction(records, options).records;
   });
   const std::vector<std::uint8_t> serial_image =
       archive::render_archive(serial_out);
@@ -155,8 +155,9 @@ int main() {
   for (std::size_t threads : counts) {
     util::set_thread_count(threads);
     std::vector<archive::EpochRecord> out;
-    const double ms = best_of(
-        kReps, [&] { out = archive::compact_records(records, options); });
+    const double ms = best_of(kReps, [&] {
+      out = archive::plan_compaction(records, options).records;
+    });
     const bool identical = archive::render_archive(out) == serial_image;
     all_identical = all_identical && identical;
     if (ms < best_parallel_ms) {

@@ -44,8 +44,9 @@
 //   patchwork_cli archive append --archive F [--label L] [run options]
 //       profile once and append the epoch record to archive F
 //   patchwork_cli archive compact --archive F --budget BYTES [--group N]
-//       [--full] merge the oldest records into rollups until the live image
-//       fits BYTES; commits are incremental appends unless --full
+//       merge the oldest records into rollups until the live image fits
+//       BYTES, committed as an incremental append (run archive gc after it
+//       to shed the superseded blocks)
 //   patchwork_cli archive gc --archive F
 //       rewrite F shedding superseded blocks, orphans, and damage
 //   patchwork_cli archive merge --archive OUT --input F[=ORIGIN] ...
@@ -114,7 +115,6 @@ struct Options {
   std::uint64_t budget_bytes = 256 * 1024;
   std::size_t group_size = 4;
   std::size_t top_k = 10;
-  bool full_rewrite = false;  // --full: compact by whole-file rewrite.
   std::vector<archive::FederationInput> merge_inputs;
   archive::QueryWindow window;
   int scrape_port = -1;  // -1 = not requested (PATCHWORK_SCRAPE may still).
@@ -206,11 +206,14 @@ Options parse_args(int argc, char** argv) {
       options.config.flow_model.churn_fpm = std::stod(next_value(i));
     } else if (arg == "--simd") {
       const std::string t = next_value(i);
-      if (!util::parse_simd_tier(t).has_value()) {
+      const auto tier = util::parse_simd_tier(t);
+      if (!tier.has_value()) {
         usage_error("unknown --simd tier: " + t +
                     " (expected avx2 | sse4 | scalar)");
       }
-      options.config.simd_tier = t;
+      // A tier this CPU cannot run keeps the default resolution: the flag
+      // tunes throughput, never the output bytes.
+      util::set_simd_tier(*tier);
     } else if (arg == "--snaplen") {
       options.config.capture.snaplen =
           static_cast<std::uint32_t>(std::stoul(next_value(i)));
@@ -250,8 +253,6 @@ Options parse_args(int argc, char** argv) {
       options.group_size = std::stoul(next_value(i));
     } else if (arg == "--top") {
       options.top_k = std::stoul(next_value(i));
-    } else if (arg == "--full") {
-      options.full_rewrite = true;
     } else if (arg == "--input") {
       // PATH or PATH=ORIGIN; without an origin the file stem tags the
       // records (prof_a.pwar -> "prof_a").
@@ -315,7 +316,6 @@ int archive_compact(const Options& options) {
   archive::CompactionOptions compaction;
   compaction.storage_budget_bytes = options.budget_bytes;
   compaction.group_size = options.group_size;
-  compaction.incremental = !options.full_rewrite;
   const archive::CompactionResult result =
       archive::compact_archive(options.archive_path, compaction);
   if (!result.ok()) {

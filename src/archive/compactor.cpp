@@ -124,14 +124,6 @@ CompactionPlan plan_compaction(std::vector<EpochRecord> records,
   return plan;
 }
 
-std::vector<EpochRecord> compact_records(std::vector<EpochRecord> records,
-                                         const CompactionOptions& options,
-                                         std::size_t* passes_out) {
-  CompactionPlan plan = plan_compaction(std::move(records), options);
-  if (passes_out != nullptr) *passes_out = plan.passes;
-  return std::move(plan.records);
-}
-
 CompactionResult compact_archive(const std::string& path,
                                  const CompactionOptions& options) {
   OBS_SPAN("archive/compact");
@@ -153,12 +145,8 @@ CompactionResult compact_archive(const std::string& path,
   result.records_after = plan.records.size();
   result.passes = plan.passes;
 
-  if (!options.incremental || dirty) {
-    // Legacy mode, or the file carries damage an append cannot shed.
-    if (result.passes == 0 && !dirty) {
-      result.bytes_after = result.bytes_before;
-      return result;  // Under budget and clean: leave bytes untouched.
-    }
+  if (dirty) {
+    // The file carries damage an append cannot shed.
     rewrite_live(path, plan.records, result);
     return result;
   }

@@ -10,18 +10,18 @@
 // live image fits the budget or a single record remains.
 //
 // Commits come in two forms:
-//   - Incremental (the default): each new rollup is appended as a
-//     kPendingRollup block, followed by one kSupersede marker that commits
-//     them all and retires the records they replace. Bytes written per
-//     commit are bounded by the rollup sizes, never the archive size; the
-//     superseded blocks stay on disk as garbage. A crash before the marker
-//     leaves the raw records authoritative (the orphan rollup is ignored),
-//     so the commit is atomic at marker granularity and re-running the
-//     compaction converges to the same logical archive.
+//   - Incremental: each new rollup is appended as a kPendingRollup block,
+//     followed by one kSupersede marker that commits them all and retires
+//     the records they replace. Bytes written per commit are bounded by
+//     the rollup sizes, never the archive size; the superseded blocks stay
+//     on disk as garbage. A crash before the marker leaves the raw records
+//     authoritative (the orphan rollup is ignored), so the commit is atomic
+//     at marker granularity and re-running the compaction converges to the
+//     same logical archive.
 //   - Whole-file rewrite (GC): sheds garbage, corrupt blocks, and damaged
 //     tails by atomically rewriting the live records. Runs when asked
-//     (gc_archive), when the file is damaged, or when `incremental` is
-//     off; the garbage incremental commits leave waits for gc_archive.
+//     (gc_archive) or when the file is damaged; the garbage incremental
+//     commits leave waits for gc_archive.
 //
 // Compaction preserves every sum-derived query answer exactly (the merges
 // are commutative-sum folds) and keeps top-K flow answers within the
@@ -46,10 +46,6 @@ struct CompactionOptions {
   std::uint64_t storage_budget_bytes = 256 * 1024;
   /// Consecutive records folded into one rollup per pass.
   std::size_t group_size = 4;
-  /// Commit rollups by appending pending blocks + a supersede marker
-  /// (bytes written bounded by the rollup size). When false, every commit
-  /// is a whole-file rewrite (the pre-federation behavior).
-  bool incremental = true;
 };
 
 struct CompactionResult {
@@ -78,17 +74,13 @@ struct CompactionPlan {
   std::size_t passes = 0;
 };
 
+/// Pure form: fold `records` (file order, oldest first) under the options.
+/// `records` comes back unchanged when it already fits.
 CompactionPlan plan_compaction(std::vector<EpochRecord> records,
                                const CompactionOptions& options);
 
-/// Pure form: fold `records` (file order, oldest first) under the options.
-/// Returns the compacted sequence; input is returned unchanged when it
-/// already fits. Used by compact_archive and directly testable.
-std::vector<EpochRecord> compact_records(std::vector<EpochRecord> records,
-                                         const CompactionOptions& options,
-                                         std::size_t* passes_out = nullptr);
-
-/// Read `path`, compact, and commit (incrementally by default; see above).
+/// Read `path`, compact, and commit incrementally (whole-file rewrite only
+/// for a damaged file; see above).
 /// Idempotent: a second run over a compacted archive under the same budget
 /// is a byte-level no-op.
 CompactionResult compact_archive(const std::string& path,

@@ -109,13 +109,6 @@ struct ProfilerConfig {
   /// rendering stays counter-addressed, so the determinism contract is
   /// model-independent.
   flowsched::FlowModelConfig flow_model;
-
-  /// ISA tier for the vectorized Philox synthesis kernels: "avx2", "sse4",
-  /// or "scalar". Empty = PATCHWORK_SIMD env var, falling back to the best
-  /// tier the CPU supports. Output bytes are invariant to this value (the
-  /// determinism suite pins it); it only trades draw throughput. An
-  /// unknown or unsupported tier is ignored with the same fallback.
-  std::string simd_tier;
 };
 
 /// Which experiments the profiler may observe (Section 4's Goal): all

@@ -9,21 +9,11 @@
 #include "obs/span.hpp"
 #include "util/compress.hpp"
 #include "util/parallel.hpp"
-#include "util/philox_simd.hpp"
 
 namespace patchwork::core {
 
 Coordinator::Coordinator(Environment& env, ProfilerConfig config)
-    : env_(env), config_(std::move(config)) {
-  // Config wins over the PATCHWORK_SIMD env var and the CPU probe; an
-  // unknown or unsupported tier silently keeps the default resolution
-  // (the knob is a throughput tuner, never a correctness switch).
-  if (!config_.simd_tier.empty()) {
-    if (const auto tier = util::parse_simd_tier(config_.simd_tier)) {
-      util::set_simd_tier(*tier);
-    }
-  }
-}
+    : env_(env), config_(std::move(config)) {}
 
 std::size_t ProfileRun::outcome_count(RunOutcome o) const {
   return static_cast<std::size_t>(

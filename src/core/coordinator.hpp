@@ -45,8 +45,6 @@ struct ProfileRun {
 
 class Coordinator {
  public:
-  /// Applies config.simd_tier (when set) to the process-wide vector
-  /// kernel dispatch before any rendering happens.
   Coordinator(Environment& env, ProfilerConfig config);
 
   /// All-experiment mode over every production site. Sites restricted to

@@ -13,8 +13,8 @@
 //
 // Dispatch is per-call, not per-build: one binary carries all compiled
 // tiers, picks the widest one the CPU reports at runtime, and can be
-// overridden by the PATCHWORK_SIMD env knob (or set_simd_tier(), which the
-// profiler wires to its config). A per-call relaxed atomic load costs
+// overridden by the PATCHWORK_SIMD env knob (or set_simd_tier(), which
+// patchwork_cli's --simd calls). A per-call relaxed atomic load costs
 // nothing next to ten Philox rounds, and it keeps the override testable:
 // the determinism suites force each tier in one process and assert the
 // rendered bytes never move.

@@ -233,25 +233,55 @@ TEST_F(ArchiveIoTest, CompactionRespectsBudgetAndIsIdempotent) {
   ASSERT_EQ(writer.open(path_), OpenError::kNone);
   for (std::uint64_t n = 0; n < 12; ++n) ASSERT_TRUE(writer.append(record(n)));
   const std::uint64_t raw_size = util::file_size_bytes(path_).value_or(0);
+  ArchiveReader raw;
+  ASSERT_EQ(raw.open(path_), OpenError::kNone);
 
   CompactionOptions options;
   options.storage_budget_bytes = raw_size / 2;
   options.group_size = 4;
-  options.incremental = false;  // Exercise the whole-file rewrite commit.
   const CompactionResult first = compact_archive(path_, options);
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(first.changed);
-  EXPECT_TRUE(first.gc);
-  EXPECT_LE(first.bytes_after, options.storage_budget_bytes);
+  EXPECT_FALSE(first.gc);
   EXPECT_LT(first.records_after, first.records_before);
 
-  // Idempotence: a second pass under the same budget rewrites nothing.
+  // The incremental commit, once GC sheds what it superseded, leaves the
+  // image the plan's records render to, within the budget.
+  const CompactionResult gc = gc_archive(path_);
+  ASSERT_TRUE(gc.ok());
+  EXPECT_TRUE(gc.gc);
+  EXPECT_LE(gc.bytes_after, options.storage_budget_bytes);
   const std::vector<std::uint8_t> after_first = file_bytes();
+  EXPECT_EQ(after_first, render_archive(
+                             plan_compaction(raw.take_records(), options)
+                                 .records));
+
+  // Idempotence: a second pass under the same budget writes nothing.
   const CompactionResult second = compact_archive(path_, options);
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(second.changed);
   EXPECT_EQ(second.passes, 0u);
   EXPECT_EQ(file_bytes(), after_first);
+}
+
+TEST_F(ArchiveIoTest, CompactionRewritesADamagedFile) {
+  ArchiveWriter writer;
+  ASSERT_EQ(writer.open(path_), OpenError::kNone);
+  for (std::uint64_t n = 0; n < 3; ++n) ASSERT_TRUE(writer.append(record(n)));
+  const std::vector<std::uint8_t> full = file_bytes();
+  ASSERT_TRUE(util::truncate_file(path_, full.size() - 7));
+
+  // Under budget, but an append cannot shed a damaged tail: the commit
+  // rewrites the live records whole.
+  const CompactionResult result = compact_archive(path_, CompactionOptions{});
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.changed);
+  EXPECT_TRUE(result.gc);
+  EXPECT_EQ(result.passes, 0u);
+  ArchiveReader reader;
+  ASSERT_EQ(reader.open(path_), OpenError::kNone);
+  EXPECT_FALSE(reader.damaged_tail());
+  EXPECT_EQ(reader.records().size(), 2u);
 }
 
 TEST_F(ArchiveIoTest, CompactionPreservesSumQueriesAndEpochCoverage) {

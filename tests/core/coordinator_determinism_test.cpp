@@ -225,7 +225,7 @@ TEST(CoordinatorDeterminism, RenderBatchSizeInvariant) {
 
 TEST(CoordinatorDeterminism, SimdTierInvariant) {
   // The vector kernel tier is a throughput knob, never a bytes knob:
-  // forcing each compiled-and-supported ISA tier through the config must
+  // forcing each compiled-and-supported ISA tier through set_simd_tier must
   // reproduce the scalar reference run exactly — pcap bytes, reports, and
   // the deterministic metrics exposition — serial and parallel alike.
   ThreadCountGuard guard;
@@ -237,9 +237,8 @@ TEST(CoordinatorDeterminism, SimdTierInvariant) {
     obs::registry().reset();
     World world(/*seed=*/11, wide_spec());
     world.warm_up_telemetry();
-    ProfilerConfig config = multi_sample_config();
-    config.simd_tier = std::string(util::to_string(tier));
-    Coordinator coordinator(world.env, config);
+    util::set_simd_tier(tier);
+    Coordinator coordinator(world.env, multi_sample_config());
     SkewedArtifacts out;
     out.run = coordinator.run_all_experiment();
     out.expose_deterministic = obs::expose_text(/*deterministic_only=*/true);
@@ -250,7 +249,7 @@ TEST(CoordinatorDeterminism, SimdTierInvariant) {
   const SkewedArtifacts reference = run_tier(util::SimdTier::kScalar);
   ASSERT_FALSE(reference.run.captures.empty());
   EXPECT_EQ(util::simd_tier(), util::SimdTier::kScalar)
-      << "config knob did not reach the dispatcher";
+      << "the forced tier did not reach the dispatcher";
 
   for (util::SimdTier tier :
        {util::SimdTier::kScalar, util::SimdTier::kSse4,

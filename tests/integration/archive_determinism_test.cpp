@@ -120,11 +120,11 @@ TEST(ArchiveDeterminism, CompactionDeterministicAcrossThreadCounts) {
   options.group_size = 3;
 
   util::set_thread_count(0);
-  const auto serial = archive::compact_records(records, options);
+  const auto serial = archive::plan_compaction(records, options).records;
   for (std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     util::set_thread_count(threads);
-    const auto parallel = archive::compact_records(records, options);
+    const auto parallel = archive::plan_compaction(records, options).records;
     EXPECT_EQ(archive::render_archive(serial),
               archive::render_archive(parallel))
         << "compaction differs at threads=" << threads;

@@ -140,9 +140,8 @@ TEST(FlowChurnDeterminism, EventModelSimdTierInvariant) {
   } simd_guard;
 
   auto run_tier = [](util::SimdTier tier) {
-    ProfilerConfig config = event_model_config();
-    config.simd_tier = std::string(util::to_string(tier));
-    return run_event_world(/*seed=*/11, config);
+    util::set_simd_tier(tier);
+    return run_event_world(/*seed=*/11, event_model_config());
   };
 
   util::set_thread_count(0);
