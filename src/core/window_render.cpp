@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 
 #include "obs/span.hpp"
 #include "util/parallel.hpp"
@@ -42,12 +43,18 @@ RenderedWindow render_window(const traffic::WindowPlan& plan,
     // itself deterministic (plan + batch size only). The event is
     // trace-only (obs::trace::ScopedEvent) so per-burst instrumentation
     // registers no metric families — the deterministic exposition is
-    // byte-identical with tracing on or off.
+    // byte-identical with tracing on or off. One-frame bursts record no
+    // event: event-model windows hold so many that they would overflow
+    // the rings. Burst sizes come from the plan, so the recorded set stays
+    // independent of scheduling.
     util::parallel_for(bursts.size(), [&](std::size_t b) {
-      obs::trace::SpanArgs burst_args = args;
-      burst_args.burst = static_cast<std::int64_t>(b);
-      const obs::trace::ScopedEvent trace_burst("render_unit", burst_args);
       const Burst& burst = bursts[b];
+      std::optional<obs::trace::ScopedEvent> trace_burst;
+      if (burst.end - burst.begin > 1) {
+        obs::trace::SpanArgs burst_args = args;
+        burst_args.burst = static_cast<std::int64_t>(b);
+        trace_burst.emplace("render_unit", burst_args);
+      }
       // One builder per worker, reused across bursts: render_unit resets it
       // and starts no nested parallel work, so no burst re-enters it.
       thread_local net::FrameBuilder builder;

@@ -34,8 +34,8 @@ struct RenderedWindow {
 ///  - with `delivery` < 1, merged frame j survives the mirror's egress
 ///    capacity by draw j of rng.split(kWindowDeliveryStream).
 /// The result is byte-identical for any batch size and worker count.
-/// `args` tag the render/synthesis span, and each burst's render_unit
-/// trace event with the burst index added.
+/// `args` tag the render/synthesis span, and the render_unit trace event
+/// of each burst of more than one frame, with the burst index added.
 RenderedWindow render_window(const traffic::WindowPlan& plan,
                              const util::Rng& rng, util::Nanos duration,
                              double delivery, std::size_t batch_frames,

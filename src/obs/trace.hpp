@@ -1,15 +1,15 @@
 // Flight-recorder trace timeline: per-thread fixed-capacity event rings
 // that make the data plane's fan-out visible per worker lane.
 //
-// Every OBS_SPAN-covered stage (and trace-only scopes like the per-burst
-// render_unit) records one complete event — name, lane (thread), begin/end
-// wall ns, optional site/sample/burst args — into a ring owned by the
-// recording thread. TaskGroup steals surface as instant events via the
-// util::set_task_steal_observer hook. At run end the rings drain into
-// Chrome trace-event JSON (catapult format), loadable in Perfetto or
-// chrome://tracing, so Coordinator Phase-2 scheduling, work stealing,
-// per-burst render_unit latency, and compression scratch reuse are
-// directly inspectable per worker.
+// Every OBS_SPAN-covered stage (and trace-only scopes like render_unit,
+// one per burst of more than one frame) records one complete event —
+// name, lane (thread), begin/end wall ns, optional site/sample/burst args —
+// into a ring owned by the recording thread. TaskGroup steals surface as
+// instant events via the util::set_task_steal_observer hook. At run end
+// the rings drain into Chrome trace-event JSON (catapult format), loadable
+// in Perfetto or chrome://tracing, so Coordinator Phase-2 scheduling, work
+// stealing, per-burst render_unit latency, and compression scratch reuse
+// are directly inspectable per worker.
 //
 // Hot-path rules:
 //   1. Tracing off => one relaxed flag load per span, nothing else: no

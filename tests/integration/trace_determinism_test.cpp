@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/coordinator.hpp"
+#include "flowsched/config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "testing/env_fixture.hpp"
@@ -52,6 +53,17 @@ struct TracedRun {
   std::uint64_t drops = 0;
 };
 
+/// Stop the recorder and collect its drops and complete events into `out`.
+void collect_trace(TracedRun& out) {
+  obs::trace::stop();
+  out.drops = obs::trace::dropped_events();
+  for (const obs::trace::LaneEvent& le : obs::trace::snapshot_events()) {
+    // Only complete stage/burst events are seeded-work-determined;
+    // instants (task_steal markers) are scheduling artifacts by design.
+    if (le.event.phase == 'X') ++out.complete_events[le.event.name];
+  }
+}
+
 /// Same congested world as obs_determinism_test: site 0 NIC-scarce with an
 /// oversubscribed mirror port, sampled across four sites.
 TracedRun run_congested_world(std::optional<std::size_t> trace_capacity) {
@@ -79,16 +91,36 @@ TracedRun run_congested_world(std::optional<std::size_t> trace_capacity) {
                                       testbed::SiteId{2},
                                       testbed::SiteId{3}});
   out.expose_deterministic = obs::expose_text(/*deterministic_only=*/true);
+  if (trace_capacity) collect_trace(out);
+  return out;
+}
 
-  if (trace_capacity) {
-    obs::trace::stop();
-    out.drops = obs::trace::dropped_events();
-    for (const obs::trace::LaneEvent& le : obs::trace::snapshot_events()) {
-      // Only complete stage/burst events are seeded-work-determined;
-      // instants (task_steal markers) are scheduling artifacts by design.
-      if (le.event.phase == 'X') ++out.complete_events[le.event.name];
-    }
-  }
+/// An event-model profile of four sites with churn, traced with
+/// `trace_capacity` slots per lane. Most of its flows send one frame in a
+/// window, so most render bursts hold a single frame, as on perfbench's
+/// slice_filtered_churn.
+TracedRun run_churn_world(std::size_t trace_capacity) {
+  obs::registry().reset();
+  obs::trace::reset();
+  World world(kSeed, [] {
+    testbed::FederationSpec spec;
+    spec.sites = 4;
+    return spec;
+  }());
+  world.warm_up_telemetry();
+  ProfilerConfig config = congested_config();
+  config.flow_model.model = flowsched::FlowModel::kEvent;
+  config.flow_model.flows_per_second = 200;
+  config.flow_model.churn_fpm = 600;
+  config.plan.max_frames_per_sample = 2000;
+
+  obs::trace::start(trace_capacity);
+  Coordinator coordinator(world.env, config);
+  TracedRun out;
+  out.run = coordinator.run_on_sites({testbed::SiteId{0}, testbed::SiteId{1},
+                                      testbed::SiteId{2},
+                                      testbed::SiteId{3}});
+  collect_trace(out);
   return out;
 }
 
@@ -163,6 +195,20 @@ TEST(TraceDeterminism, TinyRingsDropAndCountInsteadOfBlocking) {
   EXPECT_EQ(tiny.expose_deterministic.find(
                 "patchwork_trace_dropped_events_total"),
             std::string::npos);
+}
+
+TEST(TraceDeterminism, EventModelRunFitsTheDefaultRings) {
+  // About 94 k of this run's 102 k render bursts hold one frame. They
+  // record no event, so one lane at the default capacity holds the whole
+  // run; an event per burst would overflow it.
+  ThreadCountGuard thread_guard;
+  TraceGuard trace_guard;
+  util::set_thread_count(0);  // One lane records every event.
+  const TracedRun traced = run_churn_world(obs::trace::kDefaultCapacity);
+  ASSERT_FALSE(traced.run.captures.empty());
+  EXPECT_EQ(traced.drops, 0u);
+  ASSERT_TRUE(traced.complete_events.count("render_unit"));
+  EXPECT_GT(traced.complete_events.at("render_unit"), 0u);
 }
 
 }  // namespace
