@@ -16,8 +16,10 @@
 //
 // The per-unit render is the bench's own, for the attribution. The worker
 // sweep renders the same plan through core::render_window, the profiler's
-// data plane, at 2, 4 and 8 workers; each merged position's timestamp and
-// wire length must match the bench's sequence, or the bench exits 1.
+// data plane, at 0 (serial), 2, 4 and 8 workers; each merged position's
+// timestamp and wire length must match the bench's sequence, or the bench
+// exits 1. Speedups divide the serial render_window time, taken after one
+// warm-up render, by each worker count's time.
 //
 // Build & run:  ./build/bench/bench_scenario_elephant_mice
 #include <algorithm>
@@ -81,7 +83,7 @@ struct MergedFrame {
 };
 
 struct RenderedWindow {
-  double ms = 0.0;  ///< Render and merge; the plan is not timed.
+  double ms = 0.0;  ///< Per-unit render and merge; the plan is not timed.
   traffic::WindowPlan plan;
   std::vector<MergedFrame> merged;
 };
@@ -253,8 +255,18 @@ int main() {
   }
 
   // Worker sweep: the data plane renders the same plan; its merged order
-  // must match the bench's own at every worker count.
-  bool all_identical = true;
+  // must match the bench's own at every worker count. The baseline is its
+  // serial render, timed after one warm-up render.
+  std::cout << "\nper-unit render and merge (bench's own): " << window.ms
+            << " ms\n";
+  util::set_thread_count(0);
+  double serial_ms = 0.0;
+  bool all_identical = matches_data_plane(window, &serial_ms);
+  all_identical = matches_data_plane(window, &serial_ms) && all_identical;
+  util::set_thread_count(std::nullopt);
+  std::cout << "workers=0: data-plane render " << serial_ms
+            << " ms (baseline), merged order "
+            << (all_identical ? "matches" : "DIFFERS") << "\n";
   std::string rows;
   double best_speedup = 0.0, speedup_at_4 = 0.0;
   for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
@@ -263,7 +275,7 @@ int main() {
     const bool identical = matches_data_plane(window, &ms);
     util::set_thread_count(std::nullopt);
     all_identical = all_identical && identical;
-    const double speedup = ms > 0.0 ? window.ms / ms : 0.0;
+    const double speedup = ms > 0.0 ? serial_ms / ms : 0.0;
     if (threads == 4) speedup_at_4 = speedup;
     best_speedup = std::max(best_speedup, speedup);
     std::cout << "workers=" << threads << ": data-plane render " << ms
@@ -278,8 +290,8 @@ int main() {
 
   std::cout << "\n"
             << (all_identical
-                    ? "PASS: data-plane merged order matches at 2, 4 and 8 "
-                      "workers\n"
+                    ? "PASS: data-plane merged order matches at 0, 2, 4 and "
+                      "8 workers\n"
                     : "FAIL: data-plane merged order differs\n")
             << (mice_wipe_worse
                     ? "PASS: mice lose whole flows at least as often as "
@@ -289,11 +301,14 @@ int main() {
   std::cout << "\nJSON:\n"
             << "{\n"
             << "  \"bench\": \"scenario_elephant_mice\",\n"
-            << "  \"note\": \"serial_ms is the bench's per-unit render "
-               "and merge; each run renders the same plan through "
-               "core::render_window.\",\n"
+            << "  \"note\": \"serial_ms is core::render_window at 0 "
+               "workers after one warm-up render; each run renders the same "
+               "plan through it, and each speedup divides serial_ms by the "
+               "run's ms. per_unit_render_ms is the bench's own per-unit "
+               "render and merge.\",\n"
             << "  \"hardware_threads\": " << hw << ",\n"
-            << "  \"serial_ms\": " << window.ms << ",\n"
+            << "  \"serial_ms\": " << serial_ms << ",\n"
+            << "  \"per_unit_render_ms\": " << window.ms << ",\n"
             << "  \"frames\": " << window.merged.size() << ",\n"
             << "  \"units\": " << window.plan.units.size() << ",\n"
             << "  \"elephant_units\": " << elephant_units << ",\n"
