@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full correctness gate: release build + complete test suite + the
 # full-size output bytes of every perfbench workload + a smoke run of the
-# portability demo and ten benches, then the whole suite again under
+# portability demo and thirteen benches, then the whole suite again under
 # ThreadSanitizer, then once more under AddressSanitizer + UBSan (where any
 # UB report is fatal).
 #
@@ -42,20 +42,28 @@ if [[ "$mode" == "all" || "$mode" == "release" ]]; then
   done
   # The demo and benches that render sample windows outside the
   # coordinator through core::render_window, every bench built on
-  # bench_profile.hpp's gather step, and bench_archive, which folds epoch
-  # records through EpochRecord::merge_from. Each must exit zero (incast,
-  # cache_storm and elephant_mice exit 1 when their own checks fail, and
-  # bench_archive when its compacted archives differ across worker
-  # counts), the demo must profile both testbeds, and each gather-step
-  # bench must report the frames it digested.
+  # bench_profile.hpp's gather step, bench_archive, which folds epoch
+  # records through EpochRecord::merge_from, and the benches that build
+  # frames into a FrameStore themselves (a short pass of each
+  # micro-benchmark). Each must exit zero (incast, cache_storm and
+  # elephant_mice exit 1 when their own checks fail, bench_archive when its
+  # compacted archives differ across worker counts, and
+  # bench_parallel_pipeline when its outputs do), the demo must profile
+  # both testbeds, and each gather-step bench must report the frames it
+  # digested.
   for bin in examples/portability_demo bench/bench_ablation_truncation \
              bench/bench_scenario_incast bench/bench_scenario_cache_storm \
              bench/bench_scenario_elephant_mice \
              bench/bench_sec4_operator_asymmetry \
              bench/bench_fig11_site_headers bench/bench_fig12_header_occurrence \
              bench/bench_fig13_flows_per_sample bench/bench_fig15_frame_sizes \
-             bench/bench_archive; do
-    if ! out="$("./build/$bin" 2>&1)"; then
+             bench/bench_archive bench/bench_micro_dissect \
+             bench/bench_micro_pcap bench/bench_parallel_pipeline; do
+    args=()
+    if [[ "$bin" == bench/bench_micro_* ]]; then
+      args=(--benchmark_min_time=0.01)
+    fi
+    if ! out="$("./build/$bin" "${args[@]}" 2>&1)"; then
       echo "$out" >&2
       echo "$bin: exited non-zero" >&2
       exit 1
