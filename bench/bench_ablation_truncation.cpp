@@ -34,7 +34,7 @@ int main() {
   const traffic::WindowPlan plan =
       traffic::plan_window(plan_rng, profiles[0], params);
   const core::RenderedWindow window = core::render_window(
-      plan, window_rng, params.duration, /*delivery=*/1.0, 0, {});
+      plan, window_rng, params.duration, /*delivery=*/1.0, {});
 
   host::HostSpec host;
   util::TextTable table({"Snaplen (B)", "Truncated stacks", "Stored MB",

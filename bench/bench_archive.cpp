@@ -118,13 +118,13 @@ int main() {
 
   double query_ms = best_of(kReps, [&] {
     archive::ArchiveQuery query(records);
-    volatile std::size_t sink = 0;
-    sink += query.jumbo_share().size();
-    sink += query.ipv6_share().size();
-    sink += query.tcp_share().size();
-    sink += query.offered_bps().size();
-    sink += query.site_wire_bytes("S3").size();
-    sink += query.top_flows(10).size();
+    std::size_t sum = query.jumbo_share().size();
+    sum += query.ipv6_share().size();
+    sum += query.tcp_share().size();
+    sum += query.offered_bps().size();
+    sum += query.site_wire_bytes("S3").size();
+    sum += query.top_flows(10).size();
+    volatile std::size_t sink = sum;
     (void)sink;
   });
   std::cout << "query (fold+trends+topK):  " << query_ms << " ms\n\n";

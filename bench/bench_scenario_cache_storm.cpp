@@ -77,7 +77,7 @@ StormResult run_storm(const traffic::SiteWorkloadProfile& profile,
   const traffic::WindowPlan plan = flowsched::plan_event_window(
       plan_rng, profile, window_params(), flow_config(churn_fpm));
   const core::RenderedWindow window = core::render_window(
-      plan, window_rng, window_params().duration, /*delivery=*/1.0, 0, {});
+      plan, window_rng, window_params().duration, /*delivery=*/1.0, {});
   out.frames = window.frames.size();
 
   telemetry::NetflowCache::Config cache_config;

@@ -181,7 +181,7 @@ bool matches_data_plane(const RenderedWindow& window, double* ms) {
   const auto t0 = std::chrono::steady_clock::now();
   const core::RenderedWindow rendered =
       core::render_window(window.plan, util::Rng(kSeed),
-                          window_params().duration, 1.0, 0, {});
+                          window_params().duration, 1.0, {});
   const auto t1 = std::chrono::steady_clock::now();
   *ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   if (rendered.frames.size() != window.merged.size()) return false;

@@ -85,7 +85,7 @@ Window render(const traffic::SiteWorkloadProfile& profile, bool event) {
   return Window{plan.flow_count,
                 core::render_window(plan, window_rng,
                                     incast_params().duration,
-                                    /*delivery=*/1.0, 0, {})};
+                                    /*delivery=*/1.0, {})};
 }
 
 /// Per-100ms-bin wire bytes of a rendered window.

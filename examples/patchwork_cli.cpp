@@ -13,8 +13,6 @@
 //     --samples N         samples per run (default 2)
 //     --duration SECS     sample duration (default 20)
 //     --method M          tcpdump | dpdk | fpga (default fpga)
-//     --simd T            avx2 | sse4 | scalar draw-kernel tier (default:
-//                         widest supported; output bytes identical on all)
 //     --flow-model M      mix | event window planner (default mix; event =
 //                         flow arrivals/durations/churn, src/flowsched)
 //     --arrival P         exp | uniform interarrival process (event model)
@@ -62,7 +60,7 @@
 // Example:
 //   ./build/examples/patchwork_cli --sites 5 --filter "ip and tcp"
 //       --anonymize --out /tmp/profile
-//   ./build/examples/patchwork_cli archive append --archive prof.pwar \
+//   ./build/examples/patchwork_cli archive append --archive prof.pwar
 //       --label week1 --sites 5
 #include <cstdlib>
 #include <filesystem>
@@ -84,7 +82,6 @@
 #include "obs/metrics.hpp"
 #include "obs/scrape_server.hpp"
 #include "obs/trace.hpp"
-#include "util/philox_simd.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "core/coordinator.hpp"
@@ -204,16 +201,6 @@ Options parse_args(int argc, char** argv) {
       options.config.flow_model.max_active_flows = std::stoul(next_value(i));
     } else if (arg == "--churn-fpm") {
       options.config.flow_model.churn_fpm = std::stod(next_value(i));
-    } else if (arg == "--simd") {
-      const std::string t = next_value(i);
-      const auto tier = util::parse_simd_tier(t);
-      if (!tier.has_value()) {
-        usage_error("unknown --simd tier: " + t +
-                    " (expected avx2 | sse4 | scalar)");
-      }
-      // A tier this CPU cannot run keeps the default resolution: the flag
-      // tunes throughput, never the output bytes.
-      util::set_simd_tier(*tier);
     } else if (arg == "--snaplen") {
       options.config.capture.snaplen =
           static_cast<std::uint32_t>(std::stoul(next_value(i)));

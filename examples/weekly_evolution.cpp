@@ -115,12 +115,12 @@ int main() {
             << " records after compaction\n\n";
 
   // From here on, only the archive file speaks.
-  archive::OpenError open_error = archive::OpenError::kNone;
-  const archive::ArchiveQuery query =
-      archive::ArchiveQuery::from_file(archive_path, &open_error);
-  if (open_error != archive::OpenError::kNone) {
-    std::cerr << "cannot query archive: " << archive::to_string(open_error)
-              << "\n";
+  archive::OpenStatus open_status;
+  const archive::ArchiveQuery query = archive::ArchiveQuery::from_file(
+      archive_path, archive::QueryWindow{}, &open_status);
+  if (!open_status.ok()) {
+    std::cerr << "cannot query archive: "
+              << archive::to_string(open_status.error) << "\n";
     return 1;
   }
 

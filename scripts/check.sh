@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full correctness gate: release build + complete test suite + the
-# full-size output bytes of every perfbench workload + a smoke run of the
-# portability demo and thirteen benches, then the whole suite again under
-# ThreadSanitizer, then once more under AddressSanitizer + UBSan (where any
-# UB report is fatal).
+# full-size output bytes of every perfbench workload + a smoke run of
+# patchwork_cli (a two-site profile and every archive subcommand on one
+# archive), the portability demo and thirteen benches, then the whole suite
+# again under ThreadSanitizer, then once more under AddressSanitizer +
+# UBSan (where any UB report is fatal).
 #
 # Usage: scripts/check.sh [--tsan-only | --asan-only | --release-only]
 set -euo pipefail
@@ -40,6 +41,36 @@ if [[ "$mode" == "all" || "$mode" == "release" ]]; then
     fi
     echo "perfbench $workload: correct"
   done
+  # patchwork_cli in a scratch directory: a two-site profile must write the
+  # ten Process-step CSVs and the run manifest, then one archive takes two
+  # appends, a query, a stat, a compaction and a gc. Every command must
+  # exit zero.
+  cli="$PWD/build/examples/patchwork_cli"
+  cli_dir="$(mktemp -d)"
+  trap 'rm -rf "$cli_dir"' EXIT
+  cli_run() {
+    local out
+    if ! out="$(cd "$cli_dir" && "$cli" "$@" 2>&1)"; then
+      echo "$out" >&2
+      echo "patchwork_cli $*: exited non-zero" >&2
+      exit 1
+    fi
+  }
+  cli_run --sites 2 --out "$cli_dir/profile"
+  csvs=("$cli_dir"/profile/*.csv)
+  if [[ "${#csvs[@]}" != 10 || ! -f "$cli_dir/profile/patchwork_manifest.json" ]]; then
+    ls "$cli_dir/profile" >&2
+    echo "patchwork_cli: expected ten CSVs and patchwork_manifest.json" >&2
+    exit 1
+  fi
+  archive="$cli_dir/history.pwar"
+  cli_run archive append --archive "$archive" --label week1 --sites 2
+  cli_run archive append --archive "$archive" --label week2 --sites 2 --seed 2
+  cli_run archive query --archive "$archive"
+  cli_run archive stat --archive "$archive"
+  cli_run archive compact --archive "$archive" --budget 1
+  cli_run archive gc --archive "$archive"
+  echo "examples/patchwork_cli: ok"
   # The demo and benches that render sample windows outside the
   # coordinator through core::render_window, every bench built on
   # bench_profile.hpp's gather step, bench_archive, which folds epoch

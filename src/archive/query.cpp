@@ -47,14 +47,6 @@ ArchiveQuery ArchiveQuery::from_file(const std::string& path,
   return ArchiveQuery(reader.take_records(), window);
 }
 
-ArchiveQuery ArchiveQuery::from_file(const std::string& path,
-                                     OpenError* error) {
-  OpenStatus status;
-  ArchiveQuery query = from_file(path, QueryWindow{}, &status);
-  if (error != nullptr) *error = status.error;
-  return query;
-}
-
 std::uint64_t ArchiveQuery::epochs_covered() const {
   std::uint64_t n = 0;
   for (const EpochRecord& r : records_) n += r.epoch_count;

@@ -78,10 +78,6 @@ class ArchiveQuery {
   static ArchiveQuery from_file(const std::string& path,
                                 const QueryWindow& window,
                                 OpenStatus* status = nullptr);
-  /// Unwindowed form (kept for existing callers). Damage diagnostics are
-  /// available via the OpenStatus overload.
-  static ArchiveQuery from_file(const std::string& path,
-                                OpenError* error = nullptr);
 
   /// One trend sample: a stored record reduced to a single value.
   struct TrendPoint {

@@ -10,7 +10,6 @@ namespace patchwork::archive {
 OpenError ArchiveWriter::open(const std::string& path) {
   path_ = path;
   next_epoch_index_ = 0;
-  records_written_ = 0;
 
   const auto size = util::file_size_bytes(path);
   if (!size.has_value() || *size == 0) {
@@ -53,7 +52,6 @@ bool ArchiveWriter::append(EpochRecord record) {
                payload);
   if (!util::append_file(path_, block)) return false;
   next_epoch_index_ = std::max(next_epoch_index_, record.last_epoch + 1);
-  ++records_written_;
   obs::registry()
       .counter("patchwork_archive_records_appended_total",
                "Epoch/rollup records appended to archives")

@@ -30,13 +30,11 @@ class ArchiveWriter {
   bool append(EpochRecord record);
 
   std::uint64_t next_epoch_index() const { return next_epoch_index_; }
-  std::uint64_t records_written() const { return records_written_; }
   const std::string& path() const { return path_; }
 
  private:
   std::string path_;
   std::uint64_t next_epoch_index_ = 0;
-  std::uint64_t records_written_ = 0;
 };
 
 /// Serialize `records` into a complete archive image (header + one block

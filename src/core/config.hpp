@@ -96,12 +96,6 @@ struct ProfilerConfig {
   /// for a complete Tx sample.
   bool congestion_mitigation = false;
 
-  /// Frames per synthesis subtask when a sample's render is decomposed for
-  /// the work-stealing pool; 0 means 1024. Output bytes are invariant to
-  /// this value (and to the worker count); it only tunes scheduling
-  /// granularity.
-  std::size_t render_batch_frames = 0;
-
   /// Which traffic model plans each sample window: the per-window
   /// population mix (default) or the event-driven flow generator
   /// (arrivals, Pareto durations, Zipf popularity, churn — src/flowsched).

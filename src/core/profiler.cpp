@@ -432,7 +432,7 @@ analysis::RawCapture SiteProfiler::render_sample(std::size_t k,
                : traffic::plan_window(plan_rng, profile, params);
   }
   const RenderedWindow window = render_window(
-      plan, rng, params.duration, p.delivery, config_.render_batch_frames,
+      plan, rng, params.duration, p.delivery,
       {.site = static_cast<std::int64_t>(site_.value),
        .sample = static_cast<std::int64_t>(k)});
 

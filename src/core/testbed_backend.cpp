@@ -103,7 +103,7 @@ class SimBackend final : public TestbedBackend {
     const traffic::WindowPlan plan =
         traffic::plan_window(plan_rng, traffic_.profile(kSite), params);
     const RenderedWindow rendered =
-        render_window(plan, window, duration, delivery, 0, {});
+        render_window(plan, window, duration, delivery, {});
     util::Rng capture_rng = window.split(traffic::kWindowCaptureStream);
     capture::CaptureSession capturer(capture::CaptureConfig{},
                                      host::HostSpec{}, capture_rng);

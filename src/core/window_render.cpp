@@ -11,22 +11,21 @@ namespace patchwork::core {
 
 RenderedWindow render_window(const traffic::WindowPlan& plan,
                              const util::Rng& rng, util::Nanos duration,
-                             double delivery, std::size_t batch_frames,
-                             obs::trace::SpanArgs args) {
+                             double delivery, obs::trace::SpanArgs args) {
   // Synthesis: decompose units into fixed-size bursts, each rendering a
   // counter range of its unit into a private arena. Bursts are the indices
-  // of a parallel_for; the decomposition itself depends only on the plan
-  // and the batch size.
+  // of a parallel_for; the decomposition depends only on the plan.
   struct Burst {
     std::size_t unit = 0;
     std::uint64_t begin = 0;
     std::uint64_t end = 0;
   };
-  const std::uint64_t batch = batch_frames > 0 ? batch_frames : 1024;
   std::vector<Burst> bursts;
   for (std::size_t u = 0; u < plan.units.size(); ++u) {
-    for (std::uint64_t b = 0; b < plan.units[u].frames; b += batch) {
-      bursts.push_back(Burst{u, b, std::min(plan.units[u].frames, b + batch)});
+    for (std::uint64_t b = 0; b < plan.units[u].frames;
+         b += kRenderBurstFrames) {
+      bursts.push_back(Burst{
+          u, b, std::min(plan.units[u].frames, b + kRenderBurstFrames)});
     }
   }
   std::vector<util::RngBlock> unit_draws;
@@ -40,13 +39,13 @@ RenderedWindow render_window(const traffic::WindowPlan& plan,
   {
     const obs::StageSpan synthesis("render/synthesis", nullptr, args);
     // Burst index for the trace timeline: position in the decomposition,
-    // itself deterministic (plan + batch size only). The event is
-    // trace-only (obs::trace::ScopedEvent) so per-burst instrumentation
-    // registers no metric families — the deterministic exposition is
-    // byte-identical with tracing on or off. One-frame bursts record no
-    // event: event-model windows hold so many that they would overflow
-    // the rings. Burst sizes come from the plan, so the recorded set stays
-    // independent of scheduling.
+    // itself deterministic (plan only). The event is trace-only
+    // (obs::trace::ScopedEvent) so per-burst instrumentation registers no
+    // metric families — the deterministic exposition is byte-identical
+    // with tracing on or off. One-frame bursts record no event:
+    // event-model windows hold so many that they would overflow the rings.
+    // Burst sizes come from the plan, so the recorded set stays independent
+    // of scheduling.
     util::parallel_for(bursts.size(), [&](std::size_t b) {
       const Burst& burst = bursts[b];
       std::optional<obs::trace::ScopedEvent> trace_burst;

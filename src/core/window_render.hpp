@@ -6,7 +6,7 @@
 // samples with the same bursts, merge order and mirror-delivery rule.
 #pragma once
 
-#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "net/frame_store.hpp"
@@ -25,20 +25,23 @@ struct RenderedWindow {
   double offered_pps = 0.0;             ///< The plan's rate x delivery.
 };
 
+/// Frames per burst: render_window cuts each unit into bursts of at most
+/// this many frames, one parallel_for index each.
+inline constexpr std::uint64_t kRenderBurstFrames = 1024;
+
 /// Render `plan` under the window root `rng`:
-///  - each unit is cut into bursts of at most `batch_frames` frames
-///    (0 = 1024), rendered by one parallel_for into private arenas, unit u
-///    drawing from rng.split(kWindowUnitStreamBase + u);
+///  - each unit is cut into bursts of at most kRenderBurstFrames frames,
+///    rendered by one parallel_for into private arenas, unit u drawing
+///    from rng.split(kWindowUnitStreamBase + u);
 ///  - the bursts merge into the window's total order (timestamp, unit,
 ///    frame index);
 ///  - with `delivery` < 1, merged frame j survives the mirror's egress
 ///    capacity by draw j of rng.split(kWindowDeliveryStream).
-/// The result is byte-identical for any batch size and worker count.
+/// The result is byte-identical for any worker count.
 /// `args` tag the render/synthesis span, and the render_unit trace event
 /// of each burst of more than one frame, with the burst index added.
 RenderedWindow render_window(const traffic::WindowPlan& plan,
                              const util::Rng& rng, util::Nanos duration,
-                             double delivery, std::size_t batch_frames,
-                             obs::trace::SpanArgs args);
+                             double delivery, obs::trace::SpanArgs args);
 
 }  // namespace patchwork::core

@@ -9,7 +9,7 @@
 // flow activation becomes RenderUnits bounded to its active interval
 // (ts_lo/ts_hi), so rendering stays pure counter addressing through
 // render_unit / build_many_into and the window's bytes are identical for
-// any worker count, render batch, or SIMD tier.
+// any worker count.
 //
 // Substream discipline matches the mix model exactly: the planner runs on
 // the kWindowPlanStream substream and is the only sequential consumer;

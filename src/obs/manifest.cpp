@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
-#include "util/philox_simd.hpp"
 #include "util/thread_pool.hpp"
 
 #ifndef PATCHWORK_GIT_DESCRIBE
@@ -126,10 +125,6 @@ std::string render_manifest(const ManifestInfo& info) {
          ",\n";
   out += "    \"hardware_concurrency\": " +
          std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  // Which vector kernel tier rendered this run's frames. Wall-clock side
-  // only: the tier changes throughput, never the deterministic bytes.
-  out += "    \"simd_tier\": " +
-         json_string(std::string(util::to_string(util::simd_tier()))) + ",\n";
   out += "    \"metrics\": " + render_metrics(Determinism::kWallClock);
   out += "\n  }\n}\n";
   return out;

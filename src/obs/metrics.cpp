@@ -8,7 +8,6 @@
 
 #include "obs/manifest.hpp"
 #include "util/logging.hpp"
-#include "util/philox_simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace patchwork::obs {
@@ -272,10 +271,9 @@ namespace {
 
 /// The self-describing build-identity family: a constant-1 gauge whose
 /// labels carry everything a scraper needs to place the sample without
-/// fetching the manifest. The thread count (and potentially the simd
-/// tier) vary run to run, so the family is wall-clock class and synthetic:
-/// it never registers a series, it is rendered straight into the
-/// exposition at its sorted position.
+/// fetching the manifest. The thread count varies run to run, so the
+/// family is wall-clock class and synthetic: it never registers a series,
+/// it is rendered straight into the exposition at its sorted position.
 std::string render_build_info() {
   std::string out =
       "# HELP patchwork_build_info Build and runtime identity "
@@ -283,8 +281,6 @@ std::string render_build_info() {
       "# TYPE patchwork_build_info gauge\n";
   out += "patchwork_build_info{git_describe=\"";
   append_escaped(out, build_git_describe(), /*escape_quotes=*/true);
-  out += "\",simd_tier=\"";
-  out += std::string(util::to_string(util::simd_tier()));
   out += "\",threads=\"" + std::to_string(util::thread_count()) + "\"} 1\n";
   return out;
 }

@@ -163,7 +163,7 @@ class Registry {
   std::string expose_text(bool deterministic_only = false) const;
 
   /// Opt in to the synthetic patchwork_build_info gauge: a constant-1
-  /// series whose labels carry git describe, simd tier, and thread count,
+  /// series whose labels carry git describe and thread count,
   /// rendered at exposition time (never registered — the thread count is
   /// run-dependent, so the family is wall-clock class and omitted from
   /// the deterministic view). The process-wide registry() enables it;

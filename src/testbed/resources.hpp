@@ -46,11 +46,6 @@ struct WorkerNode {
   std::uint64_t storage_total = 0;  ///< Bytes.
   std::uint64_t storage_free = 0;
   std::vector<NicId> nics;
-
-  bool can_host(std::uint32_t cores, std::uint64_t ram,
-                std::uint64_t storage) const {
-    return cores_free >= cores && ram_free >= ram && storage_free >= storage;
-  }
 };
 
 struct Vm {

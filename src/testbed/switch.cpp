@@ -104,14 +104,6 @@ std::optional<MirrorSession> ToRSwitch::mirror_for_source(
   return std::nullopt;
 }
 
-std::optional<MirrorSession> ToRSwitch::mirror_to_destination(
-    PortId dest) const {
-  for (const MirrorSession& s : mirrors_) {
-    if (s.destination == dest) return s;
-  }
-  return std::nullopt;
-}
-
 bool ToRSwitch::port_is_mirror_member(PortId id) const {
   for (const MirrorSession& s : mirrors_) {
     if (s.source == id || s.destination == id) return true;

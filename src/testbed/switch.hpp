@@ -56,7 +56,6 @@ class ToRSwitch {
 
   const std::vector<MirrorSession>& mirrors() const { return mirrors_; }
   std::optional<MirrorSession> mirror_for_source(PortId source) const;
-  std::optional<MirrorSession> mirror_to_destination(PortId dest) const;
   bool port_is_mirror_member(PortId id) const;
 
   /// Offered load on a mirror destination's Tx channel (bps): the sum of

@@ -83,8 +83,8 @@ class PhiloxEngine {
   /// Draws consumed by operator() so far.
   std::uint64_t position() const { return next_; }
 
-  /// The construction seed (= the Philox key). The bulk kernels
-  /// (util/philox_simd.hpp) address this engine's exact draw table from
+  /// The construction seed (= the Philox key). The bulk kernel
+  /// (util/philox_simd.hpp) addresses this engine's exact draw table from
   /// (seed, j) alone.
   std::uint64_t seed() const {
     return key_[0] | (static_cast<std::uint64_t>(key_[1]) << 32);

@@ -1,123 +1,18 @@
 #include "util/philox_simd.hpp"
 
 #include <array>
-#include <atomic>
-#include <cstdlib>
 
 #include "util/philox.hpp"
-#include "util/philox_simd_kernels.hpp"
 
 namespace patchwork::util {
 
 namespace {
 
-using BlocksFn = void (*)(std::uint64_t, std::uint64_t, std::size_t,
-                          std::uint64_t*);
-
-BlocksFn kernel_for(SimdTier tier) {
-  switch (tier) {
-#if defined(PATCHWORK_HAVE_AVX2)
-    case SimdTier::kAvx2:
-      return philox_blocks_avx2;
-#endif
-#if defined(PATCHWORK_HAVE_SSE42)
-    case SimdTier::kSse4:
-      return philox_blocks_sse42;
-#endif
-    default:
-      return philox_blocks_scalar;
-  }
-}
-
-/// CPU probe, evaluated once. Tiers the build did not compile are never
-/// offered even if the CPU could run them.
-SimdTier probe_best_tier() {
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-#if defined(PATCHWORK_HAVE_AVX2)
-  if (__builtin_cpu_supports("avx2")) return SimdTier::kAvx2;
-#endif
-#if defined(PATCHWORK_HAVE_SSE42)
-  if (__builtin_cpu_supports("sse4.2")) return SimdTier::kSse4;
-#endif
-#endif
-  return SimdTier::kScalar;
-}
-
-constexpr std::uint8_t kUnresolved = 0xff;
-
-/// Active tier, or kUnresolved before the first simd_bulk()/simd_tier()
-/// call (and after reset_simd_tier()). Atomic so tests can flip tiers while
-/// pool workers draw: any racing call dispatches to one tier or the other,
-/// both of which produce identical bytes.
-std::atomic<std::uint8_t> g_active{kUnresolved};
-
-SimdTier resolve_from_env() {
-  if (const char* env = std::getenv("PATCHWORK_SIMD")) {
-    if (std::optional<SimdTier> tier = parse_simd_tier(env);
-        tier && simd_tier_supported(*tier)) {
-      return *tier;
-    }
-  }
-  return best_simd_tier();
-}
-
-}  // namespace
-
-std::string_view to_string(SimdTier tier) {
-  switch (tier) {
-    case SimdTier::kScalar: return "scalar";
-    case SimdTier::kSse4: return "sse4";
-    case SimdTier::kAvx2: return "avx2";
-  }
-  return "scalar";
-}
-
-std::optional<SimdTier> parse_simd_tier(std::string_view name) {
-  if (name == "scalar") return SimdTier::kScalar;
-  if (name == "sse4" || name == "sse4.2" || name == "sse42") {
-    return SimdTier::kSse4;
-  }
-  if (name == "avx2") return SimdTier::kAvx2;
-  return std::nullopt;
-}
-
-SimdTier best_simd_tier() {
-  static const SimdTier best = probe_best_tier();
-  return best;
-}
-
-bool simd_tier_supported(SimdTier tier) {
-  return static_cast<std::uint8_t>(tier) <=
-         static_cast<std::uint8_t>(best_simd_tier());
-}
-
-SimdTier simd_tier() {
-  std::uint8_t active = g_active.load(std::memory_order_relaxed);
-  if (active == kUnresolved) {
-    // First call (or post-reset): resolve env/auto. compare_exchange so a
-    // concurrent set_simd_tier() is not clobbered.
-    const std::uint8_t resolved =
-        static_cast<std::uint8_t>(resolve_from_env());
-    if (g_active.compare_exchange_strong(active, resolved,
-                                         std::memory_order_relaxed)) {
-      active = resolved;
-    }
-  }
-  return static_cast<SimdTier>(active);
-}
-
-bool set_simd_tier(SimdTier tier) {
-  if (!simd_tier_supported(tier)) return false;
-  g_active.store(static_cast<std::uint8_t>(tier), std::memory_order_relaxed);
-  return true;
-}
-
-void reset_simd_tier() {
-  g_active.store(kUnresolved, std::memory_order_relaxed);
-}
-
-void philox_blocks_scalar(std::uint64_t key, std::uint64_t b0,
-                          std::size_t nblocks, std::uint64_t* out) {
+/// Writes the two 64-bit words of blocks [b0, b0+nblocks) of the stream
+/// keyed by `key` into out[0..2*nblocks), assembled exactly as
+/// PhiloxEngine::block_words() assembles them.
+void philox_blocks(std::uint64_t key, std::uint64_t b0, std::size_t nblocks,
+                   std::uint64_t* out) {
   const std::array<std::uint32_t, 2> k{static_cast<std::uint32_t>(key),
                                        static_cast<std::uint32_t>(key >> 32)};
   auto one = [&](std::uint64_t b, std::uint64_t* two) {
@@ -140,26 +35,27 @@ void philox_blocks_scalar(std::uint64_t key, std::uint64_t b0,
   for (; i < nblocks; ++i) one(b0 + i, out + 2 * i);
 }
 
+}  // namespace
+
 void philox_bulk(std::uint64_t key, std::uint64_t j0, std::size_t n,
                  std::uint64_t* out) {
   if (n == 0) return;
-  const BlocksFn blocks = kernel_for(simd_tier());
   std::size_t i = 0;
   // Odd head: draw j0 is word 1 of its block; compute the pair, keep one.
   if ((j0 & 1) != 0) {
     std::uint64_t pair[2];
-    blocks(key, j0 >> 1, 1, pair);
+    philox_blocks(key, j0 >> 1, 1, pair);
     out[0] = pair[1];
     i = 1;
   }
   // Aligned middle: whole blocks land straight in the output buffer.
   const std::size_t pairs = (n - i) / 2;
-  if (pairs > 0) blocks(key, (j0 + i) >> 1, pairs, out + i);
+  if (pairs > 0) philox_blocks(key, (j0 + i) >> 1, pairs, out + i);
   i += 2 * pairs;
   // Odd tail: one draw left, word 0 of the next block.
   if (i < n) {
     std::uint64_t pair[2];
-    blocks(key, (j0 + i) >> 1, 1, pair);
+    philox_blocks(key, (j0 + i) >> 1, 1, pair);
     out[i] = pair[0];
   }
 }

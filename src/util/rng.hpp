@@ -159,10 +159,10 @@ class RngBlock {
   }
 
   // Bulk draws: fill a buffer with a contiguous counter range in one pass
-  // through the vectorized Philox kernels (util/philox_simd.hpp). Each
-  // fill is draw-for-draw identical to its *_at counterpart — out[i] is
-  // exactly what the scalar call with counter j0+i returns, on every ISA
-  // tier — so batched consumers can switch freely between the forms.
+  // through the bulk Philox kernel (util/philox_simd.hpp). Each fill is
+  // draw-for-draw identical to its *_at counterpart — out[i] is exactly
+  // what the single call with counter j0+i returns — so batched consumers
+  // can switch freely between the forms.
 
   /// out[i] = at(j0 + i).
   void raw_fill(std::uint64_t j0, std::span<std::uint64_t> out) const;

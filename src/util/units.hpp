@@ -40,14 +40,4 @@ constexpr double Mbps(double v) { return v * 1e6; }
 constexpr double Gbps(double v) { return v * 1e9; }
 constexpr double Tbps(double v) { return v * 1e12; }
 
-/// Bits-per-second carried by `bytes` transmitted over `dur` nanoseconds.
-constexpr double rate_bps(std::uint64_t bytes, Nanos dur) {
-  return dur == 0 ? 0.0 : static_cast<double>(bytes) * 8.0 / to_seconds(dur);
-}
-
-/// Time on the wire for `bytes` at `bps` bits per second.
-constexpr Nanos transmit_time(std::uint64_t bytes, double bps) {
-  return bps <= 0.0 ? 0 : from_seconds(static_cast<double>(bytes) * 8.0 / bps);
-}
-
 }  // namespace patchwork::util

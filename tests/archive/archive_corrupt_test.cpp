@@ -74,7 +74,6 @@ class ArchiveCorruptTest : public ::testing::Test {
 };
 
 TEST_F(ArchiveCorruptTest, ValidPartsRejectsInvariantViolations) {
-  using Entry = TopFlowSketch::Entry;
   EXPECT_TRUE(TopFlowSketch::valid_parts(4, {}));
   EXPECT_TRUE(TopFlowSketch::valid_parts(0, {}));  // Empty is always fine.
   EXPECT_TRUE(TopFlowSketch::valid_parts(2, {{"a", 10, 3}}));

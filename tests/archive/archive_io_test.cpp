@@ -289,9 +289,10 @@ TEST_F(ArchiveIoTest, CompactionPreservesSumQueriesAndEpochCoverage) {
   ASSERT_EQ(writer.open(path_), OpenError::kNone);
   for (std::uint64_t n = 0; n < 10; ++n) ASSERT_TRUE(writer.append(record(n)));
 
-  OpenError error = OpenError::kNone;
-  const ArchiveQuery raw = ArchiveQuery::from_file(path_, &error);
-  ASSERT_EQ(error, OpenError::kNone);
+  OpenStatus status;
+  const ArchiveQuery raw =
+      ArchiveQuery::from_file(path_, QueryWindow{}, &status);
+  ASSERT_EQ(status.error, OpenError::kNone);
 
   CompactionOptions options;
   options.storage_budget_bytes =
@@ -300,8 +301,9 @@ TEST_F(ArchiveIoTest, CompactionPreservesSumQueriesAndEpochCoverage) {
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result.changed);
 
-  const ArchiveQuery compacted = ArchiveQuery::from_file(path_, &error);
-  ASSERT_EQ(error, OpenError::kNone);
+  const ArchiveQuery compacted =
+      ArchiveQuery::from_file(path_, QueryWindow{}, &status);
+  ASSERT_EQ(status.error, OpenError::kNone);
   EXPECT_LT(compacted.record_count(), raw.record_count());
   EXPECT_EQ(compacted.epochs_covered(), raw.epochs_covered());
   // Whole-archive sums are exactly preserved.
@@ -321,17 +323,19 @@ TEST_F(ArchiveIoTest, SinglePrefixRollupPreservesTopFlowsExactly) {
   ASSERT_EQ(writer.open(path_), OpenError::kNone);
   for (std::uint64_t n = 0; n < 8; ++n) ASSERT_TRUE(writer.append(record(n)));
 
-  OpenError error = OpenError::kNone;
-  const ArchiveQuery raw = ArchiveQuery::from_file(path_, &error);
-  ASSERT_EQ(error, OpenError::kNone);
+  OpenStatus status;
+  const ArchiveQuery raw =
+      ArchiveQuery::from_file(path_, QueryWindow{}, &status);
+  ASSERT_EQ(status.error, OpenError::kNone);
 
   CompactionOptions options;
   options.storage_budget_bytes = 1;  // Forces a full fold.
   options.group_size = 64;           // One group covers every record.
   ASSERT_TRUE(compact_archive(path_, options).ok());
 
-  const ArchiveQuery folded = ArchiveQuery::from_file(path_, &error);
-  ASSERT_EQ(error, OpenError::kNone);
+  const ArchiveQuery folded =
+      ArchiveQuery::from_file(path_, QueryWindow{}, &status);
+  ASSERT_EQ(status.error, OpenError::kNone);
   ASSERT_EQ(folded.record_count(), 1u);
   EXPECT_TRUE(folded.totals().top_flows == raw.totals().top_flows);
 }

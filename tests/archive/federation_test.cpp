@@ -87,10 +87,10 @@ TEST_F(FederationTest, MergeThenQueryEqualsUnionQuery) {
   std::stable_sort(expected.begin(), expected.end(), federated_record_less);
   const ArchiveQuery union_query(expected);
 
-  OpenError error = OpenError::kNone;
+  OpenStatus status;
   const ArchiveQuery merged =
-      ArchiveQuery::from_file(path("fed_out.pwar"), &error);
-  ASSERT_EQ(error, OpenError::kNone);
+      ArchiveQuery::from_file(path("fed_out.pwar"), QueryWindow{}, &status);
+  ASSERT_EQ(status.error, OpenError::kNone);
   ASSERT_EQ(merged.record_count(), union_query.record_count());
   EXPECT_TRUE(merged.records() == union_query.records());
   EXPECT_TRUE(merged.totals() == union_query.totals());

@@ -91,16 +91,18 @@ TEST_F(IncrementalCompactionTest, CommitAppendsWithoutRewritingTheFile) {
 
 TEST_F(IncrementalCompactionTest, CommitPreservesSumQueries) {
   write_epochs(10);
-  OpenError error = OpenError::kNone;
-  const ArchiveQuery raw = ArchiveQuery::from_file(path_, &error);
-  ASSERT_EQ(error, OpenError::kNone);
+  OpenStatus status;
+  const ArchiveQuery raw =
+      ArchiveQuery::from_file(path_, QueryWindow{}, &status);
+  ASSERT_EQ(status.error, OpenError::kNone);
 
   CompactionOptions options;
   options.storage_budget_bytes = util::file_size_bytes(path_).value_or(0) / 3;
   ASSERT_TRUE(compact_archive(path_, options).ok());
 
-  const ArchiveQuery compacted = ArchiveQuery::from_file(path_, &error);
-  ASSERT_EQ(error, OpenError::kNone);
+  const ArchiveQuery compacted =
+      ArchiveQuery::from_file(path_, QueryWindow{}, &status);
+  ASSERT_EQ(status.error, OpenError::kNone);
   EXPECT_LT(compacted.record_count(), raw.record_count());
   EXPECT_EQ(compacted.epochs_covered(), raw.epochs_covered());
   EXPECT_EQ(compacted.totals().frames, raw.totals().frames);
@@ -126,9 +128,10 @@ TEST_F(IncrementalCompactionTest, SecondRunIsAByteLevelNoOp) {
 TEST_F(IncrementalCompactionTest, CrashBeforeMarkerLeavesRawRecordsLive) {
   write_epochs(12);
   const std::vector<std::uint8_t> before = file_bytes();
-  OpenError error = OpenError::kNone;
-  const ArchiveQuery raw = ArchiveQuery::from_file(path_, &error);
-  ASSERT_EQ(error, OpenError::kNone);
+  OpenStatus status;
+  const ArchiveQuery raw =
+      ArchiveQuery::from_file(path_, QueryWindow{}, &status);
+  ASSERT_EQ(status.error, OpenError::kNone);
 
   CompactionOptions options;
   options.storage_budget_bytes = before.size() / 2;
@@ -144,8 +147,9 @@ TEST_F(IncrementalCompactionTest, CrashBeforeMarkerLeavesRawRecordsLive) {
   ArchiveReader reader;
   ASSERT_EQ(reader.open(path_), OpenError::kNone);
   EXPECT_EQ(reader.records().size(), raw.record_count());
-  const ArchiveQuery recovered = ArchiveQuery::from_file(path_, &error);
-  ASSERT_EQ(error, OpenError::kNone);
+  const ArchiveQuery recovered =
+      ArchiveQuery::from_file(path_, QueryWindow{}, &status);
+  ASSERT_EQ(status.error, OpenError::kNone);
   EXPECT_TRUE(recovered.totals() == raw.totals());
 
   // Re-running compaction converges: same logical records as an
@@ -155,8 +159,9 @@ TEST_F(IncrementalCompactionTest, CrashBeforeMarkerLeavesRawRecordsLive) {
   ArchiveReader after;
   ASSERT_EQ(after.open(path_), OpenError::kNone);
   EXPECT_EQ(after.records().size(), commit.records_after);
-  const ArchiveQuery converged = ArchiveQuery::from_file(path_, &error);
-  ASSERT_EQ(error, OpenError::kNone);
+  const ArchiveQuery converged =
+      ArchiveQuery::from_file(path_, QueryWindow{}, &status);
+  ASSERT_EQ(status.error, OpenError::kNone);
   EXPECT_EQ(converged.totals().frames, raw.totals().frames);
   EXPECT_EQ(converged.totals().frame_sizes, raw.totals().frame_sizes);
   EXPECT_EQ(converged.epochs_covered(), raw.epochs_covered());
@@ -168,9 +173,10 @@ TEST_F(IncrementalCompactionTest, GcShedsGarbageWithoutChangingAnswers) {
   options.storage_budget_bytes = util::file_size_bytes(path_).value_or(0) / 2;
   ASSERT_TRUE(compact_archive(path_, options).ok());
 
-  OpenError error = OpenError::kNone;
-  const ArchiveQuery before_gc = ArchiveQuery::from_file(path_, &error);
-  ASSERT_EQ(error, OpenError::kNone);
+  OpenStatus status;
+  const ArchiveQuery before_gc =
+      ArchiveQuery::from_file(path_, QueryWindow{}, &status);
+  ASSERT_EQ(status.error, OpenError::kNone);
   const std::uint64_t bytes_before = util::file_size_bytes(path_).value_or(0);
 
   const CompactionResult gc = gc_archive(path_);
@@ -179,8 +185,9 @@ TEST_F(IncrementalCompactionTest, GcShedsGarbageWithoutChangingAnswers) {
   EXPECT_TRUE(gc.gc);
   EXPECT_LT(util::file_size_bytes(path_).value_or(0), bytes_before);
 
-  const ArchiveQuery after_gc = ArchiveQuery::from_file(path_, &error);
-  ASSERT_EQ(error, OpenError::kNone);
+  const ArchiveQuery after_gc =
+      ArchiveQuery::from_file(path_, QueryWindow{}, &status);
+  ASSERT_EQ(status.error, OpenError::kNone);
   EXPECT_TRUE(after_gc.records() == before_gc.records());
   EXPECT_TRUE(after_gc.totals() == before_gc.totals());
 

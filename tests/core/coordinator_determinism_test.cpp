@@ -15,7 +15,6 @@
 #include "obs/metrics.hpp"
 #include "testing/env_fixture.hpp"
 #include "util/parallel.hpp"
-#include "util/philox_simd.hpp"
 
 namespace patchwork::core {
 namespace {
@@ -192,78 +191,6 @@ TEST(CoordinatorDeterminism, SkewedHotSiteIdenticalAcrossThreadCounts) {
     expect_runs_identical(reference.run, parallel.run, label);
     EXPECT_EQ(reference.expose_deterministic, parallel.expose_deterministic)
         << label << ": deterministic exposition differs";
-  }
-}
-
-TEST(CoordinatorDeterminism, RenderBatchSizeInvariant) {
-  // The synthesis burst size tunes scheduling granularity only: any batch
-  // value must reproduce the serial reference bytes exactly, because every
-  // frame's draws are addressed by (unit stream, counter), not by burst.
-  ThreadCountGuard guard;
-
-  auto run_batched = [](std::size_t batch) {
-    World world(/*seed=*/11, wide_spec());
-    world.warm_up_telemetry();
-    ProfilerConfig config = multi_sample_config();
-    config.render_batch_frames = batch;
-    Coordinator coordinator(world.env, config);
-    return coordinator.run_all_experiment();
-  };
-
-  util::set_thread_count(0);
-  const ProfileRun reference = run_batched(1024);
-  ASSERT_FALSE(reference.captures.empty());
-
-  for (std::size_t batch : {std::size_t{1}, std::size_t{17},
-                            std::size_t{4096}}) {
-    util::set_thread_count(2);
-    const ProfileRun parallel = run_batched(batch);
-    expect_runs_identical(reference, parallel,
-                          "batch=" + std::to_string(batch));
-  }
-}
-
-TEST(CoordinatorDeterminism, SimdTierInvariant) {
-  // The vector kernel tier is a throughput knob, never a bytes knob:
-  // forcing each compiled-and-supported ISA tier through set_simd_tier must
-  // reproduce the scalar reference run exactly — pcap bytes, reports, and
-  // the deterministic metrics exposition — serial and parallel alike.
-  ThreadCountGuard guard;
-  struct SimdGuard {
-    ~SimdGuard() { util::reset_simd_tier(); }
-  } simd_guard;
-
-  auto run_tier = [](util::SimdTier tier) {
-    obs::registry().reset();
-    World world(/*seed=*/11, wide_spec());
-    world.warm_up_telemetry();
-    util::set_simd_tier(tier);
-    Coordinator coordinator(world.env, multi_sample_config());
-    SkewedArtifacts out;
-    out.run = coordinator.run_all_experiment();
-    out.expose_deterministic = obs::expose_text(/*deterministic_only=*/true);
-    return out;
-  };
-
-  util::set_thread_count(0);
-  const SkewedArtifacts reference = run_tier(util::SimdTier::kScalar);
-  ASSERT_FALSE(reference.run.captures.empty());
-  EXPECT_EQ(util::simd_tier(), util::SimdTier::kScalar)
-      << "the forced tier did not reach the dispatcher";
-
-  for (util::SimdTier tier :
-       {util::SimdTier::kScalar, util::SimdTier::kSse4,
-        util::SimdTier::kAvx2}) {
-    if (!util::simd_tier_supported(tier)) continue;
-    for (std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
-      util::set_thread_count(threads);
-      const SkewedArtifacts forced = run_tier(tier);
-      const std::string label = "simd=" + std::string(util::to_string(tier)) +
-                                " threads=" + std::to_string(threads);
-      expect_runs_identical(reference.run, forced.run, label);
-      EXPECT_EQ(reference.expose_deterministic, forced.expose_deterministic)
-          << label << ": deterministic exposition differs";
-    }
   }
 }
 

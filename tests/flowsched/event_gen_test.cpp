@@ -151,7 +151,7 @@ TEST(FlowSched, EventWindowRespectsTargetRate) {
   const traffic::WindowPlan plan =
       plan_event_window(plan_rng, profile, params, event_config());
   const core::RenderedWindow window = core::render_window(
-      plan, root, params.duration, /*delivery=*/1.0, 0, {});
+      plan, root, params.duration, /*delivery=*/1.0, {});
   EXPECT_DOUBLE_EQ(plan.offered_bps, params.target_bps);
   EXPECT_GT(window.offered_pps, 0.0);
   ASSERT_FALSE(window.frames.empty());

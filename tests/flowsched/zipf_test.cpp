@@ -50,7 +50,9 @@ TEST(FlowSched, ZipfProbabilitiesNormalizeAndDecay) {
   double total = 0.0;
   for (std::size_t r = 0; r < zipf.ranks(); ++r) {
     total += zipf.probability(r);
-    if (r > 0) EXPECT_LT(zipf.probability(r), zipf.probability(r - 1));
+    if (r > 0) {
+      EXPECT_LT(zipf.probability(r), zipf.probability(r - 1));
+    }
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
   EXPECT_EQ(zipf.probability(100), 0.0);  // Out of range.

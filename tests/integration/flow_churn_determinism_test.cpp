@@ -1,10 +1,9 @@
 // Event-model determinism contract, CoordinatorDeterminism-style: a full
 // coordinator run with the event-driven flow planner (churn on) must
 // produce byte-identical pcaps, reports, and deterministic metrics
-// exposition at 0/1/2/8 workers, for any render batch size, and on every
-// supported SIMD tier. The planner's priority queue runs on the window's
-// plan substream and rendering stays counter-addressed, so nothing the
-// scheduler does can reach the bytes.
+// exposition at 0/1/2/8 workers. The planner's priority queue runs on the
+// window's plan substream and rendering stays counter-addressed, so
+// nothing the scheduler does can reach the bytes.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -16,7 +15,6 @@
 #include "obs/metrics.hpp"
 #include "testing/env_fixture.hpp"
 #include "util/parallel.hpp"
-#include "util/philox_simd.hpp"
 
 namespace patchwork::core {
 namespace {
@@ -108,59 +106,6 @@ TEST(FlowChurnDeterminism, EventModelIdenticalAcrossThreadCounts) {
     expect_runs_identical(reference.run, parallel.run, label);
     EXPECT_EQ(reference.expose_deterministic, parallel.expose_deterministic)
         << label << ": deterministic exposition differs";
-  }
-}
-
-TEST(FlowChurnDeterminism, EventModelRenderBatchInvariant) {
-  ThreadCountGuard guard;
-
-  util::set_thread_count(0);
-  ProfilerConfig config = event_model_config();
-  config.render_batch_frames = 1024;
-  const Artifacts reference = run_event_world(/*seed=*/17, config);
-  ASSERT_FALSE(reference.run.captures.empty());
-
-  for (std::size_t batch :
-       {std::size_t{1}, std::size_t{17}, std::size_t{4096}}) {
-    util::set_thread_count(2);
-    config.render_batch_frames = batch;
-    const Artifacts rebatched = run_event_world(/*seed=*/17, config);
-    const std::string label = "event batch=" + std::to_string(batch);
-    expect_runs_identical(reference.run, rebatched.run, label);
-    EXPECT_EQ(reference.expose_deterministic,
-              rebatched.expose_deterministic)
-        << label << ": deterministic exposition differs";
-  }
-}
-
-TEST(FlowChurnDeterminism, EventModelSimdTierInvariant) {
-  ThreadCountGuard guard;
-  struct SimdGuard {
-    ~SimdGuard() { util::reset_simd_tier(); }
-  } simd_guard;
-
-  auto run_tier = [](util::SimdTier tier) {
-    util::set_simd_tier(tier);
-    return run_event_world(/*seed=*/11, event_model_config());
-  };
-
-  util::set_thread_count(0);
-  const Artifacts reference = run_tier(util::SimdTier::kScalar);
-  ASSERT_FALSE(reference.run.captures.empty());
-
-  for (util::SimdTier tier : {util::SimdTier::kScalar, util::SimdTier::kSse4,
-                              util::SimdTier::kAvx2}) {
-    if (!util::simd_tier_supported(tier)) continue;
-    for (std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
-      util::set_thread_count(threads);
-      const Artifacts forced = run_tier(tier);
-      const std::string label =
-          "event simd=" + std::string(util::to_string(tier)) +
-          " threads=" + std::to_string(threads);
-      expect_runs_identical(reference.run, forced.run, label);
-      EXPECT_EQ(reference.expose_deterministic, forced.expose_deterministic)
-          << label << ": deterministic exposition differs";
-    }
   }
 }
 

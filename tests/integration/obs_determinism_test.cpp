@@ -209,7 +209,6 @@ TEST(ObsDeterminism, ManifestWritesNextToProfileOutput) {
   EXPECT_NE(content.find("\"git_describe\": "), std::string::npos);
   EXPECT_NE(content.find("\"wall_clock\": {"), std::string::npos);
   EXPECT_NE(content.find("\"thread_count\": 2"), std::string::npos);
-  EXPECT_NE(content.find("\"simd_tier\": "), std::string::npos);
   EXPECT_NE(content.find("\"seed\": " + std::to_string(kSeed)),
             std::string::npos);
   EXPECT_NE(content.find("patchwork_profiler_backoffs_total"),

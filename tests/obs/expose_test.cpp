@@ -109,7 +109,6 @@ TEST(ObsExpose, BuildInfoIsOptInAndWallClockClass) {
   const std::size_t info = full.find(
       "patchwork_build_info{git_describe=\"");
   ASSERT_NE(info, std::string::npos) << full;
-  EXPECT_NE(full.find("simd_tier=\""), std::string::npos);
   EXPECT_NE(full.find("threads=\""), std::string::npos);
   EXPECT_NE(full.find("# TYPE patchwork_build_info gauge\n"),
             std::string::npos);

@@ -119,7 +119,7 @@ TEST_F(EngineTest, WindowForPortMatchesPortRate) {
   const WindowPlan plan =
       plan_window(plan_rng, engine.profile(testbed::SiteId{0}), params);
   const core::RenderedWindow window = core::render_window(
-      plan, root, params.duration, /*delivery=*/1.0, 0, {});
+      plan, root, params.duration, /*delivery=*/1.0, {});
   EXPECT_DOUBLE_EQ(plan.offered_bps, 3e9);
   EXPECT_FALSE(window.frames.empty());
 }

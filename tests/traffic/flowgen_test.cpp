@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "core/window_render.hpp"
 #include "net/parser.hpp"
 #include "testing/fixtures.hpp"
+#include "util/thread_pool.hpp"
 
 namespace patchwork::traffic {
 namespace {
@@ -32,8 +34,72 @@ Window plan_and_render(util::Rng& rng, const SiteWorkloadProfile& profile,
   Window out;
   out.plan = plan_window(plan_rng, profile, params);
   out.rendered = core::render_window(out.plan, root, params.duration,
-                                     /*delivery=*/1.0, 0, {});
+                                     /*delivery=*/1.0, {});
   return out;
+}
+
+TEST(FlowGen, RenderWindowMergesMultiBurstUnits) {
+  // render_window cuts a unit longer than kRenderBurstFrames into several
+  // bursts. At any worker count the merge must put at position i the frame
+  // that rendering every unit whole and sorting by (timestamp, unit, j)
+  // puts there.
+  struct ThreadCountGuard {
+    ~ThreadCountGuard() { util::set_thread_count(std::nullopt); }
+  } guard;
+  util::Rng rng(13);
+  const SiteWorkloadProfile profile = default_profile();
+  WindowParams params;
+  params.target_bps = 1e9;
+  const util::Rng root = rng.fork();
+  util::Rng plan_rng = root.split(kWindowPlanStream);
+  const WindowPlan plan = plan_window(plan_rng, profile, params);
+  ASSERT_TRUE(std::any_of(plan.units.begin(), plan.units.end(),
+                          [](const RenderUnit& unit) {
+                            return unit.frames > core::kRenderBurstFrames;
+                          }))
+      << "no unit spans more than one burst";
+
+  struct Ref {
+    util::Nanos ts;
+    std::size_t unit;
+    std::uint64_t j;
+  };
+  std::vector<net::FrameStore> whole(plan.units.size());
+  std::vector<Ref> order;
+  net::FrameBuilder builder;
+  for (std::size_t u = 0; u < plan.units.size(); ++u) {
+    const RenderUnit& unit = plan.units[u];
+    const util::RngBlock draws(root.split(kWindowUnitStreamBase + u));
+    render_unit(unit, draws, params.duration, 0, unit.frames, builder,
+                whole[u]);
+    ASSERT_EQ(whole[u].size(), unit.frames) << "unit " << u;
+    for (std::uint64_t j = 0; j < unit.frames; ++j) {
+      order.push_back(Ref{whole[u].view(j).timestamp, u, j});
+    }
+  }
+  std::sort(order.begin(), order.end(), [](const Ref& a, const Ref& b) {
+    if (a.ts != b.ts) return a.ts < b.ts;
+    if (a.unit != b.unit) return a.unit < b.unit;
+    return a.j < b.j;
+  });
+
+  for (std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
+    util::set_thread_count(workers);
+    const core::RenderedWindow rendered =
+        core::render_window(plan, root, params.duration, /*delivery=*/1.0, {});
+    ASSERT_EQ(rendered.frames.size(), order.size()) << "workers " << workers;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const net::FrameView expected = whole[order[i].unit].view(order[i].j);
+      const net::FrameView got = rendered.frames[i];
+      ASSERT_EQ(got.timestamp, expected.timestamp)
+          << "workers " << workers << " position " << i;
+      ASSERT_EQ(got.bytes.size(), expected.bytes.size())
+          << "workers " << workers << " position " << i;
+      ASSERT_TRUE(std::equal(got.bytes.begin(), got.bytes.end(),
+                             expected.bytes.begin()))
+          << "workers " << workers << " position " << i << " bytes differ";
+    }
+  }
 }
 
 TEST(FlowGen, DrawFlowRespectsProfileStructure) {

@@ -1,14 +1,11 @@
-// Pins the vectorized Philox kernels: every compiled-and-supported ISA
-// tier must reproduce PhiloxEngine's draw table bit-for-bit (including the
-// Random123 golden vectors, odd counter offsets, and the 2^32 block-counter
-// carry), and the runtime dispatch knob must honor explicit overrides and
-// the PATCHWORK_SIMD environment variable.
+// Pins the bulk Philox kernel: philox_bulk must reproduce PhiloxEngine's
+// draw table bit-for-bit, including the Random123 golden vectors, odd
+// counter offsets, and the 2^32 block-counter carry.
 #include "util/philox_simd.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "util/philox.hpp"
@@ -16,124 +13,33 @@
 namespace patchwork::util {
 namespace {
 
-/// Restores default dispatch resolution when a test that forces tiers (or
-/// pokes PATCHWORK_SIMD) finishes, so test order cannot leak a narrow tier
-/// into unrelated suites.
-struct SimdTierGuard {
-  ~SimdTierGuard() {
-    unsetenv("PATCHWORK_SIMD");
-    reset_simd_tier();
-  }
-};
-
-std::vector<SimdTier> supported_tiers() {
-  std::vector<SimdTier> tiers;
-  for (SimdTier t : {SimdTier::kScalar, SimdTier::kSse4, SimdTier::kAvx2}) {
-    if (simd_tier_supported(t)) tiers.push_back(t);
-  }
-  return tiers;
-}
-
-TEST(PhiloxSimd, TierNamesRoundTrip) {
-  for (SimdTier t : {SimdTier::kScalar, SimdTier::kSse4, SimdTier::kAvx2}) {
-    const auto parsed = parse_simd_tier(to_string(t));
-    ASSERT_TRUE(parsed.has_value()) << to_string(t);
-    EXPECT_EQ(*parsed, t);
-  }
-  EXPECT_EQ(parse_simd_tier("sse4.2"), SimdTier::kSse4);
-  EXPECT_EQ(parse_simd_tier("sse42"), SimdTier::kSse4);
-  EXPECT_FALSE(parse_simd_tier("avx512").has_value());
-  EXPECT_FALSE(parse_simd_tier("").has_value());
-  EXPECT_FALSE(parse_simd_tier("AVX2 ").has_value());
-}
-
-TEST(PhiloxSimd, ScalarAlwaysSupportedAndBestTierIsSupported) {
-  EXPECT_TRUE(simd_tier_supported(SimdTier::kScalar));
-  EXPECT_TRUE(simd_tier_supported(best_simd_tier()));
-}
-
-TEST(PhiloxSimd, SetTierOverridesDispatch) {
-  SimdTierGuard guard;
-  for (SimdTier t : supported_tiers()) {
-    EXPECT_TRUE(set_simd_tier(t)) << to_string(t);
-    EXPECT_EQ(simd_tier(), t);
-  }
-  // An unsupported tier is refused and leaves the active tier alone.
-  for (SimdTier t : {SimdTier::kSse4, SimdTier::kAvx2}) {
-    if (simd_tier_supported(t)) continue;
-    ASSERT_TRUE(set_simd_tier(SimdTier::kScalar));
-    EXPECT_FALSE(set_simd_tier(t));
-    EXPECT_EQ(simd_tier(), SimdTier::kScalar);
-  }
-  reset_simd_tier();
-  EXPECT_EQ(simd_tier(), best_simd_tier());
-}
-
-TEST(PhiloxSimd, EnvKnobSelectsTier) {
-  SimdTierGuard guard;
-  setenv("PATCHWORK_SIMD", "scalar", 1);
-  reset_simd_tier();  // Re-resolve: env wins over the CPU probe.
-  EXPECT_EQ(simd_tier(), SimdTier::kScalar);
-  // Garbage env values fall back to the best supported tier.
-  setenv("PATCHWORK_SIMD", "quantum", 1);
-  reset_simd_tier();
-  EXPECT_EQ(simd_tier(), best_simd_tier());
-}
-
 TEST(PhiloxSimd, BulkReproducesGoldenVectorsOnEveryTier) {
   // The all-zero Random123 golden block {0x6627e8d5, 0xe169c58d,
   // 0xbc57ac4c, 0x9b00dbd8} assembles into draws 0 and 1 of key 0.
-  SimdTierGuard guard;
-  for (SimdTier t : supported_tiers()) {
-    ASSERT_TRUE(set_simd_tier(t));
-    std::uint64_t out[2] = {0, 0};
-    philox_bulk(/*key=*/0, /*j0=*/0, /*n=*/2, out);
-    EXPECT_EQ(out[0], 0xe169c58d6627e8d5ull) << to_string(t);
-    EXPECT_EQ(out[1], 0x9b00dbd8bc57ac4cull) << to_string(t);
-  }
+  std::uint64_t out[2] = {0, 0};
+  philox_bulk(/*key=*/0, /*j0=*/0, /*n=*/2, out);
+  EXPECT_EQ(out[0], 0xe169c58d6627e8d5ull);
+  EXPECT_EQ(out[1], 0x9b00dbd8bc57ac4cull);
 }
 
 TEST(PhiloxSimd, BulkMatchesEngineOnEveryTier) {
-  SimdTierGuard guard;
   const std::uint64_t keys[] = {0, 0x1234abcd5678ef90ull, ~std::uint64_t{0}};
   // Offsets probe odd starts and the lo32 -> hi32 block-counter carry
   // (blocks near 2^32, i.e. draws near 2^33).
   const std::uint64_t offsets[] = {0, 1, 5, (1ull << 33) - 7, (1ull << 33) - 1};
   const std::size_t sizes[] = {0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 33, 1000};
-  for (SimdTier t : supported_tiers()) {
-    ASSERT_TRUE(set_simd_tier(t));
-    for (std::uint64_t key : keys) {
-      const PhiloxEngine engine(key);
-      for (std::uint64_t j0 : offsets) {
-        for (std::size_t n : sizes) {
-          std::vector<std::uint64_t> out(n, 0xdeadbeefdeadbeefull);
-          philox_bulk(key, j0, n, out.data());
-          for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(out[i], engine.at(j0 + i))
-                << to_string(t) << " key=" << key << " j=" << (j0 + i);
-          }
+  for (std::uint64_t key : keys) {
+    const PhiloxEngine engine(key);
+    for (std::uint64_t j0 : offsets) {
+      for (std::size_t n : sizes) {
+        std::vector<std::uint64_t> out(n, 0xdeadbeefdeadbeefull);
+        philox_bulk(key, j0, n, out.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i], engine.at(j0 + i))
+              << "key=" << key << " j=" << (j0 + i);
         }
       }
     }
-  }
-}
-
-TEST(PhiloxSimd, TiersAgreeWithEachOther) {
-  // Belt and braces on top of the engine comparison: all supported tiers
-  // fill an identical buffer for an identical request.
-  SimdTierGuard guard;
-  const std::vector<SimdTier> tiers = supported_tiers();
-  constexpr std::size_t kN = 4096;
-  std::vector<std::vector<std::uint64_t>> results;
-  for (SimdTier t : tiers) {
-    ASSERT_TRUE(set_simd_tier(t));
-    std::vector<std::uint64_t> out(kN);
-    philox_bulk(0xfeedfacecafef00dull, /*j0=*/3, kN, out.data());
-    results.push_back(std::move(out));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[0], results[i])
-        << to_string(tiers[0]) << " vs " << to_string(tiers[i]);
   }
 }
 
