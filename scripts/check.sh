@@ -58,7 +58,8 @@ if [[ "$mode" == "all" || "$mode" == "release" ]]; then
   }
   cli_run --sites 2 --out "$cli_dir/profile"
   csvs=("$cli_dir"/profile/*.csv)
-  if [[ "${#csvs[@]}" != 10 || ! -f "$cli_dir/profile/patchwork_manifest.json" ]]; then
+  if [[ "${#csvs[@]}" != 10 ||
+        ! -f "$cli_dir/profile/patchwork_manifest.json" ]]; then
     ls "$cli_dir/profile" >&2
     echo "patchwork_cli: expected ten CSVs and patchwork_manifest.json" >&2
     exit 1
