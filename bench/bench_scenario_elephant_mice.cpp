@@ -103,8 +103,9 @@ RenderedWindow render_attributed(const traffic::SiteWorkloadProfile& profile) {
   for (std::size_t u = 0; u < out.plan.units.size(); ++u) {
     const util::RngBlock draws(
         root.split(traffic::kWindowUnitStreamBase + u));
-    traffic::render_unit(out.plan.units[u], draws, params.duration, 0,
-                         out.plan.units[u].frames, builder, stores[u]);
+    const traffic::RenderUnit& unit = out.plan.units[u];
+    traffic::render_unit(out.plan.flows[unit.flow], unit, draws,
+                         params.duration, 0, unit.frames, builder, stores[u]);
   }
   for (std::size_t u = 0; u < stores.size(); ++u) {
     const bool elephant = is_elephant(out.plan.units[u]);

@@ -21,7 +21,7 @@
 //     --flow-duration S   mean flow lifetime seconds (default 5)
 //     --zipf-param S      flow-popularity Zipf exponent (default 1.26)
 //     --flow-keys N       bounded flow-key pool size (default 512)
-//     --max-active-flows N  concurrent-flow pool bound (default 4096)
+//     --max-active-flows N  bound on concurrently active flows (default 4096)
 //     --churn-fpm X       flow-key churn, replacements per minute
 //     --snaplen N         truncation bytes (default 200)
 //     --filter EXPR       capture filter, e.g. "ip and tcp and not port 22"

@@ -57,9 +57,10 @@ RenderedWindow render_window(const traffic::WindowPlan& plan,
       // One builder per worker, reused across bursts: render_unit resets it
       // and starts no nested parallel work, so no burst re-enters it.
       thread_local net::FrameBuilder builder;
-      traffic::render_unit(plan.units[burst.unit], unit_draws[burst.unit],
-                           duration, burst.begin, burst.end, builder,
-                           out.stores[b]);
+      const traffic::RenderUnit& unit = plan.units[burst.unit];
+      traffic::render_unit(plan.flows[unit.flow], unit,
+                           unit_draws[burst.unit], duration, burst.begin,
+                           burst.end, builder, out.stores[b]);
     });
   }
 

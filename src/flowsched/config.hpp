@@ -6,10 +6,10 @@
 // realism: a priority queue of arrival/expiry/churn events with
 // exponential or uniform interarrivals, Pareto or uniform durations
 // (measured-mean calibrated, pareto.hpp), Zipf popularity over a bounded
-// key pool (zipf.hpp, flow_pool.hpp), and flows-per-minute churn. The
-// knobs below mirror the exemplars named in ROADMAP: BESS FlowGen's
-// arrival/duration processes and the synapse-klee generator's
-// --zipf-param / churn-FPM surface.
+// pool of flow keys (zipf.hpp), a bound on concurrently active flows, and
+// flows-per-minute churn that redraws keys. The knobs below mirror the
+// exemplars named in ROADMAP: BESS FlowGen's arrival/duration processes
+// and the synapse-klee generator's --zipf-param / churn-FPM surface.
 #pragma once
 
 #include <cstdint>
@@ -62,18 +62,14 @@ struct FlowModelConfig {
   /// Bounded flow-key pool: arrivals pick one of this many distinct
   /// 5-tuples by Zipf rank.
   std::size_t flow_keys = 512;
-  /// Bound on concurrently active flows (the flow-record pool). Arrivals
-  /// beyond it are suppressed and counted, never allocated.
+  /// Bound on concurrently active flows. Arrivals beyond it are
+  /// suppressed and counted, never admitted.
   std::size_t max_active_flows = 4096;
 
   /// Key churn in replacements per minute: each churn event rebinds a
   /// Zipf-drawn rank to a freshly drawn 5-tuple, the workload that drives
   /// NetflowCache eviction storms. 0 disables churn.
   double churn_fpm = 0.0;
-
-  /// Populate steady-state concurrency at t=0 (BESS quick_rampup) instead
-  /// of waiting ~one mean duration for the window to fill.
-  bool quick_rampup = true;
 };
 
 }  // namespace patchwork::flowsched

@@ -5,7 +5,6 @@
 #include <queue>
 #include <vector>
 
-#include "flowsched/flow_pool.hpp"
 #include "flowsched/pareto.hpp"
 #include "flowsched/zipf.hpp"
 #include "obs/metrics.hpp"
@@ -90,7 +89,6 @@ struct Event {
   util::Nanos at = 0;
   std::uint64_t seq = 0;  ///< Scheduling order; makes the order total.
   EventKind kind = EventKind::kArrival;
-  std::uint32_t slot = 0;  ///< Pool slot, for expiries.
 };
 
 struct EventAfter {
@@ -98,21 +96,6 @@ struct EventAfter {
     return a.at != b.at ? a.at > b.at : a.seq > b.seq;
   }
 };
-
-/// One admitted flow lifetime inside the window. It names the key version
-/// its rank held at arrival, so a later churn redraw of the same rank
-/// never rewrites history.
-struct Activation {
-  std::uint32_t version = 0;  ///< Index into the planner's key versions.
-  util::Nanos start = 0;
-  util::Nanos end = 0;  ///< Exclusive; clipped to the window.
-};
-
-/// Mirrors plan_window's elephant gate: only MTU-filling data or message
-/// streams can carry bulk frame counts.
-bool is_bulk(const traffic::FlowSpec& flow) {
-  return flow.data_frame_size >= 1514 || flow.message_stream;
-}
 
 /// Backstops against degenerate knob combinations (e.g. millions of
 /// arrivals in one 20 s window); plans stay bounded in time and memory.
@@ -137,12 +120,12 @@ traffic::WindowPlan plan_event_window(util::Rng& rng,
   const double mean_dur_s = std::max(config.mean_flow_duration_s, 1e-6);
 
   // The bounded key pool: every arrival picks one of n_keys 5-tuples by
-  // Zipf rank. Specs are append-only versions; rank r's current spec is
-  // versions[current[r]], and a churn event appends a fresh version and
-  // repoints its rank. No spec is overwritten, and none is copied until
-  // its units are planned.
+  // Zipf rank. plan.flows holds append-only key versions; rank r's current
+  // spec is plan.flows[current[r]], and a churn event appends a fresh
+  // version and repoints its rank. No spec is overwritten or copied: each
+  // unit names the version its flow held at arrival.
   const std::size_t n_keys = std::max<std::size_t>(config.flow_keys, 1);
-  std::vector<traffic::FlowSpec> versions;
+  std::vector<traffic::FlowSpec>& versions = plan.flows;
   versions.reserve(n_keys);
   std::vector<std::uint32_t> current(n_keys);
   for (std::size_t i = 0; i < n_keys; ++i) {
@@ -181,45 +164,44 @@ traffic::WindowPlan plan_event_window(util::Rng& rng,
 
   std::priority_queue<Event, std::vector<Event>, EventAfter> queue;
   std::uint64_t seq = 0;
-  auto push = [&](util::Nanos at, EventKind kind, std::uint32_t slot = 0) {
-    queue.push(Event{at, seq++, kind, slot});
+  auto push = [&](util::Nanos at, EventKind kind) {
+    queue.push(Event{at, seq++, kind});
     stats.max_queue_depth = std::max(stats.max_queue_depth, queue.size());
   };
 
-  FlowPool pool(std::max<std::size_t>(config.max_active_flows, 1));
-  std::vector<Activation> activations;
-  activations.reserve(static_cast<std::size_t>(
+  // At most max_active flows live at once; an arrival beyond that is
+  // suppressed and counted, never admitted.
+  const std::size_t max_active =
+      std::max<std::size_t>(config.max_active_flows, 1);
+  std::size_t active = 0;
+  std::vector<traffic::FlowActivity> activity;
+  activity.reserve(static_cast<std::size_t>(
       std::min(concurrent + lambda * duration_s, 4096.0)));
 
-  // Admit one arrival at `at`: Zipf key pick, duration draw, pool slot.
-  // Draw order is fixed (key, then duration) whether or not the pool has
-  // room, so suppression never shifts later events' randomness.
+  // Admit one arrival at `at`: Zipf key pick, then duration draw. The draw
+  // order is fixed whether or not the flow is admitted, so suppression
+  // never shifts later events' randomness.
   auto admit = [&](util::Nanos at) {
     const std::size_t rank = zipf.draw(rng);
     const util::Nanos dur = draw_duration_ns(rng);
-    if (activations.size() >= kMaxActivations) {
+    if (activity.size() >= kMaxActivations || active == max_active) {
       ++stats.arrivals_suppressed;
       return;
     }
-    const std::optional<std::uint32_t> slot = pool.acquire();
-    if (!slot) {
-      ++stats.arrivals_suppressed;
-      return;
-    }
-    activations.push_back(Activation{
-        current[rank], at, std::min<util::Nanos>(at + dur, params.duration)});
+    const util::Nanos end = std::min<util::Nanos>(at + dur, params.duration);
+    activity.push_back(traffic::FlowActivity{
+        current[rank], flow_pps * util::to_seconds(end - at), at, end - 1});
+    ++active;
+    stats.max_active_flows = std::max(stats.max_active_flows, active);
     ++stats.flows_generated;
-    push(activations.back().end, EventKind::kExpiry, *slot);
+    push(end, EventKind::kExpiry);
   };
 
-  // Quick ramp-up: the window opens at steady-state concurrency instead
-  // of spending ~one mean duration filling from empty.
-  if (config.quick_rampup) {
-    const std::size_t initial = static_cast<std::size_t>(
-        std::min(concurrent + 0.5,
-                 static_cast<double>(pool.capacity())));
-    for (std::size_t i = 0; i < initial; ++i) admit(0);
-  }
+  // Ramp-up: the window opens at steady-state concurrency instead of
+  // spending ~one mean duration filling from empty.
+  const std::size_t initial = static_cast<std::size_t>(
+      std::min(concurrent + 0.5, static_cast<double>(max_active)));
+  for (std::size_t i = 0; i < initial; ++i) admit(0);
   push(draw_gap_ns(rng), EventKind::kArrival);
   const util::Nanos churn_gap =
       config.churn_fpm > 0.0
@@ -237,15 +219,13 @@ traffic::WindowPlan plan_event_window(util::Rng& rng,
       case EventKind::kArrival:
         if (ev.at >= params.duration) break;
         admit(ev.at);
-        stats.max_active_flows =
-            std::max(stats.max_active_flows, pool.high_water());
         if (const util::Nanos next = ev.at + draw_gap_ns(rng);
             next < params.duration) {
           push(next, EventKind::kArrival);
         }
         break;
       case EventKind::kExpiry:
-        pool.release(ev.slot);
+        --active;
         ++stats.flows_expired;
         break;
       case EventKind::kChurn: {
@@ -264,56 +244,9 @@ traffic::WindowPlan plan_event_window(util::Rng& rng,
       }
     }
   }
-  stats.max_active_flows = std::max(stats.max_active_flows, pool.high_water());
 
-  // Activations -> contributions. True frame counts set offered_pps; the
-  // rendered counts are thinned to max_frames exactly like plan_window,
-  // with the fractional-frame coin as the planner's last sequential draws.
-  struct Contribution {
-    double data_frames = 0.0;
-    double ack_frames = 0.0;
-  };
-  std::vector<Contribution> contribs(activations.size());
-  double true_total = 0.0;
-  std::size_t max_units = 0;
-  for (std::size_t i = 0; i < activations.size(); ++i) {
-    const Activation& a = activations[i];
-    const traffic::FlowSpec& flow = versions[a.version];
-    const double active_s = util::to_seconds(a.end - a.start);
-    double frames = std::max(1.0, flow_pps * active_s);
-    if (!is_bulk(flow)) {
-      // Chatter protocols stay mice regardless of popularity.
-      frames = std::min(frames, 50.0);
-    }
-    contribs[i].data_frames = frames;
-    if (traffic::app_is_tcp(flow.app)) {
-      contribs[i].ack_frames = frames / 5.0;
-    }
-    true_total += contribs[i].data_frames + contribs[i].ack_frames;
-    max_units += contribs[i].ack_frames > 0.0 ? 2 : 1;
-  }
-  plan.flow_count = activations.size();
-  plan.offered_pps = true_total / duration_s;
-  const double keep = true_total <= static_cast<double>(params.max_frames)
-                          ? 1.0
-                          : static_cast<double>(params.max_frames) / true_total;
-  plan.units.reserve(max_units);
-  for (std::size_t i = 0; i < activations.size(); ++i) {
-    const Activation& a = activations[i];
-    auto plan_unit = [&](double true_count, bool acks) {
-      const double expected = true_count * keep;
-      std::uint64_t n = static_cast<std::uint64_t>(expected);
-      if (rng.chance(expected - static_cast<double>(n))) ++n;
-      if (n == 0) return;
-      traffic::RenderUnit& unit =
-          plan.units.emplace_back(versions[a.version], acks, n);
-      unit.ts_lo = a.start;
-      unit.ts_hi = a.end - 1;
-      plan.planned_frames += n;
-    };
-    plan_unit(contribs[i].data_frames, false);
-    if (contribs[i].ack_frames > 0.0) plan_unit(contribs[i].ack_frames, true);
-  }
+  // The planner's last sequential draws: the fractional-frame coins.
+  traffic::plan_units(rng, activity, params, plan);
 
   EventMetrics& m = event_metrics();
   m.generated.add(stats.flows_generated);

@@ -30,7 +30,7 @@ struct EventPlanStats {
   std::uint64_t flows_generated = 0;      ///< Arrivals admitted.
   std::uint64_t flows_expired = 0;        ///< Expiry events fired.
   std::uint64_t churn_replacements = 0;   ///< Key redraws applied.
-  std::uint64_t arrivals_suppressed = 0;  ///< Dropped: pool exhausted.
+  std::uint64_t arrivals_suppressed = 0;  ///< Dropped: at max_active_flows.
   std::size_t max_active_flows = 0;       ///< Concurrency high-water.
   std::size_t max_queue_depth = 0;        ///< Event-queue high-water.
 };

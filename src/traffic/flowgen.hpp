@@ -81,7 +81,7 @@ inline constexpr std::uint64_t kWindowUnitStreamBase = 16;
 /// function of (unit stream, j), so units can be rendered whole, split
 /// into bursts, or re-rendered — always producing the same bytes.
 struct RenderUnit {
-  FlowSpec flow;
+  std::uint32_t flow = 0;     ///< Index into WindowPlan::flows.
   bool acks = false;          ///< Reverse-direction pure-ACK frames.
   std::uint64_t frames = 0;   ///< Rendered frame count for this unit.
   /// Inclusive timestamp bounds for the unit's frames, clamped to the
@@ -93,14 +93,26 @@ struct RenderUnit {
   util::Nanos ts_hi = ~std::uint64_t{0};
 };
 
-/// The deterministic plan for one window: which flows contribute, how many
-/// frames each unit renders, and the true offered rates they represent.
+/// The deterministic plan for one window: the flows it draws, each stored
+/// once, how many frames each unit renders, and the true offered rates
+/// they represent.
 struct WindowPlan {
+  std::vector<FlowSpec> flows;
   std::vector<RenderUnit> units;
   double offered_pps = 0.0;
   double offered_bps = 0.0;
-  std::size_t flow_count = 0;
+  std::size_t flow_count = 0;        ///< Flow activations in the window.
   std::uint64_t planned_frames = 0;  ///< Sum of units[*].frames.
+};
+
+/// One flow activation as a planner hands it to plan_units: the flow, its
+/// true data-frame count before any cap, and its active interval (the
+/// RenderUnit bounds its units get).
+struct FlowActivity {
+  std::uint32_t flow = 0;    ///< Index into WindowPlan::flows.
+  double data_frames = 0.0;  ///< True count in the window, uncapped.
+  util::Nanos ts_lo = 0;
+  util::Nanos ts_hi = ~std::uint64_t{0};
 };
 
 /// Draw the window plan (flow population, shares, per-unit frame counts)
@@ -109,12 +121,23 @@ struct WindowPlan {
 WindowPlan plan_window(util::Rng& rng, const SiteWorkloadProfile& profile,
                        const WindowParams& params);
 
-/// Render frames [begin, end) of `unit` into `store`, drawing timestamp j
-/// from `draws.bounded_at(j, ...)`. `builder` is reused scratch; the bytes
-/// appended depend only on (unit, draws, j) — not on the [begin, end)
-/// batching.
-void render_unit(const RenderUnit& unit, const util::RngBlock& draws,
-                 util::Nanos duration, std::uint64_t begin, std::uint64_t end,
+/// Both planners' tail: turn each activity into plan.units, in order, and
+/// set plan.flow_count, offered_pps and planned_frames. Every flow sends
+/// at least one data frame and a non-bulk flow at most 50; a TCP flow adds
+/// one ACK per five data frames. When the true total exceeds
+/// params.max_frames, every count is scaled by max_frames / total. Each
+/// unit's fractional frame is then a coin drawn from `rng` (data, then
+/// ACK, in activity order), and a unit left with no frame is dropped.
+void plan_units(util::Rng& rng, const std::vector<FlowActivity>& activity,
+                const WindowParams& params, WindowPlan& plan);
+
+/// Render frames [begin, end) of `unit`, whose flow is `flow`, into
+/// `store`, drawing timestamp j from `draws.bounded_at(j, ...)`. `builder`
+/// is reused scratch; the bytes appended depend only on (flow, unit,
+/// draws, j) — not on the [begin, end) batching.
+void render_unit(const FlowSpec& flow, const RenderUnit& unit,
+                 const util::RngBlock& draws, util::Nanos duration,
+                 std::uint64_t begin, std::uint64_t end,
                  net::FrameBuilder& builder, net::FrameStore& store);
 
 }  // namespace patchwork::traffic
