@@ -91,7 +91,6 @@ class SiteProfiler {
   void teardown();
 
   const util::Logger& log() const { return log_; }
-  const SetupResult& setup_result() const { return setup_result_; }
   std::uint32_t monitored_port_slots() const;
 
   // --- Dynamic scaling (Section 6.3 limitation 2) -------------------------

@@ -19,12 +19,11 @@ namespace patchwork::obs {
 
 namespace {
 
-struct timeval to_timeval(std::chrono::milliseconds ms) {
-  struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(ms.count() / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((ms.count() % 1000) * 1000);
-  return tv;
-}
+/// listen() backlog: concurrent scrapers beyond this see a connection
+/// refusal instead of unbounded kernel queueing.
+constexpr int kListenBacklog = 16;
+/// Per-request socket read/write timeout: 2 s.
+constexpr struct timeval kIoTimeout = {2, 0};
 
 /// Write all of `text`, tolerating partial writes; SO_SNDTIMEO bounds each
 /// attempt, so a stalled reader cannot wedge the serving thread.
@@ -152,7 +151,7 @@ ScrapeServer::ScrapeServer(ScrapeServerOptions options)
   addr.sin_port = htons(options_.port);
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
           0 ||
-      ::listen(fd, options_.backlog) != 0) {
+      ::listen(fd, kListenBacklog) != 0) {
     ::close(fd);
     return;
   }
@@ -200,9 +199,10 @@ void ScrapeServer::serve() {
     if ((fds[1].revents & POLLIN) == 0) continue;
     const int conn = ::accept(listen_fd_, nullptr, nullptr);
     if (conn < 0) continue;
-    const struct timeval tv = to_timeval(options_.io_timeout);
-    ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &kIoTimeout,
+                 sizeof(kIoTimeout));
+    ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &kIoTimeout,
+                 sizeof(kIoTimeout));
     handle_connection(conn);
     ::close(conn);
   }

@@ -38,11 +38,6 @@ struct ScrapeServerOptions {
   /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (read the
   /// result back with port()).
   std::uint16_t port = 0;
-  /// listen() backlog: concurrent scrapers beyond this see a connection
-  /// refusal instead of unbounded kernel queueing.
-  int backlog = 16;
-  /// Per-request socket read/write timeout.
-  std::chrono::milliseconds io_timeout{2000};
   /// Renders /manifest.json on demand; unset => 404 for that route.
   std::function<std::string()> manifest;
 };
