@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Full correctness gate: release build + complete test suite + the
 # full-size output bytes of every perfbench workload + a smoke run of
-# patchwork_cli (a two-site profile and every archive subcommand on one
-# archive), the portability demo and thirteen benches, then the whole suite
-# again under ThreadSanitizer, then once more under AddressSanitizer +
-# UBSan (where any UB report is fatal).
+# patchwork_cli (a two-site mix-model profile, a two-site event-model
+# profile with key churn, a capture filter and anonymization, and every
+# archive subcommand on one archive), the portability demo and thirteen
+# benches, then the whole suite again under ThreadSanitizer, then once
+# more under AddressSanitizer + UBSan (where any UB report is fatal).
 #
 # Usage: scripts/check.sh [--tsan-only | --asan-only | --release-only]
 set -euo pipefail
@@ -41,10 +42,11 @@ if [[ "$mode" == "all" || "$mode" == "release" ]]; then
     fi
     echo "perfbench $workload: correct"
   done
-  # patchwork_cli in a scratch directory: a two-site profile must write the
-  # ten Process-step CSVs and the run manifest, then one archive takes two
-  # appends, a query, a stat, a compaction and a gc. Every command must
-  # exit zero.
+  # patchwork_cli in a scratch directory: a two-site mix-model profile and
+  # a two-site event-model profile (key churn, a UDP capture filter,
+  # anonymization) must each write the ten Process-step CSVs and the run
+  # manifest, then one archive takes two appends, a query, a stat, a
+  # compaction and a gc. Every command must exit zero.
   cli="$PWD/build/examples/patchwork_cli"
   cli_dir="$(mktemp -d)"
   trap 'rm -rf "$cli_dir"' EXIT
@@ -56,14 +58,20 @@ if [[ "$mode" == "all" || "$mode" == "release" ]]; then
       exit 1
     fi
   }
-  cli_run --sites 2 --out "$cli_dir/profile"
-  csvs=("$cli_dir"/profile/*.csv)
-  if [[ "${#csvs[@]}" != 10 ||
-        ! -f "$cli_dir/profile/patchwork_manifest.json" ]]; then
-    ls "$cli_dir/profile" >&2
-    echo "patchwork_cli: expected ten CSVs and patchwork_manifest.json" >&2
-    exit 1
-  fi
+  cli_profile() {
+    local dir="$1"
+    shift
+    cli_run --sites 2 "$@" --out "$dir"
+    local csvs=("$dir"/*.csv)
+    if [[ "${#csvs[@]}" != 10 || ! -f "$dir/patchwork_manifest.json" ]]; then
+      ls "$dir" >&2
+      echo "patchwork_cli $*: expected ten CSVs and patchwork_manifest.json" >&2
+      exit 1
+    fi
+  }
+  cli_profile "$cli_dir/profile"
+  cli_profile "$cli_dir/event" --flow-model event --churn-fpm 600 \
+    --filter udp --anonymize
   archive="$cli_dir/history.pwar"
   cli_run archive append --archive "$archive" --label week1 --sites 2
   cli_run archive append --archive "$archive" --label week2 --sites 2 --seed 2
