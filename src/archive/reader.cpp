@@ -1,6 +1,8 @@
 #include "archive/reader.hpp"
 
 #include <algorithm>
+#include <map>
+#include <span>
 
 #include "obs/metrics.hpp"
 #include "util/byte_io.hpp"
@@ -22,6 +24,29 @@ std::string to_string(OpenError error) {
   }
   return "unknown";
 }
+
+namespace {
+
+/// One framed, CRC-verified block, not yet decoded. `payload` views the
+/// file buffer, which ArchiveReader::open keeps alive through assembly.
+struct ScannedBlock {
+  BlockType type = BlockType::kEpoch;
+  std::uint8_t payload_version = 0;
+  std::span<const std::uint8_t> payload;
+};
+
+struct ScanResult {
+  OpenError error = OpenError::kNone;
+  std::uint16_t format_version = 0;
+  std::vector<ScannedBlock> blocks;  ///< File order, CRC-verified.
+  /// Prefix length ending at the last completely framed block — the safe
+  /// truncation point when damaged_tail is set.
+  std::uint64_t valid_bytes = 0;
+  std::uint64_t corrupt_blocks = 0;  ///< Framed but CRC-mismatched, skipped.
+  bool damaged_tail = false;
+
+  bool ok() const { return error == OpenError::kNone; }
+};
 
 ScanResult scan_archive_bytes(std::span<const std::uint8_t> bytes) {
   ScanResult result;
@@ -55,46 +80,52 @@ ScanResult scan_archive_bytes(std::span<const std::uint8_t> bytes) {
       break;
     }
     const std::uint32_t stored_crc = util::get_be32(bytes, off + 8);
+    const auto payload = bytes.subspan(off + kBlockHeaderSize, len);
     // CRC covers type..reserved (4 bytes) then the payload; the two ranges
     // are not contiguous on disk, so chain the incremental form.
-    std::uint32_t crc = util::crc32(bytes.subspan(off + 4, 4));
-    crc = util::crc32(bytes.subspan(off + kBlockHeaderSize, len), crc);
-    const std::size_t next = off + kBlockHeaderSize + len;
+    const std::uint32_t crc =
+        util::crc32(payload, util::crc32(bytes.subspan(off + 4, 4)));
     if (crc != stored_crc) {
       ++result.corrupt_blocks;
     } else {
-      ScannedBlock block;
-      block.type = static_cast<BlockType>(util::get_u8(bytes, off + 4));
-      block.payload_version = util::get_u8(bytes, off + 5);
-      const auto payload = bytes.subspan(off + kBlockHeaderSize, len);
-      block.payload.assign(payload.begin(), payload.end());
-      result.blocks.push_back(std::move(block));
+      result.blocks.push_back(
+          {static_cast<BlockType>(util::get_u8(bytes, off + 4)),
+           util::get_u8(bytes, off + 5), payload});
     }
-    off = next;
+    off += kBlockHeaderSize + len;
     result.valid_bytes = off;
   }
   return result;
 }
 
-namespace {
+/// What assembly reads of one scanned block: a record's head, or a marker.
+struct Entry {
+  std::size_t block = 0;  ///< Index into the scanned blocks.
+  BlockType type = BlockType::kEpoch;
+  RecordHead head;         ///< Record blocks.
+  SupersedeMarker marker;  ///< kSupersede.
+};
 
-struct Slot {
-  EpochRecord record;
-  std::uint64_t bytes = 0;
+/// The entries that back logical records once the markers are applied.
+struct Placement {
+  std::vector<std::size_t> live;  ///< Entry indices, logical order.
+  std::uint64_t superseded_records = 0;
+  std::uint64_t orphan_pending = 0;
 };
 
 /// Where a committed rollup lands when none of its superseded records are
 /// present (a replayed marker on an already-GC'd file): keep the sequence
 /// chronological so the oldest-first fold convention survives.
-std::size_t chronological_position(const std::vector<Slot>& live,
-                                   const EpochRecord& record) {
-  const auto less = [](const EpochRecord& a, const EpochRecord& b) {
+std::size_t chronological_position(const std::vector<Entry>& entries,
+                                   const std::vector<std::size_t>& live,
+                                   const RecordHead& head) {
+  const auto less = [](const RecordHead& a, const RecordHead& b) {
     if (a.start_nanos != b.start_nanos) return a.start_nanos < b.start_nanos;
     return a.first_epoch < b.first_epoch;
   };
   std::size_t pos = live.size();
   for (std::size_t i = 0; i < live.size(); ++i) {
-    if (less(record, live[i].record)) {
+    if (less(head, entries[live[i]].head)) {
       pos = i;
       break;
     }
@@ -102,65 +133,49 @@ std::size_t chronological_position(const std::vector<Slot>& live,
   return pos;
 }
 
-}  // namespace
-
-AssembledArchive assemble_blocks(std::vector<ScannedBlock> blocks) {
-  AssembledArchive out;
-  std::vector<Slot> live;
-  std::vector<Slot> pending;
-
-  for (ScannedBlock& block : blocks) {
-    const std::uint64_t block_bytes = kBlockHeaderSize + block.payload.size();
-    if (block.payload_version > kPayloadVersion) {
-      ++out.skipped_newer;  // Written by a newer build; not ours to guess at.
-      continue;
-    }
-    switch (block.type) {
+/// Applies the markers to the record heads in file order, leaving out the
+/// entries flagged in `dropped`.
+Placement place_records(const std::vector<Entry>& entries,
+                        const std::vector<bool>& dropped) {
+  Placement out;
+  std::vector<std::size_t>& live = out.live;
+  std::vector<std::size_t> pending;
+  const auto ident = [&](std::size_t e) {
+    return record_ident(entries[e].head);
+  };
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    if (dropped[e]) continue;
+    switch (entries[e].type) {
       case BlockType::kEpoch:
       case BlockType::kRollup:
-      case BlockType::kPendingRollup: {
-        EpochRecord record;
-        if (!decode_record(block.payload, block.payload_version, &record)) {
-          ++out.undecodable_blocks;  // CRC passed, payload doesn't parse.
-          break;
-        }
-        Slot slot{std::move(record), block_bytes};
-        if (block.type == BlockType::kPendingRollup) {
-          pending.push_back(std::move(slot));  // Invisible until committed.
-        } else {
-          live.push_back(std::move(slot));
-        }
+        live.push_back(e);
         break;
-      }
-      case BlockType::kSupersede: {
-        SupersedeMarker marker;
-        if (!decode_supersede_marker(block.payload, &marker)) {
-          ++out.undecodable_blocks;
-          break;
-        }
-        for (const SupersedeMarker::Commit& commit : marker.commits) {
+      case BlockType::kPendingRollup:
+        pending.push_back(e);  // Invisible until committed.
+        break;
+      case BlockType::kSupersede:
+        for (const SupersedeMarker::Commit& commit : entries[e].marker.commits) {
           // Activate the most recent matching pending rollup. A commit
           // with no pending match is a replay whose work is already done
           // (or whose rollup block was lost to corruption) — ignore it.
           std::size_t take = pending.size();
           for (std::size_t i = pending.size(); i-- > 0;) {
-            if (record_ident(pending[i].record) == commit.rollup) {
+            if (ident(pending[i]) == commit.rollup) {
               take = i;
               break;
             }
           }
           if (take == pending.size()) continue;
-          Slot rollup = std::move(pending[take]);
-          pending.erase(pending.begin() +
-                        static_cast<std::ptrdiff_t>(take));
+          const std::size_t rollup = pending[take];
+          pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(take));
 
           // Retire the records it replaces — plus any earlier record with
           // the rollup's own identity, which makes a replayed commit
           // idempotent instead of duplicating the rollup.
           std::vector<std::size_t> retired;
-          const auto retire_last_match = [&](const RecordIdent& ident) {
+          const auto retire_last_match = [&](const RecordIdent& wanted) {
             for (std::size_t i = live.size(); i-- > 0;) {
-              if (record_ident(live[i].record) == ident &&
+              if (ident(live[i]) == wanted &&
                   std::find(retired.begin(), retired.end(), i) ==
                       retired.end()) {
                 retired.push_back(i);
@@ -169,37 +184,108 @@ AssembledArchive assemble_blocks(std::vector<ScannedBlock> blocks) {
             }
           };
           retire_last_match(commit.rollup);
-          for (const RecordIdent& ident : commit.replaced) {
-            retire_last_match(ident);
+          for (const RecordIdent& replaced : commit.replaced) {
+            retire_last_match(replaced);
           }
           std::sort(retired.begin(), retired.end());
           const std::size_t insert_at =
-              retired.empty() ? chronological_position(live, rollup.record)
-                              : retired.front();
+              retired.empty()
+                  ? chronological_position(entries, live, entries[rollup].head)
+                  : retired.front();
           for (std::size_t i = retired.size(); i-- > 0;) {
-            live.erase(live.begin() +
-                       static_cast<std::ptrdiff_t>(retired[i]));
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(retired[i]));
             ++out.superseded_records;
           }
           live.insert(live.begin() + static_cast<std::ptrdiff_t>(insert_at),
-                      std::move(rollup));
+                      rollup);
         }
-        break;
-      }
-      default:
-        ++out.skipped_newer;  // Unknown block type from a future build.
         break;
     }
   }
-
   out.orphan_pending = pending.size();
-  out.records.reserve(live.size());
-  for (Slot& slot : live) {
-    out.live_block_bytes += slot.bytes;
-    out.records.push_back(std::move(slot.record));
+  return out;
+}
+
+/// The logical view of a scanned block sequence after supersede markers
+/// are applied (see the header comment).
+struct AssembledArchive {
+  std::vector<EpochRecord> records;  ///< Logical, oldest-first fold order.
+  /// Bytes (header + payload) of the blocks that produced `records`.
+  std::uint64_t live_block_bytes = 0;
+  std::uint64_t superseded_records = 0;  ///< Retired by supersede markers.
+  std::uint64_t orphan_pending = 0;   ///< Pending rollups with no marker.
+  /// CRC-valid, but a marker, record head or live record won't parse.
+  std::uint64_t undecodable_blocks = 0;
+  std::uint64_t skipped_newer = 0;    ///< Newer payload version or type.
+};
+
+AssembledArchive assemble_blocks(const std::vector<ScannedBlock>& blocks) {
+  AssembledArchive out;
+  std::vector<Entry> entries;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const ScannedBlock& block = blocks[b];
+    if (block.payload_version > kPayloadVersion) {
+      ++out.skipped_newer;  // Written by a newer build; not ours to guess at.
+      continue;
+    }
+    Entry entry{b, block.type, {}, {}};
+    bool decoded = false;
+    switch (block.type) {
+      case BlockType::kEpoch:
+      case BlockType::kRollup:
+      case BlockType::kPendingRollup:
+        decoded = decode_record_head(block.payload, block.payload_version,
+                                     &entry.head);
+        break;
+      case BlockType::kSupersede:
+        decoded = decode_supersede_marker(block.payload, &entry.marker);
+        break;
+      default:
+        ++out.skipped_newer;  // Unknown block type from a future build.
+        continue;
+    }
+    if (!decoded) {
+      ++out.undecodable_blocks;  // CRC passed, payload doesn't parse.
+      continue;
+    }
+    entries.push_back(std::move(entry));
+  }
+
+  // Only the records that survive placement are decoded in full. One that
+  // fails is dropped and placement reruns without it, exactly as if its
+  // block were absent, so the commit of a damaged rollup retires nothing.
+  std::vector<bool> dropped(entries.size(), false);
+  std::map<std::size_t, EpochRecord> decoded;
+  Placement placement;
+  for (bool settled = false; !settled;) {
+    placement = place_records(entries, dropped);
+    settled = true;
+    for (std::size_t e : placement.live) {
+      if (decoded.contains(e)) continue;
+      const ScannedBlock& block = blocks[entries[e].block];
+      EpochRecord record;
+      if (decode_record(block.payload, block.payload_version, &record)) {
+        decoded.emplace(e, std::move(record));
+      } else {
+        dropped[e] = true;
+        ++out.undecodable_blocks;
+        settled = false;
+      }
+    }
+  }
+
+  out.superseded_records = placement.superseded_records;
+  out.orphan_pending = placement.orphan_pending;
+  out.records.reserve(placement.live.size());
+  for (std::size_t e : placement.live) {
+    out.live_block_bytes +=
+        kBlockHeaderSize + blocks[entries[e].block].payload.size();
+    out.records.push_back(std::move(decoded.at(e)));
   }
   return out;
 }
+
+}  // namespace
 
 OpenError ArchiveReader::open(const std::string& path) {
   auto& corrupt_total = obs::registry().counter(
@@ -223,13 +309,14 @@ OpenError ArchiveReader::open(const std::string& path) {
 
   const auto bytes = util::read_file_bytes(path, kMaxArchiveBytes);
   if (!bytes.has_value()) return OpenError::kIo;
-  ScanResult scan = scan_archive_bytes(*bytes);
+  // The scanned blocks view *bytes, which outlives the assembly.
+  const ScanResult scan = scan_archive_bytes(*bytes);
   if (!scan.ok()) return scan.error;
 
   valid_bytes_ = scan.valid_bytes;
   damaged_tail_ = scan.damaged_tail;
 
-  AssembledArchive assembled = assemble_blocks(std::move(scan.blocks));
+  AssembledArchive assembled = assemble_blocks(scan.blocks);
   records_ = std::move(assembled.records);
   corrupt_blocks_ = scan.corrupt_blocks + assembled.undecodable_blocks;
   skipped_newer_ = assembled.skipped_newer;

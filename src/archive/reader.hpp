@@ -20,10 +20,18 @@
 // landed (a crash mid-commit). Superseded and orphaned blocks stay on disk
 // as garbage until a GC rewrite; their byte total is reported so the
 // compactor can decide when a rewrite pays for itself.
+//
+// The open does one CRC pass over the file and decodes only what it serves:
+// blocks are views into the file buffer, assembly reads each record's head
+// (RecordHead), and only the records that survive it are fully decoded. A
+// survivor that fails the strict decode is counted as corrupt and the
+// assembly reruns without it, so a damaged rollup leaves the records it
+// would have replaced live. A superseded or orphaned block is never decoded
+// past its head, so damage beyond its head goes uncounted; it is garbage
+// either way.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -41,56 +49,21 @@ enum class OpenError : std::uint8_t {
 
 std::string to_string(OpenError error);
 
-/// One framed, CRC-verified block (not yet decoded).
-struct ScannedBlock {
-  BlockType type = BlockType::kEpoch;
-  std::uint8_t payload_version = 0;
-  std::vector<std::uint8_t> payload;
-};
-
-struct ScanResult {
-  OpenError error = OpenError::kNone;
-  std::uint16_t format_version = 0;
-  std::vector<ScannedBlock> blocks;  ///< File order, CRC-verified.
-  /// Prefix length ending at the last completely framed block — the safe
-  /// truncation point when damaged_tail is set.
-  std::uint64_t valid_bytes = 0;
-  std::uint64_t corrupt_blocks = 0;  ///< Framed but CRC-mismatched, skipped.
-  bool damaged_tail = false;
-
-  bool ok() const { return error == OpenError::kNone; }
-};
-
-/// Scan in-memory archive bytes (no file I/O, no metrics).
-ScanResult scan_archive_bytes(std::span<const std::uint8_t> bytes);
-
-/// The logical view of a scanned block sequence after supersede markers
-/// are applied (see the header comment).
-struct AssembledArchive {
-  std::vector<EpochRecord> records;  ///< Logical, oldest-first fold order.
-  /// Bytes (header + payload) of the blocks that produced `records`.
-  std::uint64_t live_block_bytes = 0;
-  std::uint64_t superseded_records = 0;  ///< Retired by supersede markers.
-  std::uint64_t orphan_pending = 0;   ///< Pending rollups with no marker.
-  std::uint64_t undecodable_blocks = 0;  ///< CRC-valid, payload won't parse.
-  std::uint64_t skipped_newer = 0;    ///< Newer payload version or type.
-};
-
-AssembledArchive assemble_blocks(std::vector<ScannedBlock> blocks);
-
 /// Loads every decodable record from an archive file, in logical order
 /// (oldest first — the fold order every consumer relies on).
 class ArchiveReader {
  public:
-  /// Scans the file, verifies CRCs, decodes and assembles records, and
-  /// bumps the archive_* metrics for any damage found. Never modifies the
-  /// file.
+  /// Scans the file, verifies CRCs, assembles records from their heads,
+  /// decodes the live ones, and bumps the archive_* metrics for any damage
+  /// found. Never modifies the file.
   OpenError open(const std::string& path);
 
   const std::vector<EpochRecord>& records() const { return records_; }
   std::vector<EpochRecord> take_records() { return std::move(records_); }
 
   std::uint64_t valid_bytes() const { return valid_bytes_; }
+  /// Blocks failing their CRC, markers and record heads that do not
+  /// decode, and live records that fail the strict decode.
   std::uint64_t corrupt_blocks() const { return corrupt_blocks_; }
   std::uint64_t skipped_newer_blocks() const { return skipped_newer_; }
   bool damaged_tail() const { return damaged_tail_; }

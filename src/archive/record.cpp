@@ -292,6 +292,10 @@ RecordIdent record_ident(const EpochRecord& record) {
           record.last_epoch};
 }
 
+RecordIdent record_ident(const RecordHead& head) {
+  return {head.origin, head.level, head.first_epoch, head.last_epoch};
+}
+
 namespace {
 
 void put_f64(std::vector<std::uint8_t>& out, double v) {
@@ -400,6 +404,19 @@ RecordIdent get_ident(Cursor& c) {
 
 constexpr std::size_t kIdentMinBytes = 4 + 4 + 8 + 8;
 
+/// Reads the record prefix into `h`, a RecordHead or an EpochRecord (the
+/// fields share their names), so the prefix layout is written once.
+template <typename Head>
+void get_head(Cursor& c, std::uint8_t payload_version, Head& h) {
+  h.level = c.u32();
+  h.first_epoch = c.u64();
+  h.last_epoch = c.u64();
+  h.epoch_count = c.u32();
+  h.label = c.string();
+  if (payload_version >= 2) h.origin = c.string();
+  h.start_nanos = c.u64();
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_record(const EpochRecord& r) {
@@ -470,13 +487,7 @@ bool decode_record(std::span<const std::uint8_t> payload,
                    std::uint8_t payload_version, EpochRecord* out) {
   Cursor c(payload);
   EpochRecord r;
-  r.level = c.u32();
-  r.first_epoch = c.u64();
-  r.last_epoch = c.u64();
-  r.epoch_count = c.u32();
-  r.label = c.string();
-  if (payload_version >= 2) r.origin = c.string();
-  r.start_nanos = c.u64();
+  get_head(c, payload_version, r);
   r.duration_nanos = c.u64();
   r.offered_bps_sum = c.f64();
 
@@ -541,6 +552,16 @@ bool decode_record(std::span<const std::uint8_t> payload,
 
 bool decode_record(std::span<const std::uint8_t> payload, EpochRecord* out) {
   return decode_record(payload, kPayloadVersion, out);
+}
+
+bool decode_record_head(std::span<const std::uint8_t> payload,
+                        std::uint8_t payload_version, RecordHead* out) {
+  Cursor c(payload);
+  RecordHead h;
+  get_head(c, payload_version, h);
+  if (!c.ok()) return false;
+  *out = std::move(h);
+  return true;
 }
 
 std::vector<std::uint8_t> encode_supersede_marker(const SupersedeMarker& m) {

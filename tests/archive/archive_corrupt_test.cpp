@@ -9,6 +9,7 @@
 #include <string_view>
 #include <vector>
 
+#include "archive/compactor.hpp"
 #include "archive/format.hpp"
 #include "archive/reader.hpp"
 #include "archive/record.hpp"
@@ -200,6 +201,82 @@ TEST_F(ArchiveCorruptTest, AbsurdSupersedeMarkerCountsRejected) {
   ArchiveReader reader;
   ASSERT_EQ(reader.open(path_), OpenError::kNone);
   EXPECT_EQ(reader.corrupt_blocks(), 1u);
+}
+
+class SupersededDamageTest : public ArchiveCorruptTest {
+ protected:
+  static EpochRecord raw(std::uint64_t n) {
+    EpochRecord r;
+    r.label = "e" + std::to_string(n);
+    r.first_epoch = r.last_epoch = n;
+    r.start_nanos = 100 * n;
+    r.frames = 10 + n;
+    r.manifest_json = "{}";
+    return r;
+  }
+
+  // The record's payload with its manifest length pointing past the end:
+  // it frames, checksums and reads up to its head, then fails the decode.
+  static std::vector<std::uint8_t> damaged_past_head(const EpochRecord& r) {
+    std::vector<std::uint8_t> payload = encode_record(r);
+    put_u32_at(payload, payload.size() - 4 - r.manifest_json.size(), 0xFFFF);
+    RecordHead head;
+    EpochRecord out;
+    EXPECT_TRUE(decode_record_head(payload, kPayloadVersion, &head));
+    EXPECT_FALSE(decode_record(payload, &out));
+    return payload;
+  }
+
+  // Epochs 0 and 1, a pending rollup of both, and the marker committing it.
+  void write_commit(const std::vector<std::uint8_t>& e0,
+                    const std::vector<std::uint8_t>& pending) {
+    SupersedeMarker marker;
+    marker.commits.push_back(
+        {record_ident(rollup_), {record_ident(raw(0)), record_ident(raw(1))}});
+    std::vector<std::uint8_t> file = encode_file_header();
+    append_block(file, BlockType::kEpoch, e0);
+    append_block(file, BlockType::kEpoch, encode_record(raw(1)));
+    append_block(file, BlockType::kPendingRollup, pending);
+    append_block(file, BlockType::kSupersede, encode_supersede_marker(marker));
+    ASSERT_TRUE(util::write_file_atomic(
+        path_, std::span<const std::uint8_t>(file)));
+  }
+
+  EpochRecord rollup_ = [] {
+    EpochRecord r = raw(0);
+    r.merge_from(raw(1));
+    return r;
+  }();
+};
+
+TEST_F(SupersededDamageTest, UndecodableSupersededEpochIsGarbageNotCorrupt) {
+  // Nothing reads a superseded record past its head, so damage beyond the
+  // head is not counted; the block is garbage, and GC sheds it.
+  write_commit(damaged_past_head(raw(0)), encode_record(rollup_));
+  ArchiveReader reader;
+  ASSERT_EQ(reader.open(path_), OpenError::kNone);
+  EXPECT_EQ(reader.records(), std::vector<EpochRecord>{rollup_});
+  EXPECT_EQ(reader.corrupt_blocks(), 0u);
+  EXPECT_EQ(reader.superseded_records(), 2u);
+  EXPECT_GT(reader.garbage_bytes(), 0u);
+
+  ASSERT_TRUE(gc_archive(path_).changed);
+  ArchiveReader clean;
+  ASSERT_EQ(clean.open(path_), OpenError::kNone);
+  EXPECT_EQ(clean.records(), std::vector<EpochRecord>{rollup_});
+  EXPECT_EQ(clean.garbage_bytes(), 0u);
+}
+
+TEST_F(SupersededDamageTest, DamagedCommittedRollupLeavesReplacedRecordsLive) {
+  // The rollup is live once committed, so it is decoded in full, fails,
+  // and is counted; its commit then retires nothing.
+  write_commit(encode_record(raw(0)), damaged_past_head(rollup_));
+  ArchiveReader reader;
+  ASSERT_EQ(reader.open(path_), OpenError::kNone);
+  EXPECT_EQ(reader.records(), (std::vector<EpochRecord>{raw(0), raw(1)}));
+  EXPECT_EQ(reader.corrupt_blocks(), 1u);
+  EXPECT_EQ(reader.superseded_records(), 0u);
+  EXPECT_EQ(reader.orphan_pending(), 0u);
 }
 
 }  // namespace
