@@ -470,10 +470,12 @@ void SiteProfiler::commit_rendered(
   assert(rendered.size() == pending_.size());
   captures_.reserve(captures_.size() + rendered.size());
   for (analysis::RawCapture& raw : rendered) {
-    // Replay the sample's render summary into the instance log, exactly as
-    // the serial path used to write it — sample order keeps the site log
-    // deterministic no matter which workers rendered which samples.
+    // Move the sample's render summary into the instance log — sample order
+    // keeps the site log deterministic no matter which workers rendered
+    // which samples. gather() attaches that log to the bundle, so the
+    // capture keeps no copy of its own.
     log_.merge(raw.logs);
+    raw.logs.clear();
     captures_.push_back(std::move(raw));
   }
   pending_.clear();

@@ -74,7 +74,7 @@ TEST(ProfileRunGolden, MixModelOffloadSnaplen200) {
                                    /*saturate_site_1=*/true);
   EXPECT_EQ(got.captures, 64u);
   EXPECT_EQ(got.pcap_crc32, 0x8fdcbbdeu);
-  EXPECT_EQ(got.log_lines, 261u);
+  EXPECT_EQ(got.log_lines, 197u);
 }
 
 TEST(ProfileRunGolden, EventModelChurnUdpFilterAnonymized) {
@@ -89,7 +89,7 @@ TEST(ProfileRunGolden, EventModelChurnUdpFilterAnonymized) {
   const RunDigest got = digest_run(config, /*sites=*/4, /*seed=*/9);
   EXPECT_EQ(got.captures, 72u);
   EXPECT_EQ(got.pcap_crc32, 0xd6eefb2au);
-  EXPECT_EQ(got.log_lines, 255u);
+  EXPECT_EQ(got.log_lines, 183u);
 }
 
 }  // namespace
