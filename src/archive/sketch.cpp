@@ -122,40 +122,83 @@ TopFlowSketch::TopFlowSketch(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void TopFlowSketch::merge(const TopFlowSketch& other) {
-  // Union-sum via a key-sorted join: counts and errors add per key; a key
-  // absent from one side contributes that side's floor as both count and
-  // error (its true count there is in [0, floor]).
-  const auto key_less = [](const Entry& x, const Entry& y) {
-    return x.key < y.key;
+  // Union-sum via a key-sorted join of views: counts and errors add per
+  // key; a key absent from one side contributes that side's floor as both
+  // count and error (its true count there is in [0, floor]). Only the kept
+  // rows become entries, so no key is copied before it is known to stay.
+  struct KeyView {
+    std::string_view key;
+    std::uint32_t index;
   };
-  std::vector<Entry> a = entries_;
-  std::vector<Entry> b = other.entries_;
-  std::sort(a.begin(), a.end(), key_less);
-  std::sort(b.begin(), b.end(), key_less);
-  std::vector<Entry> merged;
-  merged.reserve(a.size() + b.size());
+  const auto sorted_views = [](const std::vector<Entry>& entries) {
+    std::vector<KeyView> views;
+    views.reserve(entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      views.push_back({entries[i].key, static_cast<std::uint32_t>(i)});
+    }
+    std::sort(views.begin(), views.end(),
+              [](const KeyView& x, const KeyView& y) { return x.key < y.key; });
+    return views;
+  };
+  const std::vector<KeyView> a = sorted_views(entries_);
+  const std::vector<KeyView> b = sorted_views(other.entries_);
+
+  struct Row {
+    std::uint64_t count;
+    std::uint64_t error;
+    std::string_view key;
+    bool from_other;  ///< Key only in `other`: copied, not moved.
+    std::uint32_t index;
+  };
+  std::vector<Row> rows;
+  rows.reserve(a.size() + b.size());
   std::size_t i = 0, j = 0;
   while (i < a.size() || j < b.size()) {
     if (j == b.size() || (i < a.size() && a[i].key < b[j].key)) {
-      merged.push_back(
-          {a[i].key, a[i].count + other.floor_, a[i].error + other.floor_});
+      const Entry& e = entries_[a[i].index];
+      rows.push_back({e.count + other.floor_, e.error + other.floor_,
+                      a[i].key, false, a[i].index});
       ++i;
     } else if (i == a.size() || b[j].key < a[i].key) {
-      merged.push_back(
-          {b[j].key, b[j].count + floor_, b[j].error + floor_});
+      const Entry& e = other.entries_[b[j].index];
+      rows.push_back(
+          {e.count + floor_, e.error + floor_, b[j].key, true, b[j].index});
       ++j;
     } else {
-      merged.push_back({a[i].key, a[i].count + b[j].count,
-                        a[i].error + b[j].error});
+      const Entry& x = entries_[a[i].index];
+      const Entry& y = other.entries_[b[j].index];
+      rows.push_back({x.count + y.count, x.error + y.error, a[i].key, false,
+                      a[i].index});
       ++i;
       ++j;
     }
   }
-  std::sort(merged.begin(), merged.end(), canonical_less);
+
+  // Keys are unique, so canonical order is total: selecting the first
+  // capacity_ rows and sorting them gives the prefix a full sort would.
+  const auto row_less = [](const Row& x, const Row& y) {
+    if (x.count != y.count) return x.count > y.count;
+    if (x.error != y.error) return x.error < y.error;
+    return x.key < y.key;
+  };
   std::uint64_t new_floor = floor_ + other.floor_;
-  if (merged.size() > capacity_) {
-    new_floor = std::max(new_floor, merged[capacity_].count);
-    merged.resize(capacity_);
+  if (rows.size() > capacity_) {
+    const auto cut = rows.begin() + static_cast<std::ptrdiff_t>(capacity_);
+    std::nth_element(rows.begin(), cut, rows.end(), row_less);
+    new_floor = std::max(new_floor, cut->count);
+    rows.erase(cut, rows.end());
+  }
+  std::sort(rows.begin(), rows.end(), row_less);
+
+  // Each row of this side names a distinct entry, so moving its key out
+  // leaves every other row's view intact; in a self-merge every row is of
+  // this side.
+  std::vector<Entry> merged;
+  merged.reserve(rows.size());
+  for (const Row& row : rows) {
+    merged.push_back({row.from_other ? std::string(row.key)
+                                     : std::move(entries_[row.index].key),
+                      row.count, row.error});
   }
   floor_ = new_floor;
   entries_ = std::move(merged);
