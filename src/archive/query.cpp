@@ -31,18 +31,17 @@ ArchiveQuery::ArchiveQuery(std::vector<EpochRecord> records,
   }
 }
 
+OpenStatus OpenStatus::of(OpenError error, const ArchiveReader& reader) {
+  return {error, reader.corrupt_blocks(), reader.damaged_tail(),
+          reader.valid_bytes(), reader.skipped_newer_blocks()};
+}
+
 ArchiveQuery ArchiveQuery::from_file(const std::string& path,
                                      const QueryWindow& window,
                                      OpenStatus* status) {
   ArchiveReader reader;
   const OpenError error = reader.open(path);
-  if (status != nullptr) {
-    status->error = error;
-    status->corrupt_blocks = reader.corrupt_blocks();
-    status->damaged_tail = reader.damaged_tail();
-    status->valid_bytes = reader.valid_bytes();
-    status->skipped_newer = reader.skipped_newer_blocks();
-  }
+  if (status != nullptr) *status = OpenStatus::of(error, reader);
   if (error != OpenError::kNone) return ArchiveQuery({});
   return ArchiveQuery(reader.take_records(), window);
 }

@@ -55,10 +55,14 @@ struct QueryWindow {
 /// diagnostics the reader counted while skipping bad blocks.
 struct OpenStatus {
   OpenError error = OpenError::kNone;
-  std::uint64_t corrupt_blocks = 0;   ///< CRC-failed or undecodable, skipped.
+  /// CRC-failed, undecodable or a copy of a live record's block; skipped.
+  std::uint64_t corrupt_blocks = 0;
   bool damaged_tail = false;          ///< Truncated/unframeable tail dropped.
   std::uint64_t valid_bytes = 0;      ///< Prefix the reader could frame.
   std::uint64_t skipped_newer = 0;    ///< Blocks from a newer build, skipped.
+
+  /// What `reader` found, given the error its open() returned.
+  static OpenStatus of(OpenError error, const ArchiveReader& reader);
 
   bool ok() const { return error == OpenError::kNone; }
   /// True when the file opened and every byte was accounted for.

@@ -14,6 +14,17 @@ obs::Counter& cache_counter(const char* name, const char* help) {
                                  obs::Determinism::kWallClock);
 }
 
+/// The query over `window` of one loaded file version; only the in-window
+/// records are copied.
+std::shared_ptr<const ArchiveQuery> window_query(
+    const std::vector<EpochRecord>& records, const QueryWindow& window) {
+  std::vector<EpochRecord> in_window;
+  for (const EpochRecord& record : records) {
+    if (window.contains(record)) in_window.push_back(record);
+  }
+  return std::make_shared<const ArchiveQuery>(std::move(in_window), window);
+}
+
 }  // namespace
 
 QueryCache::QueryCache(std::size_t capacity)
@@ -38,43 +49,72 @@ std::shared_ptr<const ArchiveQuery> QueryCache::get(const std::string& path,
   const auto size_now = util::file_size_bytes(path);
   const auto mtime_now = util::file_mtime_nanos(path);
 
+  // The load of this file version, when another window of it is cached.
+  std::shared_ptr<const std::vector<EpochRecord>> records;
+  OpenStatus loaded_status;
   if (size_now && mtime_now) {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->path != path || it->window != window) continue;
-      if (it->file_size == *size_now && it->file_mtime_nanos == *mtime_now) {
-        entries_.splice(entries_.begin(), entries_, it);  // LRU touch.
-        hits.add(1);
-        if (status != nullptr) *status = entries_.front().status;
-        return entries_.front().query;
+    auto hit = entries_.end();
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      if (it->path != path) {
+        ++it;
+      } else if (it->file_size != *size_now ||
+                 it->file_mtime_nanos != *mtime_now) {
+        // Stale: the file was appended to or rewritten since.
+        it = entries_.erase(it);
+        invalidations.add(1);
+      } else {
+        if (it->window == window && hit == entries_.end()) hit = it;
+        if (!records) {
+          records = it->records;
+          loaded_status = it->status;
+        }
+        ++it;
       }
-      entries_.erase(it);  // Stale: the file was appended to or rewritten.
-      invalidations.add(1);
-      break;
+    }
+    if (hit != entries_.end()) {
+      entries_.splice(entries_.begin(), entries_, hit);  // LRU touch.
+      hits.add(1);
+      if (status != nullptr) *status = hit->status;
+      return hit->query;
     }
   }
 
-  // Load outside the lock; concurrent misses for the same key may load
+  // Load outside the lock; concurrent misses for the same version may load
   // twice, which is benign (both results are equally fresh).
   misses.add(1);
-  OpenStatus loaded_status;
-  auto query = std::make_shared<const ArchiveQuery>(
-      ArchiveQuery::from_file(path, window, &loaded_status));
+  const bool shared = records != nullptr;
+  if (!shared) {
+    ArchiveReader reader;
+    const OpenError error = reader.open(path);
+    loaded_status = OpenStatus::of(error, reader);
+    if (error == OpenError::kNone) {
+      records = std::make_shared<const std::vector<EpochRecord>>(
+          reader.take_records());
+    }
+  }
   if (status != nullptr) *status = loaded_status;
-  if (!loaded_status.ok()) return query;  // Don't cache failures.
+  if (!records) {
+    return std::make_shared<const ArchiveQuery>(  // Don't cache failures.
+        std::vector<EpochRecord>{});
+  }
+  auto query = window_query(*records, window);
 
-  // Re-stat *after* the load: if the file changed while we read it, the
-  // recorded identity must not validate a torn read on the next lookup.
-  const auto size_after = util::file_size_bytes(path);
-  const auto mtime_after = util::file_mtime_nanos(path);
-  if (!size_after || !mtime_after || size_after != size_now ||
-      mtime_after != mtime_now) {
-    return query;  // Unstable while reading; serve it but don't cache.
+  // Re-stat *after* a load: if the file changed while we read it, the
+  // recorded identity must not validate a torn read on the next lookup. A
+  // shared load passed this check when it was cached.
+  if (!shared) {
+    const auto size_after = util::file_size_bytes(path);
+    const auto mtime_after = util::file_mtime_nanos(path);
+    if (!size_after || !mtime_after || size_after != size_now ||
+        mtime_after != mtime_now) {
+      return query;  // Unstable while reading; serve it but don't cache it.
+    }
   }
 
   std::lock_guard<std::mutex> lock(mutex_);
-  entries_.push_front(Entry{path, window, *size_after, *mtime_after,
-                            loaded_status, query});
+  entries_.push_front(Entry{path, window, *size_now, *mtime_now,
+                            loaded_status, std::move(records), query});
   while (entries_.size() > capacity_) entries_.pop_back();
   return query;
 }

@@ -13,6 +13,19 @@
 // one refcount, never a record copy, and an entry evicted mid-use stays
 // alive for its holders.
 //
+// A dashboard asks several windows of one file version, so each entry also
+// holds every live record of the version it was built from, shared by all
+// entries of that version, with the version's OpenStatus. A window that
+// misses first looks for an entry of the same path whose identity equals
+// the stat this lookup just took; it then copies that load's in-window
+// records into its own query, and only without one does it open the file.
+// Such a window still counts as a miss; the opens it saved show in
+// patchwork_archive_records_read_total. A lookup that finds the file
+// changed drops every entry of the old version, so no stale load stays
+// alive, and a load is re-stat'ed before it is cached: a version that
+// changed during the read is neither cached nor shared, nor is a failed
+// open.
+//
 // Hit/miss/invalidation counters are registered kWallClock: cache behavior
 // depends on call timing and file system state, not the seeded work, so
 // it must not leak into the byte-comparable metrics view.
@@ -24,8 +37,10 @@
 #include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "archive/query.hpp"
+#include "archive/record.hpp"
 
 namespace patchwork::archive {
 
@@ -39,7 +54,8 @@ class QueryCache {
   static QueryCache& instance();
 
   /// Cached equivalent of ArchiveQuery::from_file(path, window, status).
-  /// Failed opens are not cached (the next call retries the file).
+  /// A miss reuses a cached load of the same file version when there is
+  /// one. Failed opens are not cached (the next call retries the file).
   std::shared_ptr<const ArchiveQuery> get(const std::string& path,
                                           const QueryWindow& window = {},
                                           OpenStatus* status = nullptr);
@@ -54,7 +70,9 @@ class QueryCache {
     QueryWindow window;
     std::uint64_t file_size = 0;
     std::uint64_t file_mtime_nanos = 0;
-    OpenStatus status;
+    OpenStatus status;  ///< Of the file version, shared by its windows.
+    /// Every live record of the file version, shared by its windows.
+    std::shared_ptr<const std::vector<EpochRecord>> records;
     std::shared_ptr<const ArchiveQuery> query;
   };
 

@@ -40,6 +40,47 @@ class WindowedQueryTest : public ::testing::Test {
     for (std::uint64_t i = 0; i < n; ++i) ASSERT_TRUE(writer.append(record(i)));
   }
 
+  // record(n) with a top-flow sketch whose keys recur in nearby epochs and
+  // outnumber its capacity, so a window's fold truncates.
+  EpochRecord flow_record(std::uint64_t n) {
+    EpochRecord r = record(n);
+    TopFlowSketch::Builder sketch(8);
+    for (std::uint64_t i = 0; i < 12; ++i) {
+      sketch.insert("f" + std::to_string((n + i) % 16), 10 * (n % 3) + i + 1);
+    }
+    r.top_flows = std::move(sketch).build();
+    return r;
+  }
+
+  void write_flow_epochs(std::uint64_t n) {
+    ArchiveWriter writer;
+    ASSERT_EQ(writer.open(path_), OpenError::kNone);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(writer.append(flow_record(i)));
+    }
+  }
+
+  static QueryWindow epochs(std::uint64_t from, std::uint64_t to) {
+    QueryWindow window;
+    window.from_epoch = from;
+    window.to_epoch = to;
+    return window;
+  }
+
+  // A cached window answers exactly as a fresh from_file of that window.
+  void expect_matches_from_file(const ArchiveQuery& query,
+                                const QueryWindow& window) {
+    const ArchiveQuery fresh = ArchiveQuery::from_file(path_, window);
+    EXPECT_EQ(query.window(), window);
+    EXPECT_EQ(query.records(), fresh.records());
+    EXPECT_EQ(query.totals(), fresh.totals());
+    EXPECT_EQ(query.top_flows(5), fresh.top_flows(5));
+  }
+
+  std::uint64_t records_read() {
+    return counter_value("patchwork_archive_records_read_total");
+  }
+
   std::uint64_t counter_value(const std::string& name) {
     for (const auto& v : obs::registry().snapshot_values()) {
       if (v.name == name) return v.count;
@@ -195,6 +236,80 @@ TEST_F(WindowedQueryTest, QueryCacheEvictsLeastRecentlyUsed) {
             misses_before + 1);
 }
 
+TEST_F(WindowedQueryTest, QueryCacheWindowsShareOneLoadPerVersion) {
+  write_flow_epochs(6);
+  QueryCache cache(4);
+  const QueryWindow last3 = epochs(3, 5);
+  const QueryWindow middle = epochs(1, 3);
+
+  const std::uint64_t read_before = records_read();
+  OpenStatus first_status, second_status;
+  const auto first = cache.get(path_, last3, &first_status);
+  const auto second = cache.get(path_, middle, &second_status);
+  // One open read the six records; the second window reused its load.
+  EXPECT_EQ(records_read(), read_before + 6);
+  EXPECT_TRUE(first_status.clean());
+  EXPECT_TRUE(second_status.clean());
+  EXPECT_EQ(second_status.valid_bytes, first_status.valid_bytes);
+  EXPECT_EQ(cache.size(), 2u);
+
+  ASSERT_EQ(first->record_count(), 3u);
+  ASSERT_EQ(second->record_count(), 3u);
+  EXPECT_EQ(second->records().front().label, "e1");
+  expect_matches_from_file(*first, last3);
+  expect_matches_from_file(*second, middle);
+  expect_matches_from_file(*cache.get(path_), QueryWindow{});
+}
+
+TEST_F(WindowedQueryTest, QueryCacheAppendBetweenWindowsReloads) {
+  write_flow_epochs(4);
+  QueryCache cache(4);
+  (void)cache.get(path_, epochs(0, 1));
+  {
+    ArchiveWriter writer;
+    ASSERT_EQ(writer.open(path_), OpenError::kNone);
+    ASSERT_TRUE(writer.append(flow_record(4)));
+  }
+  const std::uint64_t read_before = records_read();
+  const std::uint64_t invalidations_before =
+      counter_value("patchwork_archive_query_cache_invalidations_total");
+  const QueryWindow newest = epochs(3, 9);
+  const auto query = cache.get(path_, newest);
+  // The old version's load is dropped, not shared: the window opened the
+  // file again and sees the appended record.
+  EXPECT_EQ(records_read(), read_before + 5);
+  EXPECT_EQ(counter_value("patchwork_archive_query_cache_invalidations_total"),
+            invalidations_before + 1);
+  EXPECT_EQ(cache.size(), 1u);
+  ASSERT_EQ(query->record_count(), 2u);
+  EXPECT_EQ(query->records().back().label, "e4");
+  expect_matches_from_file(*query, newest);
+}
+
+TEST_F(WindowedQueryTest, QueryCacheSharedWindowKeepsDamageStatus) {
+  write_flow_epochs(4);
+  auto bytes = util::read_file_bytes(path_, kMaxArchiveBytes);
+  ASSERT_TRUE(bytes.has_value());
+  (*bytes)[kFileHeaderSize + kBlockHeaderSize + 3] ^= 0x40;  // Flip one bit.
+  ASSERT_TRUE(util::write_file_atomic(
+      path_, std::span<const std::uint8_t>(*bytes)));
+
+  QueryCache cache(4);
+  OpenStatus loading, sharing;
+  const auto loaded = cache.get(path_, epochs(0, 2), &loading);
+  const std::uint64_t read_before = records_read();
+  const auto shared = cache.get(path_, epochs(2, 3), &sharing);
+  EXPECT_EQ(records_read(), read_before);  // Built from the first load.
+  EXPECT_TRUE(loading.ok());
+  EXPECT_EQ(loading.corrupt_blocks, 1u);
+  EXPECT_EQ(sharing.corrupt_blocks, loading.corrupt_blocks);
+  EXPECT_EQ(sharing.damaged_tail, loading.damaged_tail);
+  EXPECT_EQ(sharing.valid_bytes, loading.valid_bytes);
+  EXPECT_EQ(loaded->record_count(), 2u);  // e0 is the damaged block.
+  EXPECT_EQ(shared->record_count(), 2u);
+  expect_matches_from_file(*shared, epochs(2, 3));
+}
+
 // Cached queries are shared as shared_ptr<const ArchiveQuery>, so their
 // const reads must be safe from many threads at once. A single-record
 // window's totals are that record's decoded sketch, read by top_flows().
@@ -236,6 +351,35 @@ TEST_F(QueryCacheConcurrency, SharedSingleRecordTopFlowsAgree) {
   for (std::size_t t = 0; t < kReaders; ++t) {
     EXPECT_EQ(seen[t], loaded.get()) << "reader " << t;
     EXPECT_EQ(answers[t], expected) << "reader " << t;
+  }
+}
+
+// Windows built at once from one cached load read its records from four
+// threads while the cache is locked and unlocked around them.
+TEST_F(QueryCacheConcurrency, WindowsOfOneVersionBuiltAtOnceAgree) {
+  write_flow_epochs(8);
+  QueryCache cache(8);
+  const std::uint64_t read_before = records_read();
+  (void)cache.get(path_);  // The one load of this version.
+
+  const std::vector<QueryWindow> windows = {epochs(0, 3), epochs(2, 5),
+                                            epochs(4, 7), epochs(6, 9)};
+  std::barrier start(static_cast<std::ptrdiff_t>(windows.size()));
+  std::vector<std::shared_ptr<const ArchiveQuery>> queries(windows.size());
+  std::vector<std::thread> askers;
+  for (std::size_t t = 0; t < windows.size(); ++t) {
+    askers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      queries[t] = cache.get(path_, windows[t]);
+    });
+  }
+  for (std::thread& asker : askers) asker.join();
+
+  EXPECT_EQ(records_read(), read_before + 8);
+  for (std::size_t t = 0; t < windows.size(); ++t) {
+    SCOPED_TRACE("window " + std::to_string(t));
+    ASSERT_NE(queries[t], nullptr);
+    expect_matches_from_file(*queries[t], windows[t]);
   }
 }
 
