@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <span>
 
 #include "obs/metrics.hpp"
@@ -111,6 +112,7 @@ struct Placement {
   std::vector<std::size_t> live;  ///< Entry indices, logical order.
   std::uint64_t superseded_records = 0;
   std::uint64_t orphan_pending = 0;
+  std::uint64_t duplicates = 0;  ///< Record blocks repeating a live one.
 };
 
 /// Where a committed rollup lands when none of its superseded records are
@@ -134,11 +136,13 @@ std::size_t chronological_position(const std::vector<Entry>& entries,
 }
 
 /// Applies the markers to the record heads in file order, leaving out the
-/// entries flagged in `dropped`.
+/// entries flagged in `dropped` and counting each later copy of a live
+/// record as a duplicate.
 Placement place_records(const std::vector<Entry>& entries,
                         const std::vector<bool>& dropped) {
   Placement out;
   std::vector<std::size_t>& live = out.live;
+  std::set<RecordIdent> live_idents;  ///< The identities of `live`.
   std::vector<std::size_t> pending;
   const auto ident = [&](std::size_t e) {
     return record_ident(entries[e].head);
@@ -148,6 +152,12 @@ Placement place_records(const std::vector<Entry>& entries,
     switch (entries[e].type) {
       case BlockType::kEpoch:
       case BlockType::kRollup:
+        // A second block with a live record's identity is a copy (a block
+        // written twice): the first stays and the copy is damage.
+        if (!live_idents.insert(ident(e)).second) {
+          ++out.duplicates;
+          break;
+        }
         live.push_back(e);
         break;
       case BlockType::kPendingRollup:
@@ -193,11 +203,13 @@ Placement place_records(const std::vector<Entry>& entries,
                   ? chronological_position(entries, live, entries[rollup].head)
                   : retired.front();
           for (std::size_t i = retired.size(); i-- > 0;) {
+            live_idents.erase(ident(live[retired[i]]));
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(retired[i]));
             ++out.superseded_records;
           }
           live.insert(live.begin() + static_cast<std::ptrdiff_t>(insert_at),
                       rollup);
+          live_idents.insert(ident(rollup));
         }
         break;
     }
@@ -216,6 +228,7 @@ struct AssembledArchive {
   std::uint64_t orphan_pending = 0;   ///< Pending rollups with no marker.
   /// CRC-valid, but a marker, record head or live record won't parse.
   std::uint64_t undecodable_blocks = 0;
+  std::uint64_t duplicate_records = 0;  ///< Copies of a live record's block.
   std::uint64_t skipped_newer = 0;    ///< Newer payload version or type.
 };
 
@@ -253,7 +266,8 @@ AssembledArchive assemble_blocks(const std::vector<ScannedBlock>& blocks) {
 
   // Only the records that survive placement are decoded in full. One that
   // fails is dropped and placement reruns without it, exactly as if its
-  // block were absent, so the commit of a damaged rollup retires nothing.
+  // block were absent, so the commit of a damaged rollup retires nothing
+  // and a later copy of a damaged record takes its place.
   std::vector<bool> dropped(entries.size(), false);
   std::map<std::size_t, EpochRecord> decoded;
   Placement placement;
@@ -276,6 +290,7 @@ AssembledArchive assemble_blocks(const std::vector<ScannedBlock>& blocks) {
 
   out.superseded_records = placement.superseded_records;
   out.orphan_pending = placement.orphan_pending;
+  out.duplicate_records = placement.duplicates;
   out.records.reserve(placement.live.size());
   for (std::size_t e : placement.live) {
     out.live_block_bytes +=
@@ -318,7 +333,8 @@ OpenError ArchiveReader::open(const std::string& path) {
 
   AssembledArchive assembled = assemble_blocks(scan.blocks);
   records_ = std::move(assembled.records);
-  corrupt_blocks_ = scan.corrupt_blocks + assembled.undecodable_blocks;
+  corrupt_blocks_ = scan.corrupt_blocks + assembled.undecodable_blocks +
+                    assembled.duplicate_records;
   skipped_newer_ = assembled.skipped_newer;
   superseded_records_ = assembled.superseded_records;
   orphan_pending_ = assembled.orphan_pending;

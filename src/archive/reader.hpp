@@ -19,7 +19,10 @@
 // oldest-first fold order) and ignores pending rollups whose marker never
 // landed (a crash mid-commit). Superseded and orphaned blocks stay on disk
 // as garbage until a GC rewrite; their byte total is reported so the
-// compactor can decide when a rewrite pays for itself.
+// compactor can decide when a rewrite pays for itself. An epoch or rollup
+// block whose identity (RecordIdent) is already live is a copy: the first
+// stays, the copy is counted as corrupt and left as garbage, so no query
+// counts an epoch twice.
 //
 // The open does one CRC pass over the file and decodes only what it serves:
 // blocks are views into the file buffer, assembly reads each record's head
@@ -63,7 +66,8 @@ class ArchiveReader {
 
   std::uint64_t valid_bytes() const { return valid_bytes_; }
   /// Blocks failing their CRC, markers and record heads that do not
-  /// decode, and live records that fail the strict decode.
+  /// decode, live records that fail the strict decode, and record blocks
+  /// that repeat a live record's identity.
   std::uint64_t corrupt_blocks() const { return corrupt_blocks_; }
   std::uint64_t skipped_newer_blocks() const { return skipped_newer_; }
   bool damaged_tail() const { return damaged_tail_; }

@@ -11,9 +11,11 @@
 
 #include "archive/compactor.hpp"
 #include "archive/format.hpp"
+#include "archive/query.hpp"
 #include "archive/reader.hpp"
 #include "archive/record.hpp"
 #include "archive/sketch.hpp"
+#include "archive/writer.hpp"
 #include "obs/metrics.hpp"
 #include "testing/temp_dir.hpp"
 #include "util/byte_io.hpp"
@@ -203,6 +205,65 @@ TEST_F(ArchiveCorruptTest, AbsurdSupersedeMarkerCountsRejected) {
   EXPECT_EQ(reader.corrupt_blocks(), 1u);
 }
 
+TEST_F(ArchiveCorruptTest, DuplicatedEpochBlockIsCountedOnce) {
+  // Regression: a block written twice was served as two live records, the
+  // compaction's marker retired only one of them, and every query counted
+  // that epoch twice beside the rollup covering it while the open reported
+  // a clean file.
+  {
+    ArchiveWriter writer;
+    ASSERT_EQ(writer.open(path_), OpenError::kNone);
+    for (std::uint64_t n = 0; n < 6; ++n) {
+      EpochRecord r;
+      r.label = "week" + std::to_string(n);
+      r.start_nanos = 100 * n;
+      r.frames = 10;
+      ASSERT_TRUE(writer.append(r));
+    }
+  }
+  CompactionOptions options;
+  options.storage_budget_bytes = 1;  // Fold all six into one rollup.
+  ASSERT_TRUE(compact_archive(path_, options).ok());
+  ArchiveReader intact;
+  ASSERT_EQ(intact.open(path_), OpenError::kNone);
+  ASSERT_EQ(intact.records().size(), 1u);
+  EXPECT_EQ(intact.records().front().label, "week0..week5");
+
+  // Copy week3's block (the fourth) in right after itself, before the
+  // marker that supersedes it.
+  std::vector<std::uint8_t> file =
+      util::read_file_bytes(path_, kMaxArchiveBytes).value_or(
+          std::vector<std::uint8_t>{});
+  std::size_t week3 = kFileHeaderSize;
+  for (int b = 0; b < 3; ++b) {
+    week3 += kBlockHeaderSize + util::get_be32(file, week3);
+  }
+  const std::size_t end = week3 + kBlockHeaderSize + util::get_be32(file, week3);
+  const std::vector<std::uint8_t> copy(
+      file.begin() + static_cast<std::ptrdiff_t>(week3),
+      file.begin() + static_cast<std::ptrdiff_t>(end));
+  file.insert(file.begin() + static_cast<std::ptrdiff_t>(end), copy.begin(),
+              copy.end());
+  ASSERT_TRUE(util::write_file_atomic(
+      path_, std::span<const std::uint8_t>(file)));
+
+  OpenStatus status;
+  const ArchiveQuery query =
+      ArchiveQuery::from_file(path_, QueryWindow{}, &status);
+  EXPECT_EQ(query.records(), intact.records());
+  EXPECT_EQ(query.totals().frames, 60u);
+  EXPECT_EQ(status.corrupt_blocks, 1u);
+  EXPECT_FALSE(status.clean());
+
+  // The copy is garbage: GC sheds it and the file opens clean.
+  ASSERT_TRUE(gc_archive(path_).changed);
+  ArchiveReader collected;
+  ASSERT_EQ(collected.open(path_), OpenError::kNone);
+  EXPECT_EQ(collected.records(), intact.records());
+  EXPECT_EQ(collected.corrupt_blocks(), 0u);
+  EXPECT_EQ(collected.garbage_bytes(), 0u);
+}
+
 class SupersededDamageTest : public ArchiveCorruptTest {
  protected:
   static EpochRecord raw(std::uint64_t n) {
@@ -265,6 +326,22 @@ TEST_F(SupersededDamageTest, UndecodableSupersededEpochIsGarbageNotCorrupt) {
   ASSERT_EQ(clean.open(path_), OpenError::kNone);
   EXPECT_EQ(clean.records(), std::vector<EpochRecord>{rollup_});
   EXPECT_EQ(clean.garbage_bytes(), 0u);
+}
+
+TEST_F(SupersededDamageTest, CopyOfUndecodableRecordTakesItsPlace) {
+  // The first copy of a record is the one kept. When it fails the strict
+  // decode it is dropped, and the later copy is placed as if it were the
+  // only one.
+  std::vector<std::uint8_t> file = encode_file_header();
+  append_block(file, BlockType::kEpoch, encode_record(raw(0)));
+  append_block(file, BlockType::kEpoch, damaged_past_head(raw(1)));
+  append_block(file, BlockType::kEpoch, encode_record(raw(1)));
+  ASSERT_TRUE(util::write_file_atomic(
+      path_, std::span<const std::uint8_t>(file)));
+  ArchiveReader reader;
+  ASSERT_EQ(reader.open(path_), OpenError::kNone);
+  EXPECT_EQ(reader.records(), (std::vector<EpochRecord>{raw(0), raw(1)}));
+  EXPECT_EQ(reader.corrupt_blocks(), 1u);  // The damaged copy alone.
 }
 
 TEST_F(SupersededDamageTest, DamagedCommittedRollupLeavesReplacedRecordsLive) {
