@@ -3,10 +3,11 @@
 # full-size output bytes of every perfbench workload + a smoke run of
 # patchwork_cli (a two-site mix-model profile, a two-site event-model
 # profile with key churn, a capture filter and anonymization, every
-# archive subcommand on one archive, and crash recovery of that archive
-# after its tail is cut), the portability demo and thirteen benches, then
-# the whole suite again under ThreadSanitizer, then once more under
-# AddressSanitizer + UBSan (where any UB report is fatal).
+# archive subcommand on one archive, a query windowed to its second epoch,
+# and crash recovery of that archive after its tail is cut), the
+# portability demo and thirteen benches, then the whole suite again under
+# ThreadSanitizer, then once more under AddressSanitizer + UBSan (where any
+# UB report is fatal).
 #
 # Usage: scripts/check.sh [--tsan-only | --asan-only | --release-only]
 set -euo pipefail
@@ -46,7 +47,8 @@ if [[ "$mode" == "all" || "$mode" == "release" ]]; then
   # patchwork_cli in a scratch directory: a two-site mix-model profile and
   # a two-site event-model profile (key churn, a UDP capture filter,
   # anonymization) must each write the ten Process-step CSVs and the run
-  # manifest, then one archive takes two appends, a query, a stat and a
+  # manifest, then one archive takes two appends, a query, a query from
+  # epoch 1 on (it must list week2 and not week1), a stat and a
   # compaction. Its last 5 bytes are then cut, as a crash mid-append would
   # leave it: stat must report the damaged tail, the next append must cut
   # it away, and a second stat must find no damage before a gc. Every
@@ -69,6 +71,14 @@ if [[ "$mode" == "all" || "$mode" == "release" ]]; then
       exit 1
     fi
   }
+  # Fails if the last cli_run printed "$1" anywhere.
+  cli_reject() {
+    if grep -qF -- "$1" <<<"$cli_out"; then
+      echo "$cli_out" >&2
+      echo "patchwork_cli: did not expect '$1' in its output" >&2
+      exit 1
+    fi
+  }
   cli_profile() {
     local dir="$1"
     shift
@@ -87,6 +97,9 @@ if [[ "$mode" == "all" || "$mode" == "release" ]]; then
   cli_run archive append --archive "$archive" --label week1 --sites 2
   cli_run archive append --archive "$archive" --label week2 --sites 2 --seed 2
   cli_run archive query --archive "$archive"
+  cli_run archive query --archive "$archive" --from-epoch 1
+  cli_expect "week2"
+  cli_reject "week1"
   cli_run archive stat --archive "$archive"
   cli_run archive compact --archive "$archive" --budget 1
   truncate -s -5 "$archive"
