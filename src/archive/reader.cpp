@@ -142,7 +142,7 @@ Placement place_records(const std::vector<Entry>& entries,
                         const std::vector<bool>& dropped) {
   Placement out;
   std::vector<std::size_t>& live = out.live;
-  std::set<RecordIdent> live_idents;  ///< The identities of `live`.
+  std::set<RecordIdent> live_idents;  // The identities of `live`.
   std::vector<std::size_t> pending;
   const auto ident = [&](std::size_t e) {
     return record_ident(entries[e].head);

@@ -9,12 +9,13 @@ namespace patchwork::archive {
 
 namespace {
 
-bool canonical_less(const TopFlowSketch::Entry& a,
-                    const TopFlowSketch::Entry& b) {
+// Canonical order (count desc, error asc, key asc) of entries and of
+// merge's rows alike.
+constexpr auto canonical_less = [](const auto& a, const auto& b) {
   if (a.count != b.count) return a.count > b.count;
   if (a.error != b.error) return a.error < b.error;
   return a.key < b.key;
-}
+};
 
 // Whether any key appears twice: an open-addressed set of entry indices,
 // one hash per key (valid_parts runs on every decoded record). Linear
@@ -176,19 +177,14 @@ void TopFlowSketch::merge(const TopFlowSketch& other) {
 
   // Keys are unique, so canonical order is total: selecting the first
   // capacity_ rows and sorting them gives the prefix a full sort would.
-  const auto row_less = [](const Row& x, const Row& y) {
-    if (x.count != y.count) return x.count > y.count;
-    if (x.error != y.error) return x.error < y.error;
-    return x.key < y.key;
-  };
   std::uint64_t new_floor = floor_ + other.floor_;
   if (rows.size() > capacity_) {
     const auto cut = rows.begin() + static_cast<std::ptrdiff_t>(capacity_);
-    std::nth_element(rows.begin(), cut, rows.end(), row_less);
+    std::nth_element(rows.begin(), cut, rows.end(), canonical_less);
     new_floor = std::max(new_floor, cut->count);
     rows.erase(cut, rows.end());
   }
-  std::sort(rows.begin(), rows.end(), row_less);
+  std::sort(rows.begin(), rows.end(), canonical_less);
 
   // Each row of this side names a distinct entry, so moving its key out
   // leaves every other row's view intact; in a self-merge every row is of
