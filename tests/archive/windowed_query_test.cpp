@@ -354,8 +354,8 @@ TEST_F(QueryCacheConcurrency, SharedSingleRecordTopFlowsAgree) {
   }
 }
 
-// Windows built at once from one cached load read its records from four
-// threads while the cache is locked and unlocked around them.
+// Four threads build four windows from one cached load at once; each
+// copies its records from the shared load outside the cache's lock.
 TEST_F(QueryCacheConcurrency, WindowsOfOneVersionBuiltAtOnceAgree) {
   write_flow_epochs(8);
   QueryCache cache(8);
