@@ -101,10 +101,21 @@ ScanResult scan_archive_bytes(std::span<const std::uint8_t> bytes) {
 
 /// What assembly reads of one scanned block: a record's head, or a marker.
 struct Entry {
-  std::size_t block = 0;  ///< Index into the scanned blocks.
+  const ScannedBlock* block = nullptr;
   BlockType type = BlockType::kEpoch;
   RecordHead head;         ///< Record blocks.
   SupersedeMarker marker;  ///< kSupersede.
+};
+
+/// Orders record blocks by payload version and bytes, so a block written
+/// twice compares equal to its first copy.
+struct PayloadLess {
+  bool operator()(const ScannedBlock* a, const ScannedBlock* b) const {
+    if (a->payload_version != b->payload_version) {
+      return a->payload_version < b->payload_version;
+    }
+    return std::ranges::lexicographical_compare(a->payload, b->payload);
+  }
 };
 
 /// The entries that back logical records once the markers are applied.
@@ -112,7 +123,7 @@ struct Placement {
   std::vector<std::size_t> live;  ///< Entry indices, logical order.
   std::uint64_t superseded_records = 0;
   std::uint64_t orphan_pending = 0;
-  std::uint64_t duplicates = 0;  ///< Record blocks repeating a live one.
+  std::uint64_t duplicates = 0;  ///< Copies of a record block placed before.
 };
 
 /// Where a committed rollup lands when none of its superseded records are
@@ -136,13 +147,14 @@ std::size_t chronological_position(const std::vector<Entry>& entries,
 }
 
 /// Applies the markers to the record heads in file order, leaving out the
-/// entries flagged in `dropped` and counting each later copy of a live
-/// record as a duplicate.
+/// entries flagged in `dropped` and counting each later copy of a record
+/// block as a duplicate.
 Placement place_records(const std::vector<Entry>& entries,
                         const std::vector<bool>& dropped) {
   Placement out;
   std::vector<std::size_t>& live = out.live;
-  std::set<RecordIdent> live_idents;  // The identities of `live`.
+  // Every record block placed so far, live or since retired.
+  std::set<const ScannedBlock*, PayloadLess> placed;
   std::vector<std::size_t> pending;
   const auto ident = [&](std::size_t e) {
     return record_ident(entries[e].head);
@@ -152,9 +164,10 @@ Placement place_records(const std::vector<Entry>& entries,
     switch (entries[e].type) {
       case BlockType::kEpoch:
       case BlockType::kRollup:
-        // A second block with a live record's identity is a copy (a block
-        // written twice): the first stays and the copy is damage.
-        if (!live_idents.insert(ident(e)).second) {
+        // A block byte-identical to one placed before is a copy (a block
+        // written twice): the first stays, live or retired, and the copy is
+        // damage. Distinct records that share an identity both stay.
+        if (!placed.insert(entries[e].block).second) {
           ++out.duplicates;
           break;
         }
@@ -203,13 +216,12 @@ Placement place_records(const std::vector<Entry>& entries,
                   ? chronological_position(entries, live, entries[rollup].head)
                   : retired.front();
           for (std::size_t i = retired.size(); i-- > 0;) {
-            live_idents.erase(ident(live[retired[i]]));
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(retired[i]));
             ++out.superseded_records;
           }
           live.insert(live.begin() + static_cast<std::ptrdiff_t>(insert_at),
                       rollup);
-          live_idents.insert(ident(rollup));
+          placed.insert(entries[rollup].block);
         }
         break;
     }
@@ -228,7 +240,7 @@ struct AssembledArchive {
   std::uint64_t orphan_pending = 0;   ///< Pending rollups with no marker.
   /// CRC-valid, but a marker, record head or live record won't parse.
   std::uint64_t undecodable_blocks = 0;
-  std::uint64_t duplicate_records = 0;  ///< Copies of a live record's block.
+  std::uint64_t duplicate_records = 0;  ///< Copies of a placed record block.
   std::uint64_t skipped_newer = 0;    ///< Newer payload version or type.
 };
 
@@ -241,7 +253,7 @@ AssembledArchive assemble_blocks(const std::vector<ScannedBlock>& blocks) {
       ++out.skipped_newer;  // Written by a newer build; not ours to guess at.
       continue;
     }
-    Entry entry{b, block.type, {}, {}};
+    Entry entry{&block, block.type, {}, {}};
     bool decoded = false;
     switch (block.type) {
       case BlockType::kEpoch:
@@ -276,7 +288,7 @@ AssembledArchive assemble_blocks(const std::vector<ScannedBlock>& blocks) {
     settled = true;
     for (std::size_t e : placement.live) {
       if (decoded.contains(e)) continue;
-      const ScannedBlock& block = blocks[entries[e].block];
+      const ScannedBlock& block = *entries[e].block;
       EpochRecord record;
       if (decode_record(block.payload, block.payload_version, &record)) {
         decoded.emplace(e, std::move(record));
@@ -294,7 +306,7 @@ AssembledArchive assemble_blocks(const std::vector<ScannedBlock>& blocks) {
   out.records.reserve(placement.live.size());
   for (std::size_t e : placement.live) {
     out.live_block_bytes +=
-        kBlockHeaderSize + blocks[entries[e].block].payload.size();
+        kBlockHeaderSize + entries[e].block->payload.size();
     out.records.push_back(std::move(decoded.at(e)));
   }
   return out;

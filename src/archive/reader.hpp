@@ -20,9 +20,11 @@
 // landed (a crash mid-commit). Superseded and orphaned blocks stay on disk
 // as garbage until a GC rewrite; their byte total is reported so the
 // compactor can decide when a rewrite pays for itself. An epoch or rollup
-// block whose identity (RecordIdent) is already live is a copy: the first
-// stays, the copy is counted as corrupt and left as garbage, so no query
-// counts an epoch twice.
+// block byte-identical to one placed before it (live, or since retired by
+// a marker) is a copy: the first stays, the copy is counted as corrupt and
+// left as garbage, so no query counts an epoch twice. Distinct records
+// that share a RecordIdent (two merged inputs tagged with one origin) are
+// not copies and both stay.
 //
 // The open does one CRC pass over the file and decodes only what it serves:
 // blocks are views into the file buffer, assembly reads each record's head
@@ -67,7 +69,7 @@ class ArchiveReader {
   std::uint64_t valid_bytes() const { return valid_bytes_; }
   /// Blocks failing their CRC, markers and record heads that do not
   /// decode, live records that fail the strict decode, and record blocks
-  /// that repeat a live record's identity.
+  /// that copy an earlier record block byte for byte.
   std::uint64_t corrupt_blocks() const { return corrupt_blocks_; }
   std::uint64_t skipped_newer_blocks() const { return skipped_newer_; }
   bool damaged_tail() const { return damaged_tail_; }

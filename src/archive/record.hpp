@@ -207,7 +207,6 @@ struct RecordIdent {
   std::uint64_t last_epoch = 0;
 
   bool operator==(const RecordIdent&) const = default;
-  auto operator<=>(const RecordIdent&) const = default;
 };
 
 /// The leading fields of an encoded record, through start_nanos: its

@@ -328,10 +328,10 @@ TEST_F(SupersededDamageTest, UndecodableSupersededEpochIsGarbageNotCorrupt) {
   EXPECT_EQ(clean.garbage_bytes(), 0u);
 }
 
-TEST_F(SupersededDamageTest, CopyOfUndecodableRecordTakesItsPlace) {
-  // The first copy of a record is the one kept. When it fails the strict
-  // decode it is dropped, and the later copy is placed as if it were the
-  // only one.
+TEST_F(SupersededDamageTest, IntactTwinOfUndecodableRecordIsServed) {
+  // A damaged block does not hide a later intact block of the same record:
+  // the damaged one fails the strict decode and is dropped, and the intact
+  // one is served.
   std::vector<std::uint8_t> file = encode_file_header();
   append_block(file, BlockType::kEpoch, encode_record(raw(0)));
   append_block(file, BlockType::kEpoch, damaged_past_head(raw(1)));
@@ -342,6 +342,24 @@ TEST_F(SupersededDamageTest, CopyOfUndecodableRecordTakesItsPlace) {
   ASSERT_EQ(reader.open(path_), OpenError::kNone);
   EXPECT_EQ(reader.records(), (std::vector<EpochRecord>{raw(0), raw(1)}));
   EXPECT_EQ(reader.corrupt_blocks(), 1u);  // The damaged copy alone.
+}
+
+TEST_F(SupersededDamageTest, CopyOfRetiredRecordIsCountedOnce) {
+  // Regression: a copy of e0 written after the marker that retired it came
+  // back as a live record beside the rollup covering it, so the totals
+  // counted e0 twice while the open reported a clean file.
+  write_commit(encode_record(raw(0)), encode_record(rollup_));
+  std::vector<std::uint8_t> copy;
+  append_block(copy, BlockType::kEpoch, encode_record(raw(0)));
+  ASSERT_TRUE(util::append_file(path_, copy));
+
+  OpenStatus status;
+  const ArchiveQuery query =
+      ArchiveQuery::from_file(path_, QueryWindow{}, &status);
+  EXPECT_EQ(query.records(), std::vector<EpochRecord>{rollup_});
+  EXPECT_EQ(query.totals().frames, 21u);
+  EXPECT_EQ(status.corrupt_blocks, 1u);
+  EXPECT_FALSE(status.clean());
 }
 
 TEST_F(SupersededDamageTest, DamagedCommittedRollupLeavesReplacedRecordsLive) {

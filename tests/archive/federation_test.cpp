@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "archive/compactor.hpp"
 #include "archive/federation.hpp"
 #include "archive/query.hpp"
 #include "archive/reader.hpp"
@@ -149,6 +150,31 @@ TEST_F(FederationTest, MergedBytesAreIdenticalAcrossWorkerCounts) {
       EXPECT_EQ(*bytes, reference) << "workers=" << workers;
     }
   }
+}
+
+TEST_F(FederationTest, InputsOfOneOriginKeepEveryRecord) {
+  // Two deployments stamped with one origin (the CLI tags an input with its
+  // file stem, so east/archive.pwar and west/archive.pwar both read
+  // "archive") share every identity. Their records are not copies of each
+  // other: the merged archive serves all of them, and GC keeps them.
+  write_inputs();
+  const FederationResult result = merge_archives(
+      {{path("fed_a.pwar"), "archive"}, {path("fed_b.pwar"), "archive"}},
+      path("fed_out.pwar"));
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.records_out, 8u);
+
+  OpenStatus status;
+  const ArchiveQuery merged =
+      ArchiveQuery::from_file(path("fed_out.pwar"), QueryWindow{}, &status);
+  EXPECT_TRUE(status.clean());
+  EXPECT_EQ(merged.record_count(), 8u);
+  EXPECT_EQ(merged.totals().frames, 2u * (100 + 101 + 102 + 103));
+
+  const CompactionResult gc = gc_archive(path("fed_out.pwar"));
+  ASSERT_TRUE(gc.ok());
+  EXPECT_FALSE(gc.changed);
+  EXPECT_EQ(gc.records_after, 8u);
 }
 
 TEST_F(FederationTest, MissingInputFailsWithItsPath) {
