@@ -1,6 +1,7 @@
 #include "archive/query.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
 namespace patchwork::archive {
@@ -14,7 +15,7 @@ bool QueryWindow::contains(const EpochRecord& record) const {
   return true;
 }
 
-ArchiveQuery::ArchiveQuery(std::vector<EpochRecord> records,
+ArchiveQuery::ArchiveQuery(std::vector<EpochRecord>&& records,
                            const QueryWindow& window)
     : records_(std::move(records)), window_(window) {
   // Filter before any fold: out-of-window records must not contribute to
@@ -24,6 +25,20 @@ ArchiveQuery::ArchiveQuery(std::vector<EpochRecord> records,
       return !window_.contains(r);
     });
   }
+  fold();
+}
+
+ArchiveQuery::ArchiveQuery(const std::vector<EpochRecord>& records,
+                           const QueryWindow& window)
+    : window_(window) {
+  std::ranges::copy_if(records, std::back_inserter(records_),
+                       [this](const EpochRecord& r) {
+                         return window_.contains(r);
+                       });
+  fold();
+}
+
+void ArchiveQuery::fold() {
   if (records_.empty()) return;
   totals_ = records_.front();
   for (std::size_t i = 1; i < records_.size(); ++i) {
@@ -31,19 +46,23 @@ ArchiveQuery::ArchiveQuery(std::vector<EpochRecord> records,
   }
 }
 
-OpenStatus OpenStatus::of(OpenError error, const ArchiveReader& reader) {
-  return {error, reader.corrupt_blocks(), reader.damaged_tail(),
-          reader.valid_bytes(), reader.skipped_newer_blocks()};
+std::optional<std::vector<EpochRecord>> load_records(const std::string& path,
+                                                     OpenStatus* status) {
+  ArchiveReader reader;
+  const OpenError error = reader.open(path);
+  if (status != nullptr) {
+    *status = {error, reader.corrupt_blocks(), reader.damaged_tail(),
+               reader.valid_bytes(), reader.skipped_newer_blocks()};
+  }
+  if (error != OpenError::kNone) return std::nullopt;
+  return reader.take_records();
 }
 
 ArchiveQuery ArchiveQuery::from_file(const std::string& path,
                                      const QueryWindow& window,
                                      OpenStatus* status) {
-  ArchiveReader reader;
-  const OpenError error = reader.open(path);
-  if (status != nullptr) *status = OpenStatus::of(error, reader);
-  if (error != OpenError::kNone) return ArchiveQuery({});
-  return ArchiveQuery(reader.take_records(), window);
+  return ArchiveQuery(
+      load_records(path, status).value_or(std::vector<EpochRecord>{}), window);
 }
 
 std::uint64_t ArchiveQuery::epochs_covered() const {

@@ -16,7 +16,8 @@
 // whole — the archive stores spans, not per-epoch residue; narrow windows
 // want an archive compacted less aggressively.)
 //
-// from_file surfaces the reader's damage diagnostics in an OpenStatus so
+// load_records, which from_file and QueryCache both open a file through,
+// surfaces the reader's damage diagnostics in an OpenStatus so
 // callers can distinguish "empty archive" from "archive with its tail torn
 // off" — a silent difference before, now a warning surface for the CLI.
 #pragma once
@@ -55,14 +56,11 @@ struct QueryWindow {
 /// diagnostics the reader counted while skipping bad blocks.
 struct OpenStatus {
   OpenError error = OpenError::kNone;
-  /// CRC-failed, undecodable or a copy of a live record's block; skipped.
+  /// CRC-failed, undecodable or a copy of an earlier record block; skipped.
   std::uint64_t corrupt_blocks = 0;
   bool damaged_tail = false;          ///< Truncated/unframeable tail dropped.
   std::uint64_t valid_bytes = 0;      ///< Prefix the reader could frame.
   std::uint64_t skipped_newer = 0;    ///< Blocks from a newer build, skipped.
-
-  /// What `reader` found, given the error its open() returned.
-  static OpenStatus of(OpenError error, const ArchiveReader& reader);
 
   bool ok() const { return error == OpenError::kNone; }
   /// True when the file opened and every byte was accounted for.
@@ -71,14 +69,23 @@ struct OpenStatus {
   }
 };
 
+/// Every live record of the archive at `path`, in logical order, or
+/// nullopt when the open fails. *status (when non-null) receives the open
+/// error plus the damage diagnostics for the warn path.
+std::optional<std::vector<EpochRecord>> load_records(const std::string& path,
+                                                     OpenStatus* status);
+
 class ArchiveQuery {
  public:
-  explicit ArchiveQuery(std::vector<EpochRecord> records,
+  /// Takes `records` and drops those outside `window`.
+  explicit ArchiveQuery(std::vector<EpochRecord>&& records,
+                        const QueryWindow& window = {});
+  /// Copies only the records inside `window`, leaving `records` shared.
+  explicit ArchiveQuery(const std::vector<EpochRecord>& records,
                         const QueryWindow& window = {});
 
-  /// Load `path` via ArchiveReader, keeping only records in `window`. On
-  /// failure returns an empty query; *status (when non-null) receives the
-  /// open error plus the damage diagnostics for the warn path.
+  /// Load `path` via load_records, keeping only records in `window`. On
+  /// failure returns an empty query.
   static ArchiveQuery from_file(const std::string& path,
                                 const QueryWindow& window,
                                 OpenStatus* status = nullptr);
@@ -129,6 +136,8 @@ class ArchiveQuery {
  private:
   template <typename Fn>
   std::vector<TrendPoint> trend(Fn&& value_of) const;
+  /// Folds records_ into totals_.
+  void fold();
 
   std::vector<EpochRecord> records_;
   EpochRecord totals_;

@@ -14,17 +14,6 @@ obs::Counter& cache_counter(const char* name, const char* help) {
                                  obs::Determinism::kWallClock);
 }
 
-/// The query over `window` of one loaded file version; only the in-window
-/// records are copied.
-std::shared_ptr<const ArchiveQuery> window_query(
-    const std::vector<EpochRecord>& records, const QueryWindow& window) {
-  std::vector<EpochRecord> in_window;
-  for (const EpochRecord& record : records) {
-    if (window.contains(record)) in_window.push_back(record);
-  }
-  return std::make_shared<const ArchiveQuery>(std::move(in_window), window);
-}
-
 }  // namespace
 
 QueryCache::QueryCache(std::size_t capacity)
@@ -85,12 +74,10 @@ std::shared_ptr<const ArchiveQuery> QueryCache::get(const std::string& path,
   misses.add(1);
   const bool shared = records != nullptr;
   if (!shared) {
-    ArchiveReader reader;
-    const OpenError error = reader.open(path);
-    loaded_status = OpenStatus::of(error, reader);
-    if (error == OpenError::kNone) {
+    auto loaded = load_records(path, &loaded_status);
+    if (loaded) {
       records = std::make_shared<const std::vector<EpochRecord>>(
-          reader.take_records());
+          std::move(*loaded));
     }
   }
   if (status != nullptr) *status = loaded_status;
@@ -98,7 +85,7 @@ std::shared_ptr<const ArchiveQuery> QueryCache::get(const std::string& path,
     return std::make_shared<const ArchiveQuery>(  // Don't cache failures.
         std::vector<EpochRecord>{});
   }
-  auto query = window_query(*records, window);
+  auto query = std::make_shared<const ArchiveQuery>(*records, window);
 
   // Re-stat *after* a load: if the file changed while we read it, the
   // recorded identity must not validate a torn read on the next lookup. A

@@ -18,7 +18,8 @@
 // entries of that version, with the version's OpenStatus. A window that
 // misses first looks for an entry of the same path whose identity equals
 // the stat this lookup just took; it then copies that load's in-window
-// records into its own query, and only without one does it open the file.
+// records into its own query, and only without one does it open the file
+// (load_records).
 // Such a window still counts as a miss; the opens it saved show in
 // patchwork_archive_records_read_total. A lookup that finds the file
 // changed drops every entry of the old version, so no stale load stays
