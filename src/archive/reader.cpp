@@ -101,7 +101,7 @@ ScanResult scan_archive_bytes(std::span<const std::uint8_t> bytes) {
 
 /// What assembly reads of one scanned block: a record's head, or a marker.
 struct Entry {
-  const ScannedBlock* block = nullptr;
+  const ScannedBlock* block = nullptr;  ///< One of the scanned blocks.
   BlockType type = BlockType::kEpoch;
   RecordHead head;         ///< Record blocks.
   SupersedeMarker marker;  ///< kSupersede.
@@ -278,8 +278,7 @@ AssembledArchive assemble_blocks(const std::vector<ScannedBlock>& blocks) {
 
   // Only the records that survive placement are decoded in full. One that
   // fails is dropped and placement reruns without it, exactly as if its
-  // block were absent, so the commit of a damaged rollup retires nothing
-  // and a later copy of a damaged record takes its place.
+  // block were absent, so the commit of a damaged rollup retires nothing.
   std::vector<bool> dropped(entries.size(), false);
   std::map<std::size_t, EpochRecord> decoded;
   Placement placement;
